@@ -41,7 +41,6 @@ from .models import (
     _var_onestep_batch,
     fit_ccc_garch,
     fit_var,
-    influence_values,
 )
 from .results import TestOutcome
 
@@ -160,12 +159,20 @@ def bootstrap_estimate(fit: FitResult, boot_data, mode: str = "auto") -> np.ndar
     if mode != "one_step":
         raise ValueError(f"unknown estimator mode {mode!r}")
     if fit.model.kind == "ccc_garch":
-        v0 = data.var(axis=0)
-        score = _garch_xspace_scores_batch(fit.x_hat, data[None], v0[None])[0]
-        x_star = fit.x_hat + (fit.xinfo_inv @ score) / data.shape[0]
-        return _garch_unpack_batch(x_star[None])[0]
-    infl = influence_values(fit, data)[fit.presample :]
-    return fit.theta + infl.mean(axis=0)
+        return _garch_onestep(fit, data[None], data.var(axis=0)[None])[0]
+    coef, _ = _var_onestep_batch(fit, data[None])
+    return coef[0].ravel()
+
+
+def _garch_onestep(fit: FitResult, paths: np.ndarray, v_init: np.ndarray) -> np.ndarray:
+    """One Newton step per path from ``fit.x_hat`` in the unconstrained
+    optimization coordinates, mapped back to (nb, 7) parameters.
+
+    The transform geometry keeps the updated parameters in the valid
+    region, mirroring the constrained refit estimator.
+    """
+    scores = _garch_xspace_scores_batch(fit.x_hat, paths, v_init)
+    return _garch_unpack_batch(fit.x_hat + scores @ fit.xinfo_inv / paths.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +216,7 @@ def _series_block(fit: FitResult, pool: np.ndarray, cfg: BootstrapConfig, b0: in
     paths = paths[:, cfg.burn_in :]
     v_init_b = paths.var(axis=1)
     if mode == "one_step":
-        # Newton step in the unconstrained optimization coordinates: the
-        # transform geometry keeps the updated parameters in the valid
-        # region, mirroring the constrained refit estimator.
-        scores = _garch_xspace_scores_batch(fit.x_hat, paths, v_init_b)
-        x_b = fit.x_hat[None, :] + (scores @ fit.xinfo_inv) / fit.n_obs
-        theta_b = _garch_unpack_batch(x_b)
-        return _garch_residuals_batch(theta_b, paths, v_init_b)
+        return _garch_residuals_batch(_garch_onestep(fit, paths, v_init_b), paths, v_init_b)
     resid = np.zeros_like(paths)
     valid = np.zeros(nb, dtype=bool)
     for i in range(nb):

@@ -294,14 +294,18 @@ def _garch_check_theta(theta, allow_explosive: bool = False) -> None:
         raise DataError("explosive parameters (alpha + beta >= 1); pass allow_explosive")
 
 
-def _garch_component_path(omega: float, alpha: float, beta: float, y2: np.ndarray, v0: float):
-    """Variance recursion v_t = omega + alpha y_{t-1}^2 + beta v_{t-1}, v_1 = v0."""
-    n = y2.shape[0]
-    v = np.empty(n)
-    v[0] = v0
-    if n > 1:
-        drive = omega + alpha * y2[:-1]
-        v[1:] = lfilter([1.0], [1.0, -beta], drive, zi=np.array([beta * v0]))[0]
+def _garch_component_path(omega: float, alpha: float, beta: float, y2: np.ndarray, v0):
+    """Variance recursion v_t = omega + alpha y_{t-1}^2 + beta v_{t-1}, v_1 = v0.
+
+    Runs along the last axis of ``y2``; ``v0`` is a scalar or broadcasts
+    against the leading axes.
+    """
+    v = np.empty(y2.shape)
+    v[..., 0] = v0
+    if y2.shape[-1] > 1:
+        drive = omega + alpha * y2[..., :-1]
+        zi = np.broadcast_to(beta * np.asarray(v0, dtype=float), y2.shape[:-1])[..., None]
+        v[..., 1:] = lfilter([1.0], [1.0, -beta], drive, axis=-1, zi=zi)[0]
     return v
 
 
@@ -329,14 +333,46 @@ def garch_variance_path(theta, data, v_init=None) -> np.ndarray:
 def garch_loglik_terms(theta, data, v_init=None) -> np.ndarray:
     """Per-observation Gaussian log-likelihood contributions."""
     y = as_points(data)
-    v = garch_variance_path(theta, data, v_init)
-    rho = float(np.asarray(theta, dtype=float)[6])
-    if not (v > 0).all():
+    if y.shape[1] != 2:
+        raise DataError("ccc_garch supports bivariate series only")
+    if v_init is None:
+        v_init = y.var(axis=0)
+    return _garch_terms(theta, y, v_init)
+
+
+def _garch_terms(theta, y: np.ndarray, v_init, grad: bool = False):
+    """Log-likelihood terms (..., n) of paths ``y`` (..., n, 2) that share
+    ``theta``, each started at its own ``v_init`` (..., 2).
+
+    With ``grad``, also returns the exact per-observation scores
+    (..., n, 7).  The variance derivatives obey the differentiated
+    recursion ``dv_t/d(omega, alpha, beta) = (1, y_{t-1}^2, v_{t-1}) +
+    beta dv_{t-1}``, started at zero because ``v_1 = v_init`` does not
+    depend on theta.
+    """
+    th = np.asarray(theta, dtype=float)
+    v_init = np.asarray(v_init, dtype=float)
+    y2 = y**2
+    v = [_garch_component_path(*th[3 * i : 3 * i + 3], y2[..., i], v_init[..., i]) for i in range(2)]
+    if not all((vi > 0).all() for vi in v):
         raise FitError("nonpositive conditional variance along the path")
-    z = y / np.sqrt(v)
+    rho = th[6]
+    z1 = y[..., 0] / np.sqrt(v[0])
+    z2 = y[..., 1] / np.sqrt(v[1])
     one_m = 1.0 - rho * rho
-    quad = (z[:, 0] ** 2 - 2.0 * rho * z[:, 0] * z[:, 1] + z[:, 1] ** 2) / one_m
-    return -0.5 * (np.log(v[:, 0]) + np.log(v[:, 1]) + np.log(one_m) + quad) - _LOG_2PI
+    quad = (z1**2 - 2.0 * rho * z1 * z2 + z2**2) / one_m
+    terms = -0.5 * (np.log(v[0]) + np.log(v[1]) + np.log(one_m) + quad) - _LOG_2PI
+    if not grad:
+        return terms
+    cross = z1 * z2
+    scores = np.empty(terms.shape + (7,))
+    for i, z in enumerate((z1, z2)):
+        dll_dv = -(1.0 - (z * z - rho * cross) / one_m) / (2.0 * v[i])
+        drive = np.stack([np.ones_like(v[i]), y2[..., i], v[i]])
+        dv = _garch_component_path(0.0, 1.0, th[3 * i + 2], drive, 0.0)
+        scores[..., 3 * i : 3 * i + 3] = np.moveaxis(dv * dll_dv, 0, -1)
+    scores[..., 6] = rho / one_m + (cross * (1.0 + rho * rho) - rho * (z1**2 + z2**2)) / one_m**2
+    return terms, scores
 
 
 def _garch_pack(theta: np.ndarray) -> np.ndarray:
@@ -369,6 +405,21 @@ def _garch_unpack(x: np.ndarray) -> np.ndarray:
     return theta
 
 
+def _garch_unpack_jacobian(x: np.ndarray) -> np.ndarray:
+    """Jacobian d theta / d x of :func:`_garch_unpack` (block diagonal)."""
+    jac = np.zeros((7, 7))
+    for i in range(2):
+        frac = expit(x[3 * i + 1])
+        s = expit(x[3 * i + 2])
+        dfrac = frac * (1.0 - frac) * s
+        ds = s * (1.0 - s)
+        jac[3 * i, 3 * i] = np.exp(x[3 * i])
+        jac[3 * i + 1, 3 * i + 1 : 3 * i + 3] = dfrac, frac * ds
+        jac[3 * i + 2, 3 * i + 1 : 3 * i + 3] = -dfrac, (1.0 - frac) * ds
+    jac[6, 6] = 1.0 - np.tanh(x[6]) ** 2
+    return jac
+
+
 # Coordinate caps keep unpacked parameters strictly inside the valid region
 # (tanh(8) < 1 - 1e-7) while leaving the logistic coordinates free to
 # saturate harmlessly.
@@ -388,42 +439,9 @@ def _garch_unpack_batch(x: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _fd_plan(theta: np.ndarray):
-    """Finite-difference steps/sides for per-parameter score derivatives.
-
-    Central differences where both perturbations stay in the valid region,
-    one-sided otherwise (alpha/beta near 0, alpha+beta near 1, |rho| near 1).
-    """
-    plan = []
-    for j in range(7):
-        h = 6.0e-6 * max(1.0, abs(float(theta[j])))
-        if j == 6:
-            h = min(h, 0.5 * (1.0 - abs(float(theta[6])) + 1e-12))
-            plan.append((h, "central"))
-            continue
-        i, k = divmod(j, 3)
-        w, a, b = theta[3 * i : 3 * i + 3]
-        s = a + b
-        if k == 0:
-            down_ok = w - h > 0
-            up_ok = True
-        else:
-            value = a if k == 1 else b
-            down_ok = value - h >= 0
-            up_ok = s + h < 1.0
-        if down_ok and up_ok:
-            plan.append((h, "central"))
-        elif up_ok:
-            plan.append((h, "forward"))
-        elif down_ok:
-            plan.append((h, "backward"))
-        else:
-            plan.append((h, "skip"))
-    return plan
-
-
 def _garch_hessian_plan(theta: np.ndarray):
-    """Outer finite-difference steps for curvature; wider than the score steps."""
+    """Finite-difference steps for the curvature: central where both
+    perturbations stay in the valid region, one-sided otherwise."""
     plan = []
     for j in range(7):
         h = 1e-3 * max(1.0, abs(float(theta[j])))
@@ -452,7 +470,7 @@ def _garch_hessian_plan(theta: np.ndarray):
 
 def _garch_curvature(theta, data, v_init) -> np.ndarray:
     """Observed information: minus the per-observation-averaged Hessian of
-    the log-likelihood, from finite differences of the total score."""
+    the log-likelihood, from finite differences of the exact total score."""
     th = np.asarray(theta, dtype=float)
     n = data.shape[0]
 
@@ -482,30 +500,8 @@ def _garch_curvature(theta, data, v_init) -> np.ndarray:
 
 
 def _garch_scores(theta, data, v_init) -> np.ndarray:
-    """Per-observation scores (n x 7) by finite differences of the loglik."""
-    th = np.asarray(theta, dtype=float)
-    n = data.shape[0]
-    scores = np.zeros((n, 7))
-    base = None
-    for j, (h, mode) in enumerate(_fd_plan(th)):
-        if mode == "skip":
-            continue
-        if mode == "central":
-            up = th.copy()
-            up[j] += h
-            dn = th.copy()
-            dn[j] -= h
-            scores[:, j] = (
-                garch_loglik_terms(up, data, v_init) - garch_loglik_terms(dn, data, v_init)
-            ) / (2.0 * h)
-        else:
-            if base is None:
-                base = garch_loglik_terms(th, data, v_init)
-            sign = 1.0 if mode == "forward" else -1.0
-            pt = th.copy()
-            pt[j] += sign * h
-            scores[:, j] = sign * (garch_loglik_terms(pt, data, v_init) - base) / h
-    return scores
+    """Exact per-observation scores (n x 7)."""
+    return _garch_terms(theta, as_points(data), v_init, grad=True)[1]
 
 
 def fit_ccc_garch(
@@ -518,8 +514,8 @@ def fit_ccc_garch(
     """Gaussian QMLE of the bivariate constant-correlation GARCH(1,1).
 
     Optimizes an unconstrained reparameterization (log omega, logistic
-    alpha-fraction and persistence, atanh rho) with BFGS and numerical
-    gradients, from ``n_starts`` perturbed method-of-moments starting
+    alpha-fraction and persistence, atanh rho) with BFGS and the analytic
+    gradient, from ``n_starts`` perturbed method-of-moments starting
     points.  Boundary solutions (alpha + beta within 1e-6 of 1) raise
     :class:`BoundaryError`; non-convergence of all starts raises
     :class:`FitError`.
@@ -544,15 +540,15 @@ def fit_ccc_garch(
     x0 = _garch_pack(theta0)
 
     def negll(x):
-        terms = garch_loglik_terms(_garch_unpack(x), y, v_init)
-        return -float(terms.mean())
+        terms, scores = _garch_terms(_garch_unpack(x), y, v_init, grad=True)
+        return -float(terms.mean()), -(scores.sum(axis=0) @ _garch_unpack_jacobian(x)) / n
 
     rng = substream(seed, FIT)
     candidates = []
     for start in range(max(1, n_starts)):
         x_start = x0 if start == 0 else x0 + 0.3 * rng.standard_normal(7)
         res = minimize(
-            negll, x_start, method="BFGS", options={"gtol": gtol, "maxiter": maxiter}
+            negll, x_start, method="BFGS", jac=True, options={"gtol": gtol, "maxiter": maxiter}
         )
         gnorm = float(np.max(np.abs(res.jac))) if res.jac is not None else np.inf
         if np.isfinite(res.fun) and gnorm < 1e-5:
@@ -679,48 +675,21 @@ def _garch_variance_batch(omega, alpha, beta, y2: np.ndarray, v0: np.ndarray) ->
     return v
 
 
-def _garch_total_ll_batch(theta, y: np.ndarray, v_init: np.ndarray) -> np.ndarray:
-    """Total loglik per path; ``y`` is (B, n, 2), ``v_init`` is (B, 2)."""
-    th = np.asarray(theta, dtype=float)
-    y2 = y**2
-    v1 = _garch_variance_batch(th[0], th[1], th[2], y2[:, :, 0], v_init[:, 0])
-    v2 = _garch_variance_batch(th[3], th[4], th[5], y2[:, :, 1], v_init[:, 1])
-    rho = th[6]
-    z1 = y[:, :, 0] / np.sqrt(v1)
-    z2 = y[:, :, 1] / np.sqrt(v2)
-    one_m = 1.0 - rho * rho
-    quad = (z1**2 - 2.0 * rho * z1 * z2 + z2**2) / one_m
-    terms = -0.5 * (np.log(v1) + np.log(v2) + np.log(one_m) + quad) - _LOG_2PI
-    return terms.sum(axis=1)
-
-
 def _garch_xspace_scores_batch(x_hat: np.ndarray, y: np.ndarray, v_init: np.ndarray) -> np.ndarray:
     """Total log-likelihood gradient per path in the unconstrained coordinates.
 
-    Central differences; the packed space is all of R^7, so no boundary
-    handling is needed.
+    The summed exact scores times the Jacobian of the unpacking transform.
     """
     x = np.asarray(x_hat, dtype=float)
-    nb = y.shape[0]
-    scores = np.empty((nb, 7))
-    for j in range(7):
-        h = 1e-5 * max(1.0, abs(float(x[j])))
-        up = x.copy()
-        up[j] += h
-        dn = x.copy()
-        dn[j] -= h
-        scores[:, j] = (
-            _garch_total_ll_batch(_garch_unpack(up), y, v_init)
-            - _garch_total_ll_batch(_garch_unpack(dn), y, v_init)
-        ) / (2.0 * h)
-    return scores
+    scores = _garch_terms(_garch_unpack(x), y, v_init, grad=True)[1]
+    return scores.sum(axis=-2) @ _garch_unpack_jacobian(x)
 
 
 def _garch_xspace_info(x_hat: np.ndarray, data: np.ndarray, v_init) -> np.ndarray:
     """Observed information in the unconstrained coordinates (per obs).
 
     Minus the Hessian of the average log-likelihood, from central
-    differences of the gradient; eigenvalues are floored at 1e-8 of the
+    differences of the exact gradient; eigenvalues are floored at 1e-8 of the
     largest so saturated (flat) coordinates stay harmless.
     """
     x = np.asarray(x_hat, dtype=float)

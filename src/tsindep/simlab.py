@@ -350,9 +350,9 @@ def _mc_replication(cfg: McConfig, rep: int) -> dict | None:
             elif spec.kind == "t":
                 pvals[spec.label] = t_test(pair, spec.lag, spec.variant).p_value
             elif spec.kind == "w":
-                band = spec.bandwidth
-                h = band if isinstance(band, (int, float)) else band
-                pvals[spec.label] = w_test(y1, y2, h=_coerce_bandwidth(h), variant=spec.variant).p_value
+                pvals[spec.label] = w_test(
+                    y1, y2, h=_coerce_bandwidth(spec.bandwidth), variant=spec.variant
+                ).p_value
         return pvals
     except TsindepError:
         return None

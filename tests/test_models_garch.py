@@ -10,7 +10,7 @@ from tsindep.models import (
     _garch_residuals,
     _garch_residuals_batch,
     _garch_scores,
-    _garch_total_ll_batch,
+    _garch_terms,
     _garch_unpack,
     _garch_unpack_batch,
     _garch_xspace_scores_batch,
@@ -213,15 +213,41 @@ class TestFitCccGarch:
         assert_allclose(residuals(fit, data), fit.residuals, atol=1e-12)
 
 
+def central_difference_scores(theta, data, v_init):
+    """Oracle: per-observation scores by central differences of the loglik."""
+    out = np.empty((data.shape[0], 7))
+    for j in range(7):
+        h = 1e-6 * max(1.0, abs(theta[j]))
+        up, dn = theta.copy(), theta.copy()
+        up[j] += h
+        dn[j] -= h
+        out[:, j] = (garch_loglik_terms(up, data, v_init) - garch_loglik_terms(dn, data, v_init)) / (2 * h)
+    return out
+
+
+class TestExactScores:
+    def test_scores_match_central_differences(self):
+        data, _ = simulate_garch_data(np.random.default_rng(17), 500)
+        v_init = data.var(axis=0)
+        fitted = fit_ccc_garch(data, seed=0).theta
+        for theta in (THETA, fitted):
+            exact = _garch_scores(theta, data, v_init)
+            oracle = central_difference_scores(theta, data, v_init)
+            rel = np.abs(exact - oracle).max(axis=0) / np.abs(oracle).max(axis=0)
+            assert (rel <= 1e-7).all(), rel
+
+
 class TestBatchHelpers:
     def test_total_ll_matches_terms(self):
-        rng = np.random.default_rng(13)
+        # The batched helper on a (3, n, 2) stack agrees with the per-path
+        # log-likelihood terms and scores.
         data = np.stack([simulate_garch_data(np.random.default_rng(20 + i), 150)[0] for i in range(3)])
         v_init = data.var(axis=1)
-        totals = _garch_total_ll_batch(THETA, data, v_init)
+        terms, scores = _garch_terms(THETA, data, v_init, grad=True)
+        assert_allclose(_garch_terms(THETA, data, v_init), terms, rtol=0)
         for b in range(3):
-            direct = garch_loglik_terms(THETA, data[b], v_init[b]).sum()
-            assert_allclose(totals[b], direct, rtol=1e-10)
+            assert_allclose(terms[b], garch_loglik_terms(THETA, data[b], v_init[b]), rtol=1e-10)
+            assert_allclose(scores[b], _garch_scores(THETA, data[b], v_init[b]), rtol=1e-10, atol=1e-12)
 
     def test_pack_unpack_roundtrip(self):
         x = _garch_pack(THETA)
