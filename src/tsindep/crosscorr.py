@@ -227,7 +227,7 @@ def w_test(
     if isinstance(h, str):
         h = bandwidth_rule(h, n)
     h = float(h)
-    if h < 1 or h >= n:
+    if not 1 <= h < n:
         raise DataError(f"bandwidth h={h} must lie in [1, n)")
     d1 = e1.shape[1]
     d2 = e2.shape[1]

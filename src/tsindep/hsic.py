@@ -94,22 +94,36 @@ def _gram_values(g) -> np.ndarray:
 def hsic_v(K, L) -> float:
     """Biased (V-statistic) HSIC estimate from two Gram matrices.
 
-    Equals trace(K H L H) / N^2 with H the centering matrix, evaluated
-    through row / grand means so that H is never materialized:
+    Equals trace(K H L H) / N^2 with H the centering matrix.  With the row
+    sums r_K = K 1 and r_L = L 1 it is evaluated as
 
-        mean(K * L) + mean(K) mean(L) - 2 mean(rowmean(K) * rowmean(L))
+        sum(K * L) / N^2 + sum(r_K) sum(r_L) / N^4 - 2 r_K . r_L / N^3
 
-    Nonnegative up to roundoff whenever both kernels are positive definite.
+    so neither H nor any other N x N temporary is formed.  The elementwise
+    product is reduced row by row, which gives the same bits for a
+    principal-submatrix view as for a contiguous copy of it.  When either
+    Gram matrix is constant the result is exactly 0.0; otherwise it is
+    nonnegative up to roundoff whenever both kernels are positive definite.
     """
     k = _gram_values(K)
     l = _gram_values(L)
     if k.shape != l.shape:
         raise DataError(f"Gram size mismatch: {k.shape} vs {l.shape}")
-    if k.shape[0] < 2:
+    n = k.shape[0]
+    if n < 2:
         raise DataError("need at least 2 points")
-    row_k = k.mean(axis=1)
-    row_l = l.mean(axis=1)
-    return float(np.mean(k * l) + k.mean() * l.mean() - 2.0 * np.mean(row_k * row_l))
+    r_k = k.sum(axis=1)
+    r_l = l.sum(axis=1)
+    for g, r in ((k, r_k), (l, r_l)):
+        # Equal row sums are necessary for a constant matrix and cost O(N)
+        # to test; only then is the full O(N^2) comparison made.
+        if (r == r[0]).all() and (g == g[0, 0]).all():
+            return 0.0
+    return float(
+        np.einsum("ij,ij->i", k, l).sum() / n**2
+        + r_k.sum() * r_l.sum() / n**4
+        - 2.0 * (r_k @ r_l) / n**3
+    )
 
 
 def hsic_v_reference(K, L) -> float:
@@ -182,7 +196,7 @@ def joint_stat(
         raise DataError(f"max_lag {max_lag} infeasible for n={res.n}")
     g1 = gram_matrix(kernel_k, res.eta1).values
     g2 = gram_matrix(kernel_l, res.eta2).values
-    return float(sum(single_from_grams(g1, g2, m, direction) for m in range(max_lag + 1)))
+    return stat_from_grams(g1, g2, LagConfig(direction, max_lag=max_lag))
 
 
 def scaled_stat(stat: float, n: int) -> float:

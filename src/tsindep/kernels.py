@@ -115,6 +115,8 @@ def as_points(x, min_rows: int = 1) -> np.ndarray:
         raise DataError(f"expected an n x d matrix, got ndim={pts.ndim}")
     if pts.shape[0] < min_rows:
         raise DataError(f"need at least {min_rows} rows, got {pts.shape[0]}")
+    if pts.shape[1] == 0:
+        raise DataError("points have no coordinates")
     if not np.all(np.isfinite(pts)):
         raise DataError("non-finite values in input points")
     return pts
@@ -143,31 +145,50 @@ def eval_kernel(spec: KernelSpec, u, v) -> float:
 
 
 def _pairwise_sq_dists(pts: np.ndarray) -> np.ndarray:
-    # Explicit differences rather than the ||u||^2 + ||v||^2 - 2<u,v>
-    # shortcut: this keeps every entry exact and nonnegative.
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """Squared Euclidean distances between all rows of ``pts``, as n x n.
+
+    The squared differences ``(x_k[i] - x_k[j])**2`` are added up one
+    coordinate at a time into a single n x n buffer.  Explicit differences
+    rather than the ||u||^2 + ||v||^2 - 2<u,v> shortcut keep every entry
+    nonnegative and accurate, and since (a - b)^2 == (b - a)^2 in IEEE
+    arithmetic the result is exactly symmetric.
+    """
+    cols = pts.T
+    sq = np.subtract.outer(cols[0], cols[0])
+    sq *= sq
+    diff = np.empty_like(sq) if len(cols) > 1 else None
+    for col in cols[1:]:
+        np.subtract.outer(col, col, out=diff)
+        diff *= diff
+        sq += diff
+    return sq
 
 
 def gram_matrix(spec: KernelSpec, points) -> GramMatrix:
     """Gram matrix of ``points`` (rows are observations) under ``spec``.
 
-    The upper triangle is computed and mirrored, so the result is exactly
-    symmetric regardless of floating-point non-associativity.
+    The kernel is applied in place to the squared-distance buffer of
+    :func:`_pairwise_sq_dists`, which is exactly symmetric, so the Gram
+    matrix is exactly symmetric too.
     """
     pts = as_points(points)
-    sq = _pairwise_sq_dists(pts)
+    vals = _pairwise_sq_dists(pts)
     if spec.family == "gaussian":
-        vals = np.exp(-sq / (2.0 * spec.sigma**2))
+        vals /= -(2.0 * spec.sigma**2)
+        np.exp(vals, out=vals)
     elif spec.family == "laplace":
-        vals = np.exp(-np.sqrt(sq) / spec.sigma)
+        np.sqrt(vals, out=vals)
+        vals /= -spec.sigma
+        np.exp(vals, out=vals)
     elif spec.family == "inverse_multiquadric":
-        vals = (spec.beta + np.sqrt(sq)) ** -spec.alpha
+        np.sqrt(vals, out=vals)
+        vals += spec.beta
+        vals **= -spec.alpha
     else:
         norms = np.einsum("ij,ij->i", pts, pts) ** spec.hurst
-        vals = 0.5 * (norms[:, None] + norms[None, :] - sq**spec.hurst)
-    upper = np.triu(vals)
-    vals = upper + np.triu(vals, 1).T
+        vals **= spec.hurst
+        np.subtract(norms[:, None] + norms[None, :], vals, out=vals)
+        vals *= 0.5
     return GramMatrix(values=vals)
 
 

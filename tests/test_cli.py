@@ -40,6 +40,16 @@ class TestExitCodes:
         assert code == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("band", ["nan", "0.5"])
+    def test_bad_wtest_bandwidth_is_data_error(self, series_files, capsys, band):
+        # NaN fails every comparison, so it must not slip past the range check.
+        code = run_cli(
+            ["test", "--series1", series_files[0], "--series2", series_files[1],
+             "-B", "9", "--wtest", band]
+        )
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
+
     def test_numerical_error(self, tmp_path, capsys):
         # Constant series: the VAR design is collinear with the intercept.
         path1 = tmp_path / "c1.csv"

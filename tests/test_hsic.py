@@ -31,6 +31,19 @@ class TestHsicV:
         assert_allclose(hsic_v(ones, ones), 0.0, atol=1e-15)
         assert_allclose(hsic_v_reference(ones, ones), 0.0, atol=1e-15)
 
+    @pytest.mark.parametrize(
+        "spec", [GAUSS, KernelSpec.laplace(1.0), KernelSpec.inverse_multiquadric(1.0, 1.0)]
+    )
+    @pytest.mark.parametrize("n", [7, 40, 150, 500])
+    def test_constant_gram_is_exactly_zero(self, spec, n):
+        # The centred constant kernel is the zero matrix, so no roundoff
+        # from the cancelling terms may survive, on either side.
+        rng = np.random.default_rng(n)
+        k = gram_matrix(spec, rng.normal(size=(n, 2))).values
+        const = np.full((n, n), 0.7)
+        assert hsic_v(k, const) == 0.0
+        assert hsic_v(const, k) == 0.0
+
     @pytest.mark.parametrize("a,b", [(0.3, 0.7), (0.0, 1.0), (0.9, 0.1), (0.5, 0.5)])
     def test_two_point_closed_form(self, a, b):
         # Hand expansion of the three sums gives (1 - a)(1 - b) / 4.
@@ -172,17 +185,22 @@ class TestScaledStat:
 class TestGramSlicing:
     def test_stat_from_grams_matches_single_stat(self):
         rng = np.random.default_rng(12)
-        e1 = rng.normal(size=(35, 2))
-        e2 = rng.normal(size=(35, 2))
-        res = PairedResiduals(e1, e2)
-        g1 = gram_matrix(GAUSS, e1).values
-        g2 = gram_matrix(GAUSS, e2).values
-        for m in (0, 1, 5):
-            for direction in (1, 2):
-                cfg = LagConfig(direction=direction, m=m)
-                assert stat_from_grams(g1, g2, cfg) == single_stat(res, m, direction, GAUSS, GAUSS)
-        cfg = LagConfig(direction=1, max_lag=3)
-        assert_allclose(stat_from_grams(g1, g2, cfg), joint_stat(res, 3, 1, GAUSS, GAUSS), rtol=1e-12)
+        for n in (35, 300):
+            e1 = rng.normal(size=(n, 2))
+            e2 = rng.normal(size=(n, 2))
+            res = PairedResiduals(e1, e2)
+            g1 = gram_matrix(GAUSS, e1).values
+            g2 = gram_matrix(GAUSS, e2).values
+            for m in (0, 1, 5):
+                for direction in (1, 2):
+                    cfg = LagConfig(direction=direction, m=m)
+                    assert stat_from_grams(g1, g2, cfg) == single_stat(
+                        res, m, direction, GAUSS, GAUSS
+                    )
+            cfg = LagConfig(direction=1, max_lag=3)
+            assert_allclose(
+                stat_from_grams(g1, g2, cfg), joint_stat(res, 3, 1, GAUSS, GAUSS), rtol=1e-12
+            )
 
 
 class TestLagConfig:

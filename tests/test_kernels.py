@@ -97,11 +97,12 @@ class TestGramMatrix:
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_matches_pairwise_eval(self, spec):
         rng = np.random.default_rng(3)
-        pts = rng.normal(size=(12, 2))
-        g = gram_matrix(spec, pts).values
-        for i in range(12):
-            for j in range(12):
-                assert_allclose(g[i, j], eval_kernel(spec, pts[i], pts[j]), rtol=1e-12)
+        for d in (1, 2, 5):
+            pts = rng.normal(size=(12, d))
+            g = gram_matrix(spec, pts).values
+            for i in range(12):
+                for j in range(12):
+                    assert_allclose(g[i, j], eval_kernel(spec, pts[i], pts[j]), rtol=1e-12)
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_exact_symmetry(self, spec):
@@ -132,6 +133,10 @@ class TestGramMatrix:
     def test_rejects_non_finite(self):
         with pytest.raises(DataError):
             gram_matrix(KernelSpec.gaussian(1.0), [[1.0], [np.inf]])
+
+    def test_rejects_zero_columns(self):
+        with pytest.raises(DataError):
+            gram_matrix(KernelSpec.gaussian(1.0), np.empty((3, 0)))
 
     def test_single_point(self):
         g = gram_matrix(KernelSpec.gaussian(1.0), [[4.2]])
