@@ -245,8 +245,9 @@ def _stats_block(
         e2 = res2[i, start:] if p2 == 0 else res2[i, start - p2 :]
         g1 = gram_matrix(kernel_k, e1).values
         g2 = gram_matrix(kernel_l, e2).values
+        singles = {}
         for c, lag_cfg in enumerate(lag_cfgs):
-            stats[i, c] = n_scale * stat_from_grams(g1, g2, lag_cfg)
+            stats[i, c] = n_scale * stat_from_grams(g1, g2, lag_cfg, singles)
     valid &= np.isfinite(stats).all(axis=1)
     return stats, valid
 
@@ -292,7 +293,8 @@ def bootstrap_run(
 
     g1 = gram_matrix(kernel_k, e1).values
     g2 = gram_matrix(kernel_l, e2).values
-    observed = [n_scale * stat_from_grams(g1, g2, c) for c in lag_cfgs]
+    singles = {}
+    observed = [n_scale * stat_from_grams(g1, g2, c, singles) for c in lag_cfgs]
 
     pool1 = standardize_residuals(fit1.effective_residuals, cfg.standardize)
     pool2 = standardize_residuals(fit2.effective_residuals, cfg.standardize)

@@ -302,14 +302,17 @@ def _fit_summary(fit) -> dict:
 def _bootstrap_config(args, threads: int) -> BootstrapConfig:
     alphas = tuple(sorted(args.alpha)) if args.alpha else (0.01, 0.05, 0.10)
     mode = {"auto": "auto", "refit": "full_refit", "one-step": "one_step"}[args.estimator_mode]
-    return BootstrapConfig(
-        n_replicates=args.n_replicates,
-        alphas=alphas,
-        estimator_mode=mode,
-        master_seed=args.seed,
-        standardize=args.standardize,
-        threads=threads,
-    )
+    try:
+        return BootstrapConfig(
+            n_replicates=args.n_replicates,
+            alphas=alphas,
+            estimator_mode=mode,
+            master_seed=args.seed,
+            standardize=args.standardize,
+            threads=threads,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _provenance(command: str, args, config: dict) -> dict:
@@ -383,17 +386,20 @@ def _cmd_test(args) -> int:
     lags = args.lag if args.lag else [0]
     lag_cfgs = []
     seen = set()
-    for m in lags:
-        for dd in directions:
-            key = ("s", m, dd)
-            if m == 0 and ("s", 0, 1) in seen and dd == 2:
-                continue  # S1(0) and S2(0) coincide; report once
-            if key not in seen:
-                lag_cfgs.append(LagConfig(direction=dd, m=m))
-                seen.add(key)
-    if args.max_lag is not None:
-        for dd in directions:
-            lag_cfgs.append(LagConfig(direction=dd, max_lag=args.max_lag))
+    try:
+        for m in lags:
+            for dd in directions:
+                key = ("s", m, dd)
+                if m == 0 and ("s", 0, 1) in seen and dd == 2:
+                    continue  # S1(0) and S2(0) coincide; report once
+                if key not in seen:
+                    lag_cfgs.append(LagConfig(direction=dd, m=m))
+                    seen.add(key)
+        if args.max_lag is not None:
+            for dd in directions:
+                lag_cfgs.append(LagConfig(direction=dd, max_lag=args.max_lag))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
     outcomes = hsic_test_suite(
         fit1, fit2, lag_cfgs, kernel, kernel, cfg, keep_replicates=args.emit_replicates
@@ -472,6 +478,8 @@ def _cmd_lagscan(args) -> int:
     model2 = _parse_model(args.model2)
     kernel = _parse_kernel(args.kernel)
     _warn_fbm(kernel)
+    if args.max_lag < 0:
+        raise UsageError("--max-lag must be nonnegative")
     alphas = tuple(sorted(set((args.alpha or [0.01, 0.05, 0.10])) | {0.05}))
     args.alpha = list(alphas)
     cfg = _bootstrap_config(args, threads)
@@ -558,24 +566,27 @@ def _cmd_simulate(args) -> int:
         raise UsageError(str(exc)) from None
     alphas = tuple(sorted(args.alpha)) if args.alpha else (0.01, 0.05, 0.10)
     mode = {"auto": "auto", "refit": "full_refit", "one-step": "one_step"}[args.estimator_mode]
-    boot = BootstrapConfig(
-        n_replicates=n_replicates,
-        alphas=alphas,
-        estimator_mode=mode,
-        master_seed=args.seed,
-        standardize=args.standardize,
-    )
-    cfg = McConfig(
-        dgp=args.dgp.replace("-", "_"),
-        egp=EgpSpec.from_id(args.egp),
-        n=args.n,
-        replications=replications,
-        tests=tests,
-        bootstrap=boot,
-        master_seed=args.seed,
-        burn_in=args.burn_in,
-        workers=threads,
-    )
+    try:
+        boot = BootstrapConfig(
+            n_replicates=n_replicates,
+            alphas=alphas,
+            estimator_mode=mode,
+            master_seed=args.seed,
+            standardize=args.standardize,
+        )
+        cfg = McConfig(
+            dgp=args.dgp.replace("-", "_"),
+            egp=EgpSpec.from_id(args.egp),
+            n=args.n,
+            replications=replications,
+            tests=tests,
+            bootstrap=boot,
+            master_seed=args.seed,
+            burn_in=args.burn_in,
+            workers=threads,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     summary = run_monte_carlo(cfg)
     config = {
         "dgp": cfg.dgp,

@@ -225,10 +225,30 @@ def single_from_grams(g1: np.ndarray, g2: np.ndarray, m: int, direction: int) ->
     raise ValueError("direction must be 1 or 2")
 
 
-def stat_from_grams(g1: np.ndarray, g2: np.ndarray, cfg: LagConfig) -> float:
-    """Raw single or joint statistic from full Gram matrices (see above)."""
+def stat_from_grams(
+    g1: np.ndarray, g2: np.ndarray, cfg: LagConfig, singles: dict | None = None
+) -> float:
+    """Raw single or joint statistic from full Gram matrices (see above).
+
+    ``singles`` optionally maps ``(direction, m)`` to the value of
+    :func:`single_from_grams` at that lag; missing entries are computed
+    and added.  Several configs evaluated on the same ``g1, g2`` then
+    compute each distinct single once.  The dict belongs to that one pair
+    of Grams: pass a fresh one for every new pair.  At m = 0 both
+    directions evaluate :func:`hsic_v` on the same two full matrices, so
+    they share the key ``(1, 0)``.  Joint sums still add the singles in
+    ascending m, so every config gets the same bits with or without the
+    dict.
+    """
+    if singles is None:
+        singles = {}
+
+    def single(m: int) -> float:
+        key = (cfg.direction if m else 1, m)
+        if key not in singles:
+            singles[key] = single_from_grams(g1, g2, m, cfg.direction)
+        return singles[key]
+
     if cfg.is_joint:
-        return float(
-            sum(single_from_grams(g1, g2, m, cfg.direction) for m in range(cfg.max_lag + 1))
-        )
-    return single_from_grams(g1, g2, cfg.m, cfg.direction)
+        return float(sum(single(m) for m in range(cfg.max_lag + 1)))
+    return single(cfg.m)

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist, pdist
 
 from .exceptions import DataError
 
@@ -147,29 +148,24 @@ def eval_kernel(spec: KernelSpec, u, v) -> float:
 def _pairwise_sq_dists(pts: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between all rows of ``pts``, as n x n.
 
-    The squared differences ``(x_k[i] - x_k[j])**2`` are added up one
-    coordinate at a time into a single n x n buffer.  Explicit differences
-    rather than the ||u||^2 + ||v||^2 - 2<u,v> shortcut keep every entry
-    nonnegative and accurate, and since (a - b)^2 == (b - a)^2 in IEEE
-    arithmetic the result is exactly symmetric.
+    scipy's ``sqeuclidean`` loop adds ``(u_k - v_k)**2`` coordinate by
+    coordinate.  Explicit differences rather than the ||u||^2 + ||v||^2 -
+    2<u,v> shortcut keep every entry nonnegative and accurate, and since
+    (a - b)^2 == (b - a)^2 in IEEE arithmetic the result is exactly
+    symmetric.  The returned buffer is a fresh array the caller may
+    overwrite.
     """
-    cols = pts.T
-    sq = np.subtract.outer(cols[0], cols[0])
-    sq *= sq
-    diff = np.empty_like(sq) if len(cols) > 1 else None
-    for col in cols[1:]:
-        np.subtract.outer(col, col, out=diff)
-        diff *= diff
-        sq += diff
-    return sq
+    return cdist(pts, pts, "sqeuclidean")
 
 
 def gram_matrix(spec: KernelSpec, points) -> GramMatrix:
     """Gram matrix of ``points`` (rows are observations) under ``spec``.
 
     The kernel is applied in place to the squared-distance buffer of
-    :func:`_pairwise_sq_dists`, which is exactly symmetric, so the Gram
-    matrix is exactly symmetric too.
+    :func:`_pairwise_sq_dists`.  That buffer is exactly symmetric because
+    each entry is a sum of ``(a - b)**2`` terms, and applying the same
+    elementwise operations to equal entries gives equal results, so the
+    Gram matrix is exactly symmetric too.
     """
     pts = as_points(points)
     vals = _pairwise_sq_dists(pts)
@@ -199,8 +195,7 @@ def median_heuristic_sigma(points) -> float:
     to a fixed ``sigma = 1``.
     """
     pts = as_points(points, min_rows=2)
-    sq = _pairwise_sq_dists(pts)
-    dists = np.sqrt(sq[np.triu_indices(pts.shape[0], k=1)])
+    dists = np.sqrt(pdist(pts, "sqeuclidean"))
     med = float(np.median(dists))
     if med <= 0.0:
         raise DataError("median pairwise distance is zero; cannot set bandwidth")

@@ -240,6 +240,8 @@ class McConfig:
             raise ValueError("need at least one replication")
         if self.n < 20:
             raise ValueError("sample size too small for the working models")
+        if self.burn_in < 0:
+            raise ValueError("burn_in must be nonnegative")
         if not self.tests:
             raise ValueError("no tests configured")
         for spec in self.tests:

@@ -50,6 +50,27 @@ class TestExitCodes:
         assert code == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["test", "--lag", "-2"],
+            ["test", "--max-lag", "-1"],
+            ["lagscan", "--max-lag", "-1"],
+            ["test", "-B", "0"],
+            ["test", "--alpha", "1.5"],
+            ["simulate", "--egp", "9"],
+            ["simulate", "--replications", "0"],
+            ["simulate", "-n", "3"],
+            ["simulate", "--burn-in", "-5", "--replications", "2", "-B", "9", "-n", "50"],
+        ],
+        ids="_".join,
+    )
+    def test_bad_configuration_is_usage_error(self, series_files, capsys, argv):
+        if argv[0] != "simulate":
+            argv = [argv[0], "--series1", series_files[0], "--series2", series_files[1], *argv[1:]]
+        assert run_cli(argv) == 1
+        assert "usage error" in capsys.readouterr().err
+
     def test_numerical_error(self, tmp_path, capsys):
         # Constant series: the VAR design is collinear with the intercept.
         path1 = tmp_path / "c1.csv"

@@ -1,4 +1,4 @@
-"""The README says every demo runs standalone; run the two quick ones."""
+"""The README says every demo runs standalone; run the quick ones."""
 
 import os
 import subprocess
@@ -11,7 +11,15 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 120
 
 
-@pytest.mark.parametrize("script", ["01_kernels_and_hsic.py", "05_lagscan.py"])
+@pytest.mark.parametrize(
+    "script",
+    [
+        "01_kernels_and_hsic.py",
+        "02_var_bootstrap_test.py",
+        "04_competing_tests.py",
+        "05_lagscan.py",
+    ],
+)
 def test_demo_runs(script):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(

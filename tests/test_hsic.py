@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import tsindep.hsic as hsic_module
 from tsindep import (
     DataError,
     KernelSpec,
@@ -201,6 +202,34 @@ class TestGramSlicing:
             assert_allclose(
                 stat_from_grams(g1, g2, cfg), joint_stat(res, 3, 1, GAUSS, GAUSS), rtol=1e-12
             )
+
+    def test_shared_singles_match_separate_calls(self, monkeypatch):
+        # The configs of `tsindep test --lag 0 --lag 3 --max-lag 5`.
+        cfgs = [
+            LagConfig(direction=1, m=0),
+            LagConfig(direction=1, m=3),
+            LagConfig(direction=2, m=3),
+            LagConfig(direction=1, max_lag=5),
+            LagConfig(direction=2, max_lag=5),
+        ]
+        g1, g2 = random_grams(np.random.default_rng(14), 120)
+        separate = [stat_from_grams(g1, g2, cfg) for cfg in cfgs]
+        calls = []
+        real = hsic_module.single_from_grams
+
+        def counting(*args):
+            calls.append(args[2:])
+            return real(*args)
+
+        monkeypatch.setattr(hsic_module, "single_from_grams", counting)
+        singles = {}
+        shared = [stat_from_grams(g1, g2, cfg, singles) for cfg in cfgs]
+        assert shared == separate
+        assert len(calls) == 11
+        # S2(0) is served by the entry S1(0) made, with no new single.
+        s20 = stat_from_grams(g1, g2, LagConfig(direction=2, m=0), singles)
+        assert len(calls) == 11
+        assert s20 == separate[0]
 
 
 class TestLagConfig:
