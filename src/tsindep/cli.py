@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .bootstrap import BootstrapConfig, hsic_test_suite
@@ -555,25 +556,16 @@ def _cmd_lagscan(args) -> int:
 
 def _cmd_simulate(args) -> int:
     threads = _resolve_threads(args)
-    replications = args.replications
-    n_replicates = args.n_replicates
-    if args.full_scale:
-        replications = 1000
-        n_replicates = 1000
+    replications = 1000 if args.full_scale else args.replications
     try:
         tests = tuple(TestSpec.parse(t) for t in args.tests.split(",") if t.strip())
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    alphas = tuple(sorted(args.alpha)) if args.alpha else (0.01, 0.05, 0.10)
-    mode = {"auto": "auto", "refit": "full_refit", "one-step": "one_step"}[args.estimator_mode]
+    # Replications run in parallel; each one's bootstrap stays single-threaded.
+    boot = _bootstrap_config(args, threads=1)
+    if args.full_scale:
+        boot = replace(boot, n_replicates=1000)
     try:
-        boot = BootstrapConfig(
-            n_replicates=n_replicates,
-            alphas=alphas,
-            estimator_mode=mode,
-            master_seed=args.seed,
-            standardize=args.standardize,
-        )
         cfg = McConfig(
             dgp=args.dgp.replace("-", "_"),
             egp=EgpSpec.from_id(args.egp),
@@ -594,9 +586,9 @@ def _cmd_simulate(args) -> int:
         "n": cfg.n,
         "replications": replications,
         "tests": [t.label for t in tests],
-        "B": n_replicates,
-        "alphas": list(alphas),
-        "estimator_mode": mode,
+        "B": boot.n_replicates,
+        "alphas": list(boot.alphas),
+        "estimator_mode": boot.estimator_mode,
         "standardize": args.standardize,
         "burn_in": args.burn_in,
         "full_scale": bool(args.full_scale),

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.signal import lfilter
 from scipy.special import expit
 
@@ -340,7 +339,7 @@ def garch_loglik_terms(theta, data, v_init=None) -> np.ndarray:
     return _garch_terms(theta, y, v_init)
 
 
-def _garch_terms(theta, y: np.ndarray, v_init, grad: bool = False):
+def _garch_terms(theta, y: np.ndarray, v_init, grad: bool = False, hess: bool = False):
     """Log-likelihood terms (..., n) of paths ``y`` (..., n, 2) that share
     ``theta``, each started at its own ``v_init`` (..., 2).
 
@@ -349,6 +348,13 @@ def _garch_terms(theta, y: np.ndarray, v_init, grad: bool = False):
     recursion ``dv_t/d(omega, alpha, beta) = (1, y_{t-1}^2, v_{t-1}) +
     beta dv_{t-1}``, started at zero because ``v_1 = v_init`` does not
     depend on theta.
+
+    With ``hess``, returns ``(terms, scores, hessian)``, the last being the
+    exact Hessian of the summed terms (..., 7, 7).  Differentiating the
+    recursion once more gives the same beta-filter driven by
+    ``(dv_{t-1}/domega, dv_{t-1}/dalpha, 2 dv_{t-1}/dbeta)`` for the
+    (omega, beta), (alpha, beta) and (beta, beta) second derivatives of
+    ``v_t``; the other second derivatives vanish.
     """
     th = np.asarray(theta, dtype=float)
     v_init = np.asarray(v_init, dtype=float)
@@ -362,17 +368,47 @@ def _garch_terms(theta, y: np.ndarray, v_init, grad: bool = False):
     one_m = 1.0 - rho * rho
     quad = (z1**2 - 2.0 * rho * z1 * z2 + z2**2) / one_m
     terms = -0.5 * (np.log(v[0]) + np.log(v[1]) + np.log(one_m) + quad) - _LOG_2PI
-    if not grad:
+    if not (grad or hess):
         return terms
     cross = z1 * z2
     scores = np.empty(terms.shape + (7,))
+    dvs, dll_dvs = [], []
     for i, z in enumerate((z1, z2)):
         dll_dv = -(1.0 - (z * z - rho * cross) / one_m) / (2.0 * v[i])
         drive = np.stack([np.ones_like(v[i]), y2[..., i], v[i]])
         dv = _garch_component_path(0.0, 1.0, th[3 * i + 2], drive, 0.0)
         scores[..., 3 * i : 3 * i + 3] = np.moveaxis(dv * dll_dv, 0, -1)
+        dvs.append(dv)
+        dll_dvs.append(dll_dv)
     scores[..., 6] = rho / one_m + (cross * (1.0 + rho * rho) - rho * (z1**2 + z2**2)) / one_m**2
-    return terms, scores
+    if not hess:
+        return terms, scores
+
+    # Second derivatives of each term in (v1, v2, rho).
+    sq = (z1 * z1, z2 * z2)
+    one_p = 1.0 + rho * rho
+    lin = cross * one_p - rho * (sq[0] + sq[1])
+    d2_rr = (one_p + 2.0 * rho * cross - sq[0] - sq[1]) / one_m**2 + 4.0 * rho * lin / one_m**3
+    d2_12 = rho * cross / (4.0 * one_m * v[0] * v[1])
+    out = np.empty(terms.shape[:-1] + (7, 7))
+    for i in range(2):
+        blk = slice(3 * i, 3 * i + 3)
+        dv = dvs[i]
+        d2_vv = (1.0 - (2.0 * sq[i] - 1.5 * rho * cross) / one_m) / (2.0 * v[i] ** 2)
+        d2_vr = (2.0 * rho * sq[i] - one_p * cross) / (2.0 * v[i] * one_m**2)
+        # The filter is linear, so 2 dv/dbeta is applied as a final factor 2.
+        d2v = _garch_component_path(0.0, 1.0, th[3 * i + 2], dv, 0.0)
+        curv = np.einsum("a...t,...t->...a", d2v, dll_dvs[i])  # (wb, ab, bb / 2)
+        h = np.einsum("a...t,b...t->...ab", dv * d2_vv, dv)
+        h[..., :2, 2] += curv[..., :2]
+        h[..., 2, :2] += curv[..., :2]
+        h[..., 2, 2] += 2.0 * curv[..., 2]
+        out[..., blk, blk] = h
+        out[..., blk, 6] = out[..., 6, blk] = np.einsum("a...t,...t->...a", dv, d2_vr)
+    out[..., :3, 3:6] = np.einsum("a...t,b...t->...ab", dvs[0] * d2_12, dvs[1])
+    out[..., 3:6, :3] = np.swapaxes(out[..., :3, 3:6], -1, -2)
+    out[..., 6, 6] = d2_rr.sum(axis=-1)
+    return terms, scores, out
 
 
 def _garch_pack(theta: np.ndarray) -> np.ndarray:
@@ -439,59 +475,38 @@ def _garch_unpack_batch(x: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _garch_hessian_plan(theta: np.ndarray):
-    """Finite-difference steps for the curvature: central where both
-    perturbations stay in the valid region, one-sided otherwise."""
-    plan = []
-    for j in range(7):
-        h = 1e-3 * max(1.0, abs(float(theta[j])))
-        if j == 6:
-            h = min(h, 0.5 * (1.0 - abs(float(theta[6])) + 1e-12))
-            plan.append((h, "central"))
-            continue
-        i, k = divmod(j, 3)
-        w, a, b = theta[3 * i : 3 * i + 3]
-        s = a + b
-        if k == 0:
-            down_ok = w - h > 0
-            up_ok = True
-        else:
-            value = a if k == 1 else b
-            down_ok = value - h >= 0
-            up_ok = s + h < 1.0
-        if down_ok and up_ok:
-            plan.append((h, "central"))
-        elif up_ok:
-            plan.append((h, "forward"))
-        else:
-            plan.append((h, "backward"))
-    return plan
+def _garch_xspace_derivs(x: np.ndarray, grad: np.ndarray, hess: np.ndarray):
+    """Gradient ``J' g`` and Hessian ``J' H J + sum_k g_k d2theta_k/dx2`` in
+    the unconstrained coordinates, from the gradient ``g`` and Hessian
+    ``H`` in theta at ``theta = _garch_unpack(x)``."""
+    jac = _garch_unpack_jacobian(x)
+    hx = jac.T @ hess @ jac
+    for i in range(2):
+        k = 3 * i
+        frac = expit(x[k + 1])
+        s = expit(x[k + 2])
+        dfrac = frac * (1.0 - frac)
+        ds = s * (1.0 - s)
+        g_a, g_b = grad[k + 1], grad[k + 2]
+        hx[k, k] += grad[k] * np.exp(x[k])
+        hx[k + 1, k + 1] += (g_a - g_b) * dfrac * (1.0 - 2.0 * frac) * s
+        mixed = (g_a - g_b) * dfrac * ds
+        hx[k + 1, k + 2] += mixed
+        hx[k + 2, k + 1] += mixed
+        hx[k + 2, k + 2] += (g_a * frac + g_b * (1.0 - frac)) * ds * (1.0 - 2.0 * s)
+    rho = np.tanh(x[6])
+    hx[6, 6] -= 2.0 * grad[6] * rho * (1.0 - rho * rho)
+    return grad @ jac, hx
 
 
-def _garch_curvature(theta, data, v_init) -> np.ndarray:
-    """Observed information: minus the per-observation-averaged Hessian of
-    the log-likelihood, from finite differences of the exact total score."""
-    th = np.asarray(theta, dtype=float)
-    n = data.shape[0]
+def _floored_information(hess: np.ndarray, n: int) -> np.ndarray:
+    """Observed information ``-hess / n`` of a summed log-likelihood Hessian.
 
-    def total_score(point):
-        return _garch_scores(point, data, v_init).sum(axis=0)
-
-    columns = np.empty((7, 7))
-    for j, (h, mode) in enumerate(_garch_hessian_plan(th)):
-        if mode == "central":
-            up = th.copy()
-            up[j] += h
-            dn = th.copy()
-            dn[j] -= h
-            columns[:, j] = (total_score(up) - total_score(dn)) / (2.0 * h)
-        else:
-            sign = 1.0 if mode == "forward" else -1.0
-            pt = th.copy()
-            pt[j] += sign * h
-            columns[:, j] = sign * (total_score(pt) - total_score(th)) / h
-    hess = -0.5 * (columns + columns.T) / n
-    w, u = np.linalg.eigh(hess)
+    Eigenvalues are floored at 1e-8 of the largest so saturated (flat)
+    coordinates stay harmless.
+    """
+    info = -0.5 * (hess + hess.T) / n
+    w, u = np.linalg.eigh(info)
     top = float(w.max())
     if top <= 0.0:
         raise SingularityError("log-likelihood curvature is not positive definite")
@@ -499,9 +514,73 @@ def _garch_curvature(theta, data, v_init) -> np.ndarray:
     return (u * w) @ u.T
 
 
+def _garch_curvature(theta, data, v_init) -> np.ndarray:
+    """Observed information: minus the per-observation-averaged exact
+    Hessian of the log-likelihood, eigenvalues floored as above."""
+    y = as_points(data)
+    return _floored_information(_garch_terms(theta, y, v_init, hess=True)[2], y.shape[0])
+
+
 def _garch_scores(theta, data, v_init) -> np.ndarray:
     """Exact per-observation scores (n x 7)."""
     return _garch_terms(theta, as_points(data), v_init, grad=True)[1]
+
+
+def _garch_starts(y: np.ndarray, seed: int, n_starts: int) -> list:
+    """Starting points in the unconstrained coordinates: a method-of-moments
+    guess, then perturbations of it drawn from the fit's substream."""
+    col_var = y.var(axis=0)
+    corr = float(np.corrcoef(y[:, 0], y[:, 1])[0, 1])
+    theta0 = np.array(
+        [
+            col_var[0] * 0.3, 0.10, 0.60,
+            col_var[1] * 0.3, 0.10, 0.60,
+            min(max(corr, -0.9), 0.9),
+        ]
+    )
+    x0 = _garch_pack(theta0)
+    rng = substream(seed, FIT)
+    return [x0 if start == 0 else x0 + 0.3 * rng.standard_normal(7) for start in range(max(1, n_starts))]
+
+
+# Backtracking gives up once the step is this small a fraction of Newton's.
+_MIN_STEP = 1e-10
+
+
+def _garch_newton(objective, x: np.ndarray, gtol: float, maxiter: int):
+    """Damped Newton descent on ``objective(x) -> (value, gradient, Hessian)``.
+
+    Each step uses the Hessian with its eigenvalues replaced by their
+    absolute values, floored at 1e-8 of the largest, so it always points
+    downhill.  Armijo backtracking halves the step until the decrease is
+    sufficient; a trial point with a nonpositive variance (:class:`FitError`)
+    or a non-finite value also halves it.  Stops when the largest gradient
+    entry is at most ``gtol``, after ``maxiter`` steps, or when backtracking
+    fails.  Returns ``(value, gradient, x)`` at the last accepted point.
+    """
+    f, g, h = objective(x)
+    for _ in range(maxiter):
+        if np.max(np.abs(g)) <= gtol:
+            break
+        w, u = np.linalg.eigh(h)
+        w = np.abs(w)
+        step = -u @ ((u.T @ g) / np.maximum(w, 1e-8 * w.max()))
+        slope = float(g @ step)
+        t = 1.0
+        while t >= _MIN_STEP:
+            trial = x + t * step
+            try:
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    ft, gt, ht = objective(trial)
+            except FitError:
+                ft = np.inf
+            if ft <= f + 1e-4 * t * slope and np.isfinite(gt).all() and np.isfinite(ht).all():
+                break
+            t *= 0.5
+        else:
+            break
+        x, f, g, h = trial, ft, gt, ht
+    return f, g, x
 
 
 def fit_ccc_garch(
@@ -513,12 +592,14 @@ def fit_ccc_garch(
 ) -> FitResult:
     """Gaussian QMLE of the bivariate constant-correlation GARCH(1,1).
 
-    Optimizes an unconstrained reparameterization (log omega, logistic
-    alpha-fraction and persistence, atanh rho) with BFGS and the analytic
-    gradient, from ``n_starts`` perturbed method-of-moments starting
-    points.  Boundary solutions (alpha + beta within 1e-6 of 1) raise
-    :class:`BoundaryError`; non-convergence of all starts raises
-    :class:`FitError`.
+    Minimizes the average negative log-likelihood over an unconstrained
+    reparameterization (log omega, logistic alpha-fraction and persistence,
+    atanh rho) by damped Newton with the exact gradient and Hessian (see
+    :func:`_garch_newton`), from ``n_starts`` perturbed method-of-moments
+    starting points; a start counts as converged when its largest gradient
+    entry is below 1e-5, and the best converged start wins.  Boundary
+    solutions (alpha + beta within 1e-6 of 1) raise :class:`BoundaryError`;
+    non-convergence of all starts raises :class:`FitError`.
     """
     y = as_points(data, min_rows=50)
     n, d = y.shape
@@ -529,30 +610,17 @@ def fit_ccc_garch(
         raise FitError("degenerate likelihood: a component has (near-)zero variance")
     v_init = col_var.copy()
 
-    corr = float(np.corrcoef(y[:, 0], y[:, 1])[0, 1])
-    theta0 = np.array(
-        [
-            col_var[0] * 0.3, 0.10, 0.60,
-            col_var[1] * 0.3, 0.10, 0.60,
-            min(max(corr, -0.9), 0.9),
-        ]
-    )
-    x0 = _garch_pack(theta0)
-
     def negll(x):
-        terms, scores = _garch_terms(_garch_unpack(x), y, v_init, grad=True)
-        return -float(terms.mean()), -(scores.sum(axis=0) @ _garch_unpack_jacobian(x)) / n
+        terms, scores, hess = _garch_terms(_garch_unpack(x), y, v_init, hess=True)
+        grad, hx = _garch_xspace_derivs(x, scores.sum(axis=0), hess)
+        return -float(terms.mean()), -grad / n, -hx / n
 
-    rng = substream(seed, FIT)
     candidates = []
-    for start in range(max(1, n_starts)):
-        x_start = x0 if start == 0 else x0 + 0.3 * rng.standard_normal(7)
-        res = minimize(
-            negll, x_start, method="BFGS", jac=True, options={"gtol": gtol, "maxiter": maxiter}
-        )
-        gnorm = float(np.max(np.abs(res.jac))) if res.jac is not None else np.inf
-        if np.isfinite(res.fun) and gnorm < 1e-5:
-            candidates.append((float(res.fun), gnorm, res.x.copy()))
+    for x_start in _garch_starts(y, seed, n_starts):
+        fun, jac, x = _garch_newton(negll, x_start, gtol, maxiter)
+        gnorm = float(np.max(np.abs(jac)))
+        if np.isfinite(fun) and gnorm < 1e-5:
+            candidates.append((fun, gnorm, x))
     if not candidates:
         raise FitError("QMLE did not converge from any starting point")
     candidates.sort(key=lambda c: c[0])
@@ -606,7 +674,8 @@ def _simulate_garch(theta, innovations, v_init=None, allow_explosive=False):
     cross-component correlation; the recursion only scales them."""
     e = np.asarray(innovations, dtype=float)
     _garch_check_theta(theta, allow_explosive)
-    w1, a1, b1, w2, a2, b2, _rho = (float(v) for v in np.asarray(theta, dtype=float))
+    th = np.asarray(theta, dtype=float)
+    w, a, b = th[0:6:3], th[1:6:3], th[2:6:3]
     batched = e.ndim == 3
     if not batched:
         e = e[None]
@@ -614,17 +683,18 @@ def _simulate_garch(theta, innovations, v_init=None, allow_explosive=False):
     if d != 2:
         raise DataError("ccc_garch innovations must be bivariate")
     if v_init is None:
-        v_init = np.array([w1 / (1.0 - a1 - b1), w2 / (1.0 - a2 - b2)])
-    v_init = np.asarray(v_init, dtype=float)
-    out = np.empty((nb, n_out, 2))
-    v1 = np.full(nb, v_init[0])
-    v2 = np.full(nb, v_init[1])
+        v_init = w / (1.0 - a - b)
+    # Time-major buffer with the path axis innermost, so every step is one
+    # (2, nb) update with the coefficients broadcast along contiguous rows.
+    w, a, b = w[:, None], a[:, None], b[:, None]
+    steps = np.ascontiguousarray(e.transpose(1, 2, 0))
+    out = np.empty((n_out, 2, nb))
+    v = np.broadcast_to(np.asarray(v_init, dtype=float)[:, None], (2, nb))
     for t in range(n_out):
         if t > 0:
-            v1 = w1 + a1 * out[:, t - 1, 0] ** 2 + b1 * v1
-            v2 = w2 + a2 * out[:, t - 1, 1] ** 2 + b2 * v2
-        out[:, t, 0] = np.sqrt(v1) * e[:, t, 0]
-        out[:, t, 1] = np.sqrt(v2) * e[:, t, 1]
+            v = w + a * out[t - 1] ** 2 + b * v
+        out[t] = np.sqrt(v) * steps[t]
+    out = np.ascontiguousarray(out.transpose(2, 0, 1))
     return out if batched else out[0]
 
 
@@ -665,13 +735,13 @@ def _simulate_garch_mixed(theta, innovations, v_init=None, allow_explosive=False
 def _garch_variance_batch(omega, alpha, beta, y2: np.ndarray, v0: np.ndarray) -> np.ndarray:
     """Variance recursion on fixed data for a batch of paths.
 
-    ``y2`` is (B, n); coefficients are scalars or (B,) arrays; ``v0`` is (B,).
+    Runs along the leading (time) axis of ``y2`` (n, ...); ``v0`` has the
+    shape of ``y2[0]`` and the coefficients broadcast against it.
     """
-    nb, n = y2.shape
-    v = np.empty((nb, n))
-    v[:, 0] = v0
-    for t in range(1, n):
-        v[:, t] = omega + alpha * y2[:, t - 1] + beta * v[:, t - 1]
+    v = np.empty(y2.shape)
+    v[0] = v0
+    for t in range(1, y2.shape[0]):
+        v[t] = omega + alpha * y2[t - 1] + beta * v[t - 1]
     return v
 
 
@@ -688,33 +758,13 @@ def _garch_xspace_scores_batch(x_hat: np.ndarray, y: np.ndarray, v_init: np.ndar
 def _garch_xspace_info(x_hat: np.ndarray, data: np.ndarray, v_init) -> np.ndarray:
     """Observed information in the unconstrained coordinates (per obs).
 
-    Minus the Hessian of the average log-likelihood, from central
-    differences of the exact gradient; eigenvalues are floored at 1e-8 of the
-    largest so saturated (flat) coordinates stay harmless.
+    Minus the exact Hessian of the average log-likelihood in x, with
+    eigenvalues floored at 1e-8 of the largest so saturated (flat)
+    coordinates stay harmless.
     """
     x = np.asarray(x_hat, dtype=float)
-    n = data.shape[0]
-    y = data[None]
-    v0 = np.asarray(v_init, dtype=float)[None]
-
-    def grad(point):
-        return _garch_xspace_scores_batch(point, y, v0)[0]
-
-    columns = np.empty((7, 7))
-    for j in range(7):
-        h = 1e-3 * max(1.0, abs(float(x[j])))
-        up = x.copy()
-        up[j] += h
-        dn = x.copy()
-        dn[j] -= h
-        columns[:, j] = (grad(up) - grad(dn)) / (2.0 * h)
-    info = -0.5 * (columns + columns.T) / n
-    w, u = np.linalg.eigh(info)
-    top = float(w.max())
-    if top <= 0.0:
-        raise SingularityError("log-likelihood curvature is not positive definite")
-    w = np.maximum(w, 1e-8 * top)
-    return (u * w) @ u.T
+    _, scores, hess = _garch_terms(_garch_unpack(x), data, v_init, hess=True)
+    return _floored_information(_garch_xspace_derivs(x, scores.sum(axis=0), hess)[1], data.shape[0])
 
 
 def _garch_residuals_batch(theta_b: np.ndarray, y: np.ndarray, v_init: np.ndarray):
@@ -724,16 +774,14 @@ def _garch_residuals_batch(theta_b: np.ndarray, y: np.ndarray, v_init: np.ndarra
     |rho| >= 1, as can happen after a one-step update) are flagged rather
     than raising.
     """
-    nb, n, _ = y.shape
-    y2 = y**2
-    v1 = _garch_variance_batch(theta_b[:, 0], theta_b[:, 1], theta_b[:, 2], y2[:, :, 0], v_init[:, 0])
-    v2 = _garch_variance_batch(theta_b[:, 3], theta_b[:, 4], theta_b[:, 5], y2[:, :, 1], v_init[:, 1])
-    valid = (np.abs(theta_b[:, 6]) < 1.0) & (v1 > 0).all(axis=1) & (v2 > 0).all(axis=1)
-    v1 = np.where(v1 > 0, v1, 1.0)
-    v2 = np.where(v2 > 0, v2, 1.0)
-    eta = np.empty_like(y)
-    eta[:, :, 0] = y[:, :, 0] / np.sqrt(v1)
-    eta[:, :, 1] = y[:, :, 1] / np.sqrt(v2)
+    nb = y.shape[0]
+    # Time-major (n, 2, nb), so each step updates both components of every
+    # path in one operation along contiguous rows.
+    y2 = np.ascontiguousarray((y**2).transpose(1, 2, 0))
+    coef = theta_b[:, :6].T.reshape(2, 3, nb)
+    v = _garch_variance_batch(coef[:, 0], coef[:, 1], coef[:, 2], y2, v_init.T).transpose(2, 0, 1)
+    valid = (np.abs(theta_b[:, 6]) < 1.0) & (v > 0).all(axis=(1, 2))
+    eta = y / np.sqrt(np.where(v > 0, v, 1.0))
     valid &= np.isfinite(eta).reshape(nb, -1).all(axis=1)
     return eta, valid
 

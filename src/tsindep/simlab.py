@@ -247,6 +247,13 @@ class McConfig:
         for spec in self.tests:
             if spec.kind in ("hsic_single", "hsic_joint", "g", "l", "t") and spec.lag >= self.n - 2:
                 raise ValueError(f"test {spec.label} lag infeasible for n={self.n}")
+            if spec.kind == "w" and spec.bandwidth not in ("h1", "h2", "h3"):
+                try:
+                    h = float(spec.bandwidth)
+                except ValueError:
+                    raise ValueError(f"test {spec.label}: bandwidth must be h1, h2, h3 or a number") from None
+                if not 1.0 <= h < self.n:
+                    raise ValueError(f"test {spec.label}: bandwidth must lie in [1, n={self.n})")
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,9 @@ class TestExitCodes:
             ["simulate", "--replications", "0"],
             ["simulate", "-n", "3"],
             ["simulate", "--burn-in", "-5", "--replications", "2", "-B", "9", "-n", "50"],
+            ["simulate", "--dgp", "var", "-n", "30", "--replications", "2", "-B", "9", "--tests", "W1:0.5"],
+            ["simulate", "--dgp", "var", "-n", "30", "--replications", "2", "-B", "9", "--tests", "W1:40"],
+            ["simulate", "--dgp", "var", "-n", "30", "--replications", "2", "-B", "9", "--tests", "W1:abc"],
         ],
         ids="_".join,
     )

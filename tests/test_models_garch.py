@@ -1,18 +1,25 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import minimize, rosen, rosen_der, rosen_hess
 from scipy.stats import chi2
 
-from tsindep import DataError, FitError, ModelSpec, fit_ccc_garch, residuals, simulate
+from tsindep import DataError, FitError, ModelSpec, SingularityError, fit_ccc_garch, residuals, simulate
 from tsindep.models import (
+    _floored_information,
     _garch_curvature,
+    _garch_newton,
     _garch_pack,
     _garch_residuals,
     _garch_residuals_batch,
     _garch_scores,
+    _garch_starts,
     _garch_terms,
     _garch_unpack,
     _garch_unpack_batch,
+    _garch_unpack_jacobian,
+    _garch_xspace_derivs,
+    _garch_xspace_info,
     _garch_xspace_scores_batch,
     _simulate_garch,
     _simulate_garch_mixed,
@@ -133,6 +140,73 @@ class TestSimulateGarch:
         assert_allclose(eta[50:], innov[50:], atol=1e-8)
 
 
+def simulate_garch_loop(theta, innovations, v_init=None):
+    """Oracle: the per-component step loop, two scalar updates per step."""
+    e = np.asarray(innovations, dtype=float)
+    w1, a1, b1, w2, a2, b2, _rho = (float(v) for v in theta)
+    batched = e.ndim == 3
+    if not batched:
+        e = e[None]
+    nb, n_out, _ = e.shape
+    if v_init is None:
+        v_init = np.array([w1 / (1.0 - a1 - b1), w2 / (1.0 - a2 - b2)])
+    out = np.empty((nb, n_out, 2))
+    v1 = np.full(nb, v_init[0])
+    v2 = np.full(nb, v_init[1])
+    for t in range(n_out):
+        if t > 0:
+            v1 = w1 + a1 * out[:, t - 1, 0] ** 2 + b1 * v1
+            v2 = w2 + a2 * out[:, t - 1, 1] ** 2 + b2 * v2
+        out[:, t, 0] = np.sqrt(v1) * e[:, t, 0]
+        out[:, t, 1] = np.sqrt(v2) * e[:, t, 1]
+    return out if batched else out[0]
+
+
+def residuals_batch_loop(theta_b, y, v_init):
+    """Oracle: batched residual extraction, one variance loop per component."""
+    nb, n, _ = y.shape
+    y2 = y**2
+    v = np.empty((2, nb, n))
+    for i in range(2):
+        v[i, :, 0] = v_init[:, i]
+        for t in range(1, n):
+            v[i, :, t] = (
+                theta_b[:, 3 * i] + theta_b[:, 3 * i + 1] * y2[:, t - 1, i] + theta_b[:, 3 * i + 2] * v[i, :, t - 1]
+            )
+    valid = (np.abs(theta_b[:, 6]) < 1.0) & (v[0] > 0).all(axis=1) & (v[1] > 0).all(axis=1)
+    eta = np.empty_like(y)
+    for i in range(2):
+        eta[:, :, i] = y[:, :, i] / np.sqrt(np.where(v[i] > 0, v[i], 1.0))
+    valid &= np.isfinite(eta).reshape(nb, -1).all(axis=1)
+    return eta, valid
+
+
+class TestStepLoopsBitIdentical:
+    @pytest.mark.parametrize("nb", [1, 7, 64])
+    def test_simulate_matches_component_loop(self, nb):
+        rng = np.random.default_rng(50 + nb)
+        theta = np.array([0.05, 0.13, 0.81, 0.3, 0.07, 0.6, 0.4])
+        e = rng.normal(size=(nb, 300, 2))
+        for v_init in (None, np.array([0.7, 1.9])):
+            assert (_simulate_garch(theta, e, v_init) == simulate_garch_loop(theta, e, v_init)).all()
+        single = _simulate_garch(theta, e[0])
+        assert single.shape == (300, 2)
+        assert (single == simulate_garch_loop(theta, e[0])).all()
+
+    @pytest.mark.parametrize("nb", [1, 7, 64])
+    def test_batch_residuals_match_component_loop(self, nb):
+        rng = np.random.default_rng(60 + nb)
+        y = rng.normal(size=(nb, 150, 2))
+        theta_b = THETA + 0.01 * rng.normal(size=(nb, 7))
+        theta_b[0, 1] = -0.9  # drives the first path's variance negative
+        v_init = y.var(axis=1)
+        eta, valid = _garch_residuals_batch(theta_b, y, v_init)
+        want_eta, want_valid = residuals_batch_loop(theta_b, y, v_init)
+        assert not valid[0]
+        assert (valid == want_valid).all()
+        assert (eta == want_eta).all()
+
+
 class TestSimulateResidualRoundtrip:
     def test_simulate_from_fit_reproduces_data(self):
         rng = np.random.default_rng(7)
@@ -235,6 +309,137 @@ class TestExactScores:
             oracle = central_difference_scores(theta, data, v_init)
             rel = np.abs(exact - oracle).max(axis=0) / np.abs(oracle).max(axis=0)
             assert (rel <= 1e-7).all(), rel
+
+
+def central_difference_jacobian(grad, point):
+    """Oracle: the Jacobian of an exact gradient by central differences;
+    applied to the total score it is the Hessian the deleted difference
+    loops computed."""
+    out = np.empty((7, 7))
+    for j in range(7):
+        h = 1e-5 * max(1.0, abs(point[j]))
+        up, dn = point.copy(), point.copy()
+        up[j] += h
+        dn[j] -= h
+        out[:, j] = (grad(up) - grad(dn)) / (2 * h)
+    return out
+
+
+def column_relative_error(exact, oracle):
+    return np.abs(exact - oracle).max(axis=0) / np.abs(oracle).max(axis=0)
+
+
+class TestExactHessian:
+    # Central differences with h = 1e-5 carry errors near 1e-9 relative;
+    # 1e-7 per column leaves room for that and nothing for a wrong term.
+    TOL = 1e-7
+
+    @pytest.fixture(scope="class")
+    def sample(self):
+        data, _ = simulate_garch_data(np.random.default_rng(17), 500)
+        return data, data.var(axis=0), fit_ccc_garch(data, seed=0)
+
+    def test_theta_hessian_matches_differenced_scores(self, sample):
+        data, v_init, fit = sample
+        for theta in (THETA, fit.theta):
+            terms, scores, hess = _garch_terms(theta, data, v_init, hess=True)
+            assert_allclose(terms, garch_loglik_terms(theta, data, v_init), rtol=0)
+            assert_allclose(scores, _garch_scores(theta, data, v_init), rtol=0)
+            assert_allclose(hess, hess.T, rtol=1e-12)
+            oracle = central_difference_jacobian(lambda t: _garch_scores(t, data, v_init).sum(axis=0), theta)
+            rel = column_relative_error(hess, oracle)
+            assert (rel <= self.TOL).all(), rel
+
+    def test_xspace_hessian_matches_differenced_gradient(self, sample):
+        data, v_init, fit = sample
+        for x in (_garch_pack(THETA), fit.x_hat):
+            _, scores, hess = _garch_terms(_garch_unpack(x), data, v_init, hess=True)
+            grad, hx = _garch_xspace_derivs(x, scores.sum(axis=0), hess)
+            assert_allclose(grad, _garch_xspace_scores_batch(x, data[None], v_init[None])[0], rtol=1e-12)
+            oracle = central_difference_jacobian(
+                lambda p: _garch_xspace_scores_batch(p, data[None], v_init[None])[0], x
+            )
+            rel = column_relative_error(hx, oracle)
+            assert (rel <= self.TOL).all(), rel
+
+    def test_information_is_minus_average_hessian(self, sample):
+        # Away from saturation no eigenvalue is floored, so both observed
+        # informations are exactly minus the averaged exact Hessians.
+        data, v_init, fit = sample
+        n = data.shape[0]
+        hess = _garch_terms(fit.theta, data, v_init, hess=True)[2]
+        assert_allclose(_garch_curvature(fit.theta, data, v_init), -hess / n, rtol=1e-10, atol=1e-12)
+        _, scores, hess = _garch_terms(_garch_unpack(fit.x_hat), data, v_init, hess=True)
+        hx = _garch_xspace_derivs(fit.x_hat, scores.sum(axis=0), hess)[1]
+        assert_allclose(_garch_xspace_info(fit.x_hat, data, v_init), -hx / n, rtol=1e-10, atol=1e-12)
+
+    def test_batched_hessian_matches_single(self):
+        data = np.stack([simulate_garch_data(np.random.default_rng(20 + i), 150)[0] for i in range(3)])
+        v_init = data.var(axis=1)
+        hess = _garch_terms(THETA, data, v_init, hess=True)[2]
+        assert hess.shape == (3, 7, 7)
+        for b in range(3):
+            assert_allclose(hess[b], _garch_terms(THETA, data[b], v_init[b], hess=True)[2], rtol=1e-12)
+
+    def test_nonpositive_curvature_is_singular(self):
+        # A log-likelihood that is convex at the point has no information.
+        with pytest.raises(SingularityError):
+            _floored_information(np.eye(7), 100)
+
+
+def bfgs_loglik(data, seed):
+    """Oracle: the QMLE by scipy's BFGS on the same objective, from the same
+    starts and with the same acceptance rule as the fit."""
+    n = data.shape[0]
+    v_init = data.var(axis=0)
+
+    def negll(x):
+        terms, scores = _garch_terms(_garch_unpack(x), data, v_init, grad=True)
+        return -float(terms.mean()), -(scores.sum(axis=0) @ _garch_unpack_jacobian(x)) / n
+
+    best = None
+    for x0 in _garch_starts(data, seed, 3):
+        res = minimize(negll, x0, method="BFGS", jac=True, options={"gtol": 1e-7, "maxiter": 500})
+        if np.isfinite(res.fun) and np.max(np.abs(res.jac)) < 1e-5 and (best is None or res.fun < best.fun):
+            best = res
+    return garch_loglik_terms(_garch_unpack(best.x), data, v_init).sum()
+
+
+class TestDampedNewton:
+    def test_loglik_at_least_bfgs(self):
+        # The data and fit seeds of test_simulate_then_fit_recovery.
+        for seed in range(3):
+            data, _ = simulate_garch_data(np.random.default_rng(100 + seed), 2000)
+            fit = fit_ccc_garch(data, seed=seed)
+            assert fit.loglik >= bfgs_loglik(data, seed) - 1e-9
+
+    def test_rosenbrock(self):
+        # The Hessian is indefinite at the start: the eigenvalue-modified
+        # step must still descend, and Newton converges to the minimum at ones.
+        start = np.array([0.0, 1.0, 1.0])
+        assert np.linalg.eigvalsh(rosen_hess(start)).min() < 0
+        f, g, x = _garch_newton(lambda z: (rosen(z), rosen_der(z), rosen_hess(z)), start, 1e-10, 500)
+        assert np.max(np.abs(g)) <= 1e-10
+        assert_allclose(x, 1.0, atol=1e-8)
+
+    def test_failed_trials_halve_the_step(self):
+        # f(z) = z - log z has its minimum at 1.  From z = 3 the full Newton
+        # step lands on -3, where the objective raises FitError; the half
+        # step lands on 0, where it is made non-finite; the quarter step is
+        # taken.
+        trials = []
+
+        def objective(z):
+            trials.append(float(z[0]))
+            if z[0] <= -1.0:
+                raise FitError("outside the domain")
+            if z[0] <= 0.5:
+                return np.nan, np.array([np.nan]), np.array([[np.nan]])
+            return z[0] - np.log(z[0]), np.array([1.0 - 1.0 / z[0]]), np.array([[z[0] ** -2]])
+
+        f, g, x = _garch_newton(objective, np.array([3.0]), 1e-12, 100)
+        assert_allclose(trials[:4], [3.0, -3.0, 0.0, 1.5], atol=1e-12)
+        assert abs(x[0] - 1.0) <= 1e-12 and f == 1.0
 
 
 class TestBatchHelpers:
