@@ -488,6 +488,11 @@ def _cmd_lagscan(args) -> int:
     fit1 = _fit_series(model1, y1, seed=args.seed)
     fit2 = _fit_series(model2, y2, seed=args.seed + 1)
     pair = paired_residuals(fit1, fit2)
+    if args.max_lag > pair.n - 2:
+        raise DataError(
+            f"--max-lag {args.max_lag} infeasible for n={pair.n} paired residual rows; "
+            f"the largest feasible lag is {pair.n - 2}"
+        )
 
     directions = (1, 2) if args.direction == "both" else (int(args.direction),)
     lag_cfgs = [

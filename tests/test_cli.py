@@ -307,6 +307,26 @@ class TestLagscanCommand:
         l_rows = [r for r in report["scan"] if r["test_name"] == "L1"]
         assert all(abs(r["bound_95"] - 3.841459) < 1e-4 for r in l_rows)
 
+    @pytest.mark.parametrize("max_lag", ["57", "80"])
+    def test_max_lag_beyond_data_names_the_flag(self, tmp_path, capsys, max_lag):
+        # Two 59-row VAR(1) series (60 CSV lines with the header) leave 58
+        # paired residual rows, so lag 56 is the largest with two rows left.
+        rng = np.random.default_rng(3)
+        coef = np.array([[0.3, 0.0], [0.1, 0.2]])
+        paths = []
+        for name in ("a.csv", "b.csv"):
+            path = tmp_path / name
+            write_csv(path, _simulate_var(coef, 1, False, rng.normal(size=(59, 2))))
+            paths.append(str(path))
+        code = run_cli(
+            ["lagscan", "--series1", paths[0], "--series2", paths[1],
+             "-B", "19", "--max-lag", max_lag]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"data error: --max-lag {max_lag} infeasible for n=58" in err
+        assert "largest feasible lag is 56" in err
+
 
 class TestSimulateCommand:
     def test_single_replication_binary_rates(self, tmp_path):

@@ -18,6 +18,7 @@ TIMEOUT_S = 120
         "02_var_bootstrap_test.py",
         "04_competing_tests.py",
         "05_lagscan.py",
+        "06_size_power_study.py",
     ],
 )
 def test_demo_runs(script):

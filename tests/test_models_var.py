@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,6 +7,7 @@ from numpy.testing import assert_allclose
 from tsindep import (
     DataError,
     ModelSpec,
+    bootstrap,
     fit_var,
     influence_values,
     paired_residuals,
@@ -12,7 +15,8 @@ from tsindep import (
     residuals,
     simulate,
 )
-from tsindep.models import _fit_var_batch, _simulate_var, _var_onestep_batch
+from tsindep.bootstrap import BootstrapConfig, _series_block
+from tsindep.models import _SCAN_CHUNK, _fit_var_batch, _simulate_var, _var_onestep_batch
 
 
 def make_var1_data(rng, n, coef, scale=1.0, burn=200):
@@ -206,6 +210,131 @@ class TestBatchHelpers:
         exact = _simulate_var(fit.coef, 1, False, np.zeros((1, 100, 2)), init=np.ones((1, 2)) * 0.5)
         coef_b, _ = _var_onestep_batch(fit, exact)
         assert_allclose(coef_b[0], fit.coef, atol=1e-12)
+
+
+def step_loop(coef, p, intercept, innovations, init=None):
+    """Oracle: the VAR recursion one row at a time, as before the chunked scan."""
+    e = np.asarray(innovations, dtype=float)
+    d = e.shape[-1]
+    batched = e.ndim == 3
+    if not batched:
+        e = e[None]
+    buf = np.empty((e.shape[0], p + e.shape[1], d))
+    buf[:, :p] = np.zeros((p, d)) if init is None else init
+    c = coef[:, 0] if intercept else np.zeros(d)
+    offset = 1 if intercept else 0
+    mats = [coef[:, offset + j * d : offset + (j + 1) * d] for j in range(p)]
+    for t in range(e.shape[1]):
+        acc = e[:, t] + c
+        for j, a in enumerate(mats):
+            acc = acc + buf[:, p + t - 1 - j] @ a.T
+        buf[:, p + t] = acc
+    out = buf[:, p:]
+    return out if batched else out[0]
+
+
+def coef_with_radius(rng, d, p, rho):
+    """Random [A_1 | ... | A_p] whose companion matrix has spectral radius rho."""
+    a = rng.normal(size=(d, d * p))
+    companion = np.eye(d * p, k=-d)
+    companion[:d] = a
+    s = rho / np.abs(np.linalg.eigvals(companion)).max()
+    # Scaling A_j by s**j scales every companion eigenvalue by s.
+    return a * np.repeat(s ** np.arange(1, p + 1), d)
+
+
+def term_scale(coef, p, intercept, innovations, init):
+    """Per row, the summed size of the terms that make up y_t.
+
+    ``sum_j |Psi_{t-j}| |e_j + c| + |Phi_{t+1}| |init|`` in max norms, with
+    ``Phi_k = (F^k)[:d]`` and ``Psi_k = Phi_k[:, :d]``: the scale of the
+    rounding error of any summation order.  For a stable VAR it is of the
+    order of |y_t|; an explosive path can stay O(1) only by cancellation
+    among terms of size rho**k, and then it is much larger.
+    """
+    e = np.asarray(innovations, dtype=float)
+    d, n = e.shape[-1], e.shape[-2]
+    companion = np.eye(d * p, k=-d)
+    companion[:d] = coef[:, 1:] if intercept else coef
+    phi = [np.eye(d, d * p)]
+    for _ in range(n):
+        phi.append(phi[-1] @ companion)
+    phi_norm = np.array([np.abs(f).sum(axis=1).max() for f in phi])
+    psi_norm = np.array([np.abs(f[:, :d]).sum(axis=1).max() for f in phi])
+    drive = np.abs(e + (coef[:, 0] if intercept else 0.0)).max(axis=-1).reshape(-1, n)
+    conv = np.array([np.convolve(psi_norm[:n], u)[:n] for u in drive]).reshape(e.shape[:-1])
+    return conv + phi_norm[1:] * np.abs(init).max()
+
+
+def scan_gap(got, ref, scale):
+    """Largest row error of ``got`` against ``ref`` relative to ``scale``."""
+    return float((np.abs(got - ref).max(axis=-1) / scale).max())
+
+
+class TestChunkedScan:
+    # Relative to term_scale, which is of the order of |y_t| for stable paths.
+    RTOL = 1e-12
+
+    def assert_matches_loop(self, coef, p, intercept, e, init=None):
+        got = _simulate_var(coef, p, intercept, e, init=init)
+        ref = step_loop(coef, p, intercept, e, init=init)
+        assert got.shape == ref.shape
+        if ref.size:
+            scale = term_scale(coef, p, intercept, e, np.zeros(1) if init is None else init)
+            assert scan_gap(got, ref, scale) <= self.RTOL
+
+    @pytest.mark.parametrize("intercept", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_step_loop(self, p, d, intercept):
+        rng = np.random.default_rng(100 * p + 10 * d + intercept)
+        L = _SCAN_CHUNK
+        for rho in (0.5, 0.9, 0.99, 1.5):
+            coef = coef_with_radius(rng, d, p, rho)
+            if intercept:
+                coef = np.hstack([rng.normal(size=(d, 1)), coef])
+            init = rng.normal(size=(p, d))
+            for n_out in sorted({0, 1, p, L - 1, L, L + 1, 600}):
+                for shape in ((n_out, d), (1, n_out, d), (7, n_out, d), (64, n_out, d)):
+                    self.assert_matches_loop(coef, p, intercept, rng.normal(size=shape), init)
+            self.assert_matches_loop(coef, p, intercept, rng.normal(size=(3, 600, d)))
+
+    def test_order_above_chunk_length(self):
+        rng = np.random.default_rng(7)
+        p = _SCAN_CHUNK + 6
+        coef = coef_with_radius(rng, 2, p, 0.9)
+        init = rng.normal(size=(p, 2))
+        self.assert_matches_loop(coef, p, False, rng.normal(size=(3, 200, 2)), init)
+
+    def test_overflow_marks_the_same_paths(self):
+        # rho = 4: a path overflows within 600 rows only if its first nonzero
+        # innovation comes early enough (4**512 > 1.8e308).
+        rng = np.random.default_rng(8)
+        coef = coef_with_radius(rng, 2, 1, 4.0)
+        e = rng.normal(size=(12, 600, 2))
+        for b, start in enumerate(np.linspace(0, 550, 12).astype(int)):
+            e[b, :start] = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _simulate_var(coef, 1, False, e)
+            ref = step_loop(coef, 1, False, e)
+        finite = np.isfinite(ref).all(axis=(1, 2))
+        assert finite.any() and not finite.all()
+        assert np.array_equal(np.isfinite(got).all(axis=(1, 2)), finite)
+
+    @pytest.mark.parametrize("mode", ["full_refit", "one_step"])
+    def test_series_block_flags_overflowed_replicates(self, monkeypatch, mode):
+        rng = np.random.default_rng(9)
+        data = make_var1_data(rng, 100, np.array([[0.3, 0.0], [0.0, 0.3]]))
+        coef = coef_with_radius(rng, 2, 1, 4.0)
+        fit = replace(fit_var(data, 1, False), coef=coef, theta=coef.ravel())
+        pool = fit.effective_residuals
+        cfg = BootstrapConfig(n_replicates=64, estimator_mode=mode, master_seed=5)
+        with np.errstate(all="ignore"):
+            _, valid = _series_block(fit, pool, cfg, 0, 64, series=1)
+            monkeypatch.setattr(bootstrap, "_simulate_var", step_loop)
+            _, valid_loop = _series_block(fit, pool, cfg, 0, 64, series=1)
+        # Every one of the 600-row paths overflows, with the scan as with the loop.
+        assert not valid.any() and not valid_loop.any()
 
 
 class TestPairedResidualsAlignment:
