@@ -229,6 +229,20 @@ def _series_block(fit: FitResult, pool: np.ndarray, cfg: BootstrapConfig, b0: in
     return resid, valid
 
 
+def _scaled_stats(g1, g2, lag_cfgs, n_scale) -> list[float]:
+    """``n_scale * stat`` for every config on one pair of Grams.
+
+    Joint configs are evaluated first: each computes its missing lags in
+    one multi-lag pass, and the single-lag configs then read those lags
+    from the shared dict.  The values do not depend on the order.
+    """
+    singles = {}
+    out = [0.0] * len(lag_cfgs)
+    for c in sorted(range(len(lag_cfgs)), key=lambda c: not lag_cfgs[c].is_joint):
+        out[c] = n_scale * stat_from_grams(g1, g2, lag_cfgs[c], singles)
+    return out
+
+
 def _stats_block(
     fit1, fit2, pool1, pool2, lag_cfgs, kernel_k, kernel_l, cfg, n_scale, b0, nb
 ):
@@ -245,9 +259,7 @@ def _stats_block(
         e2 = res2[i, start:] if p2 == 0 else res2[i, start - p2 :]
         g1 = gram_matrix(kernel_k, e1).values
         g2 = gram_matrix(kernel_l, e2).values
-        singles = {}
-        for c, lag_cfg in enumerate(lag_cfgs):
-            stats[i, c] = n_scale * stat_from_grams(g1, g2, lag_cfg, singles)
+        stats[i] = _scaled_stats(g1, g2, lag_cfgs, n_scale)
     valid &= np.isfinite(stats).all(axis=1)
     return stats, valid
 
@@ -293,8 +305,7 @@ def bootstrap_run(
 
     g1 = gram_matrix(kernel_k, e1).values
     g2 = gram_matrix(kernel_l, e2).values
-    singles = {}
-    observed = [n_scale * stat_from_grams(g1, g2, c, singles) for c in lag_cfgs]
+    observed = _scaled_stats(g1, g2, lag_cfgs, n_scale)
 
     pool1 = standardize_residuals(fit1.effective_residuals, cfg.standardize)
     pool2 = standardize_residuals(fit2.effective_residuals, cfg.standardize)

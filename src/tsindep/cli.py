@@ -287,11 +287,10 @@ def _fit_summary(fit) -> dict:
         "theta": [float(v) for v in fit.theta],
     }
     if fit.model.kind == "var":
-        out["layout"] = (
-            f"row-major [intercept | A_1 ... A_{fit.model.p}]"
-            if fit.model.intercept
-            else f"row-major [A_1 ... A_{fit.model.p}]"
-        )
+        blocks = "A_1" if fit.model.p == 1 else f"A_1 ... A_{fit.model.p}"
+        if fit.model.intercept:
+            blocks = f"intercept | {blocks}"
+        out["layout"] = f"row-major [{blocks}]"
         out["order"] = fit.model.p
         out["intercept"] = fit.model.intercept
     else:
@@ -370,6 +369,15 @@ def _test_csv(outcomes, alphas) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_lag(flag: str, lag: int, n: int) -> None:
+    """Reject a lag that leaves fewer than 2 of the n paired residual rows."""
+    if lag > n - 2:
+        raise DataError(
+            f"{flag} {lag} infeasible for n={n} paired residual rows; "
+            f"the largest feasible lag is {n - 2}"
+        )
+
+
 def _cmd_test(args) -> int:
     threads = _resolve_threads(args)
     y1, y2 = _load_pair(args)
@@ -401,6 +409,11 @@ def _cmd_test(args) -> int:
                 lag_cfgs.append(LagConfig(direction=dd, max_lag=args.max_lag))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+
+    for m in lags:
+        _check_lag("--lag", m, pair.n)
+    if args.max_lag is not None:
+        _check_lag("--max-lag", args.max_lag, pair.n)
 
     outcomes = hsic_test_suite(
         fit1, fit2, lag_cfgs, kernel, kernel, cfg, keep_replicates=args.emit_replicates
@@ -488,11 +501,7 @@ def _cmd_lagscan(args) -> int:
     fit1 = _fit_series(model1, y1, seed=args.seed)
     fit2 = _fit_series(model2, y2, seed=args.seed + 1)
     pair = paired_residuals(fit1, fit2)
-    if args.max_lag > pair.n - 2:
-        raise DataError(
-            f"--max-lag {args.max_lag} infeasible for n={pair.n} paired residual rows; "
-            f"the largest feasible lag is {pair.n - 2}"
-        )
+    _check_lag("--max-lag", args.max_lag, pair.n)
 
     directions = (1, 2) if args.direction == "both" else (int(args.direction),)
     lag_cfgs = [

@@ -22,6 +22,8 @@ from .exceptions import DataError
 from .kernels import GramMatrix, KernelSpec, as_points, gram_matrix
 
 _REFERENCE_MAX_N = 50
+# Bytes of one row tile of a Gram in the multi-lag pass (see _lag_terms).
+_TILE_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -92,37 +94,52 @@ def _gram_values(g) -> np.ndarray:
 
 
 def hsic_v(K, L) -> float:
-    """Biased (V-statistic) HSIC estimate from two Gram matrices.
+    """Biased (V-statistic) HSIC estimate from two symmetric Gram matrices.
 
-    Equals trace(K H L H) / N^2 with H the centering matrix.  With the row
-    sums r_K = K 1 and r_L = L 1 it is evaluated as
+    Equals trace(K H L H) / N^2 with H the centering matrix.  With the
+    column sums c_K = 1'K and c_L = 1'L (equal to the row sums, since Gram
+    matrices are symmetric) it is evaluated as
 
-        sum(K * L) / N^2 + sum(r_K) sum(r_L) / N^4 - 2 r_K . r_L / N^3
+        sum_i K_i . L_i / N^2 + sum(c_K) sum(c_L) / N^4 - 2 c_K . c_L / N^3
 
-    so neither H nor any other N x N temporary is formed.  The elementwise
-    product is reduced row by row, which gives the same bits for a
-    principal-submatrix view as for a contiguous copy of it.  When either
-    Gram matrix is constant the result is exactly 0.0; otherwise it is
-    nonnegative up to roundoff whenever both kernels are positive definite.
+    so neither H nor any other N x N temporary is formed.  The column sums
+    add the rows top-down, and the cross term takes one BLAS dot product
+    per pair of rows K_i, L_i.  For row-major input neither depends on the
+    row stride or the buffer's alignment, so a principal-submatrix view
+    gives the same bits as a contiguous copy of it, and
+    :func:`stat_from_grams` reproduces this value exactly from sums it
+    shares across lags.  When either Gram matrix is constant the
+    result is exactly 0.0; otherwise it is nonnegative up to roundoff
+    whenever both kernels are positive definite.
     """
     k = _gram_values(K)
     l = _gram_values(L)
     if k.shape != l.shape:
         raise DataError(f"Gram size mismatch: {k.shape} vs {l.shape}")
-    n = k.shape[0]
-    if n < 2:
+    if k.shape[0] < 2:
         raise DataError("need at least 2 points")
-    r_k = k.sum(axis=1)
-    r_l = l.sum(axis=1)
-    for g, r in ((k, r_k), (l, r_l)):
-        # Equal row sums are necessary for a constant matrix and cost O(N)
-        # to test; only then is the full O(N^2) comparison made.
-        if (r == r[0]).all() and (g == g[0, 0]).all():
+    return _hsic_from_terms(k, l, (k.sum(axis=0), l.sum(axis=0), _row_dots(k, l)))
+
+
+def _row_dots(k: np.ndarray, l: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``k[i] . l[i]`` for every row i, one BLAS dot product per row."""
+    if out is None:
+        out = np.empty(k.shape[0])
+    np.matmul(k[:, None, :], l[:, :, None], out=out[:, None, None])
+    return out
+
+
+def _hsic_from_terms(k: np.ndarray, l: np.ndarray, terms) -> float:
+    """:func:`hsic_v` from its column sums and row dots ``(c_k, c_l, dots)``."""
+    c_k, c_l, dots = terms
+    n = k.shape[0]
+    for g, c in ((k, c_k), (l, c_l)):
+        # Equal column sums are necessary for a constant matrix and cost
+        # O(N) to test; only then is the full O(N^2) comparison made.
+        if (c == c[0]).all() and (g == g[0, 0]).all():
             return 0.0
     return float(
-        np.einsum("ij,ij->i", k, l).sum() / n**2
-        + r_k.sum() * r_l.sum() / n**4
-        - 2.0 * (r_k @ r_l) / n**3
+        dots.sum() / n**2 + c_k.sum() * c_l.sum() / n**4 - 2.0 * (c_k @ c_l) / n**3
     )
 
 
@@ -206,23 +223,80 @@ def scaled_stat(stat: float, n: int) -> float:
     return float(n * stat)
 
 
-def single_from_grams(g1: np.ndarray, g2: np.ndarray, m: int, direction: int) -> float:
+def _window_offsets(m: int, direction: int) -> tuple[int, int]:
+    """First row (and column) of the ``g1`` and ``g2`` windows at lag m."""
+    if direction == 1:
+        return 0, m
+    if direction == 2:
+        return m, 0
+    raise ValueError("direction must be 1 or 2")
+
+
+def single_from_grams(
+    g1: np.ndarray, g2: np.ndarray, m: int, direction: int, terms=None
+) -> float:
     """Single-lag statistic from precomputed full n x n Gram matrices.
 
     ``g1[i, j] = k(eta1_i, eta1_j)`` and likewise ``g2``; the lagged pairing
     only selects a contiguous principal submatrix of each, so one Gram
     computation per series serves every lag.  Entry-identical to
-    :func:`single_stat` on the same residuals.
+    :func:`single_stat` on the same residuals.  ``terms`` optionally holds
+    the submatrices' ``(c_k, c_l, dots)`` as :func:`_lag_terms` computes
+    them, which gives the same bits as computing them here.
     """
     n = g1.shape[0]
     big = n - m
     if big < 2:
         raise DataError(f"lag m={m} leaves fewer than 2 pairs (n={n})")
-    if direction == 1:
-        return hsic_v(g1[:big, :big], g2[m:, m:])
-    if direction == 2:
-        return hsic_v(g1[m:, m:], g2[:big, :big])
-    raise ValueError("direction must be 1 or 2")
+    ko, lo = _window_offsets(m, direction)
+    k, l = g1[ko : ko + big, ko : ko + big], g2[lo : lo + big, lo : lo + big]
+    if terms is None:
+        return hsic_v(k, l)
+    return _hsic_from_terms(k, l, terms)
+
+
+def _lag_terms(g1: np.ndarray, g2: np.ndarray, direction: int, lags) -> dict:
+    """:func:`hsic_v`'s ``(c_k, c_l, dots)`` for every lag in one pass.
+
+    At lag m one Gram enters through its leading window ``G[:n-m, :n-m]``
+    (``g1`` in direction 1, ``g2`` in direction 2) and the other through
+    its trailing window ``G[m:, m:]``.  The leading windows' column sums
+    are prefixes of one top-down accumulation over the rows, so the sums
+    of all lags cost one pass; the trailing windows start at different
+    rows and keep their own sums.  The row dots of every lag are computed
+    in one sweep over row tiles of ``_TILE_BYTES``, so each tile of both
+    Grams stays in cache across the lags.  Every term has the bits
+    :func:`hsic_v` gives on the two windows.
+    """
+    if g1.ndim != 2 or g1.shape != g2.shape or g1.shape[0] != g1.shape[1]:
+        raise DataError(f"Gram size mismatch: {g1.shape} vs {g2.shape}")
+    n = g1.shape[0]
+    lead, trail = (g1, g2) if direction == 1 else (g2, g1)
+    top = n - max(lags)
+    acc = lead[:top].sum(axis=0)
+    lead_sums = {}
+    for m in sorted(lags, reverse=True):
+        for row in lead[top : n - m]:
+            acc += row
+        top = n - m
+        lead_sums[m] = acc[:top].copy()
+    dots = {m: np.empty(n - m) for m in lags}
+    rows = max(1, _TILE_BYTES // (8 * n))
+    for r0 in range(0, n, rows):
+        for m in lags:
+            big = n - m
+            r1 = min(r0 + rows, big)
+            if r0 < r1:
+                ko, lo = _window_offsets(m, direction)
+                k = g1[ko + r0 : ko + r1, ko : ko + big]
+                l = g2[lo + r0 : lo + r1, lo : lo + big]
+                _row_dots(k, l, dots[m][r0:r1])
+    terms = {}
+    for m in lags:
+        trail_sums = trail[m:, m:].sum(axis=0)
+        c_k, c_l = (lead_sums[m], trail_sums) if direction == 1 else (trail_sums, lead_sums[m])
+        terms[m] = (c_k, c_l, dots[m])
+    return terms
 
 
 def stat_from_grams(
@@ -236,19 +310,23 @@ def stat_from_grams(
     compute each distinct single once.  The dict belongs to that one pair
     of Grams: pass a fresh one for every new pair.  At m = 0 both
     directions evaluate :func:`hsic_v` on the same two full matrices, so
-    they share the key ``(1, 0)``.  Joint sums still add the singles in
-    ascending m, so every config gets the same bits with or without the
-    dict.
+    they share the key ``(1, 0)``.  The missing lags of one config are
+    computed in one pass (:func:`_lag_terms`), and joint sums still add
+    the singles in ascending m, so every config gets the same bits with
+    or without the dict.
     """
     if singles is None:
         singles = {}
-
-    def single(m: int) -> float:
-        key = (cfg.direction if m else 1, m)
-        if key not in singles:
-            singles[key] = single_from_grams(g1, g2, m, cfg.direction)
-        return singles[key]
-
+    # Row-major layout, so that every window's column sums add top-down.
+    g1, g2 = np.ascontiguousarray(g1, dtype=float), np.ascontiguousarray(g2, dtype=float)
+    lags = range(cfg.max_lag + 1) if cfg.is_joint else [cfg.m]
+    keys = {m: (cfg.direction if m else 1, m) for m in lags}
+    missing = [m for m in lags if keys[m] not in singles]
+    # Infeasible lags get no terms, so single_from_grams reports them.
+    feasible = [m for m in missing if g1.shape[0] - m >= 2]
+    terms = _lag_terms(g1, g2, cfg.direction, feasible) if feasible else {}
+    for m in missing:
+        singles[keys[m]] = single_from_grams(g1, g2, m, cfg.direction, terms.get(m))
     if cfg.is_joint:
-        return float(sum(single(m) for m in range(cfg.max_lag + 1)))
-    return single(cfg.m)
+        return float(sum(singles[keys[m]] for m in lags))
+    return singles[keys[cfg.m]]

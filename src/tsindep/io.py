@@ -18,7 +18,9 @@ def read_csv(path) -> np.ndarray:
     """Read a numeric CSV with a header row into an n x d float matrix.
 
     Rows must be in chronological order.  Any missing or non-numeric cell
-    is reported with its row number and column name.
+    is reported with its row number and column name.  A first row made
+    only of numbers is rejected rather than taken as the header, which
+    would silently drop an observation.
     """
     if not os.path.exists(path):
         raise DataError(f"no such file: {path}")
@@ -30,6 +32,11 @@ def read_csv(path) -> np.ndarray:
     d = len(header)
     if d == 0:
         raise DataError(f"{path}: empty header row")
+    if all(_is_number(c) for c in header):
+        raise DataError(
+            f"{path}: the first row {lines[0]!r} is all numbers; "
+            "the file needs a header row of column names"
+        )
     if len(lines) < 2:
         raise DataError(f"{path}: no data rows")
     out = np.empty((len(lines) - 1, d))
@@ -48,6 +55,14 @@ def read_csv(path) -> np.ndarray:
                 raise DataError(f"{path}: non-finite cell at row {i}, column {header[j]!r}")
             out[i - 1, j] = value
     return out
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def write_csv(path, data, header=None) -> None:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tsindep
 from tsindep import write_csv
 from tsindep.cli import main
 from tsindep.models import _simulate_var
@@ -19,6 +24,20 @@ def series_files(tmp_path):
     write_csv(p1, y1)
     write_csv(p2, y2)
     return str(p1), str(p2)
+
+
+@pytest.fixture()
+def short_files(tmp_path):
+    # Two 59-row VAR(1) series (60 CSV lines with the header) leave 58
+    # paired residual rows, so lag 56 is the largest with two rows left.
+    rng = np.random.default_rng(3)
+    coef = np.array([[0.3, 0.0], [0.1, 0.2]])
+    paths = []
+    for name in ("a.csv", "b.csv"):
+        path = tmp_path / name
+        write_csv(path, _simulate_var(coef, 1, False, rng.normal(size=(59, 2))))
+        paths.append(str(path))
+    return paths
 
 
 def run_cli(args):
@@ -110,6 +129,30 @@ class TestReportDeterminism:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
 
+    def test_byte_identical_across_blas_threads(self, tmp_path):
+        # The HSIC cross terms are BLAS dot products, so the report must not
+        # depend on how many threads the BLAS library may use.
+        rng = np.random.default_rng(11)
+        coef = np.array([[0.3, 0.0], [0.1, 0.2]])
+        paths = []
+        for name in ("a.csv", "b.csv"):
+            path = tmp_path / name
+            write_csv(path, _simulate_var(coef, 1, False, rng.normal(size=(320, 2))))
+            paths.append(str(path))
+        src = str(Path(tsindep.__file__).resolve().parents[1])
+        blobs = []
+        for blas_threads in ("1", "2"):
+            out = tmp_path / f"blas{blas_threads}.json"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, PYTHONPATH=src)
+            subprocess.run(
+                [sys.executable, "-m", "tsindep.cli", "test", "--series1", paths[0],
+                 "--series2", paths[1], "-B", "19", "--lag", "0", "--lag", "3",
+                 "--max-lag", "5", "--direction", "both", "--seed", "4", "--output", str(out)],
+                env=env, check=True, timeout=120,
+            )
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
+
     def test_repeat_identical(self, series_files, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         for out in (out1, out2):
@@ -200,6 +243,37 @@ class TestTestCommand:
         assert report["fits"][0]["kind"] == "ccc_garch"
 
 
+    @pytest.mark.parametrize("flag,lag", [("--lag", "80"), ("--lag", "57"), ("--max-lag", "57")])
+    def test_lag_beyond_data_names_the_flag(self, short_files, capsys, flag, lag):
+        code = run_cli(
+            ["test", "--series1", short_files[0], "--series2", short_files[1],
+             "-B", "19", flag, lag]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"data error: {flag} {lag} infeasible for n=58 paired residual rows" in err
+        assert "largest feasible lag is 56" in err
+
+    def test_largest_feasible_lag_runs(self, short_files, tmp_path):
+        out = tmp_path / "edge.json"
+        code = run_cli(
+            ["test", "--series1", short_files[0], "--series2", short_files[1],
+             "-B", "19", "--lag", "56", "--max-lag", "56", "--output", str(out)]
+        )
+        assert code == 0
+        tests = json.loads(out.read_text())["tests"]
+        assert [t["n_effective"] for t in tests] == [2, 2, 2, 2]
+
+    def test_headerless_csv_is_data_error(self, series_files, tmp_path, capsys):
+        path = tmp_path / "headerless.csv"
+        lines = open(series_files[0], encoding="utf-8").read().splitlines()
+        path.write_text("\n".join(lines[1:]) + "\n")
+        code = run_cli(["test", "--series1", str(path), "--series2", series_files[1], "-B", "9"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "header row" in err
+
+
 class TestCalibrationEndToEnd:
     def test_same_file_both_series_rejects(self, series_files, tmp_path):
         # Perfect dependence: the same series on both sides.
@@ -274,7 +348,22 @@ class TestFitCommand:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["fits"][0]["order"] == 2
+        assert report["fits"][0]["layout"] == "row-major [intercept | A_1 ... A_2]"
         assert len(report["fits"]) == 2
+
+    @pytest.mark.parametrize(
+        "model,layout",
+        [("var:1", "row-major [intercept | A_1]"), ("var:1:nc", "row-major [A_1]")],
+    )
+    def test_var1_layout_names_one_block(self, series_files, tmp_path, model, layout):
+        out = tmp_path / "fit.json"
+        code = run_cli(
+            ["fit", "--series1", series_files[0], "--series2", series_files[1],
+             "--model1", model, "--model2", model, "--output", str(out)]
+        )
+        assert code == 0
+        fits = json.loads(out.read_text())["fits"]
+        assert [f["layout"] for f in fits] == [layout, layout]
 
 
 class TestLagscanCommand:
@@ -308,18 +397,9 @@ class TestLagscanCommand:
         assert all(abs(r["bound_95"] - 3.841459) < 1e-4 for r in l_rows)
 
     @pytest.mark.parametrize("max_lag", ["57", "80"])
-    def test_max_lag_beyond_data_names_the_flag(self, tmp_path, capsys, max_lag):
-        # Two 59-row VAR(1) series (60 CSV lines with the header) leave 58
-        # paired residual rows, so lag 56 is the largest with two rows left.
-        rng = np.random.default_rng(3)
-        coef = np.array([[0.3, 0.0], [0.1, 0.2]])
-        paths = []
-        for name in ("a.csv", "b.csv"):
-            path = tmp_path / name
-            write_csv(path, _simulate_var(coef, 1, False, rng.normal(size=(59, 2))))
-            paths.append(str(path))
+    def test_max_lag_beyond_data_names_the_flag(self, short_files, capsys, max_lag):
         code = run_cli(
-            ["lagscan", "--series1", paths[0], "--series2", paths[1],
+            ["lagscan", "--series1", short_files[0], "--series2", short_files[1],
              "-B", "19", "--max-lag", max_lag]
         )
         assert code == 2

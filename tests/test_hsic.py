@@ -232,6 +232,106 @@ class TestGramSlicing:
         assert s20 == separate[0]
 
 
+FAMILIES = [
+    GAUSS,
+    KernelSpec.laplace(1.0),
+    KernelSpec.inverse_multiquadric(1.0, 1.0),
+    KernelSpec("fbm", hurst=0.5),
+]
+
+
+def offset_copy(a, nbytes):
+    """Copy of ``a`` whose data start ``nbytes`` into a fresh byte buffer."""
+    buf = np.zeros(a.size * a.itemsize + 64, dtype=np.uint8)
+    out = np.frombuffer(buf.data, dtype=float, count=a.size, offset=nbytes).reshape(a.shape)
+    out[...] = a
+    return out
+
+
+class TestMultiLagPass:
+    """The one-pass terms of every lag against hsic_v on each lag's windows."""
+
+    @staticmethod
+    def check_pass(g1, g2, lags):
+        for direction in (1, 2):
+            terms = hsic_module._lag_terms(g1, g2, direction, lags)
+            assert sorted(terms) == sorted(lags)
+            for m in lags:
+                big = g1.shape[0] - m
+                if direction == 1:
+                    k, l = g1[:big, :big], g2[m:, m:]
+                else:
+                    k, l = g1[m:, m:], g2[:big, :big]
+                c_k, c_l, dots = terms[m]
+                assert np.array_equal(c_k, k.sum(axis=0))
+                assert np.array_equal(c_l, l.sum(axis=0))
+                assert np.array_equal(dots, hsic_module._row_dots(k, l))
+                want = hsic_module.single_from_grams(g1, g2, m, direction)
+                assert want == hsic_v(k, l)
+                assert hsic_module.single_from_grams(g1, g2, m, direction, terms[m]) == want
+
+    @pytest.mark.parametrize("tile_bytes", [None, 5000], ids=["default_tile", "small_tile"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 7, 9, 35, 130, 301, 700])
+    @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.family)
+    def test_matches_single_from_grams(self, monkeypatch, spec, n, d, tile_bytes):
+        # 512 KB tiles hold 93 rows at n = 700 and 217 at n = 301, and the
+        # whole Gram below that; 5000-byte tiles cut even n = 9 into two.
+        if tile_bytes is not None:
+            monkeypatch.setattr(hsic_module, "_TILE_BYTES", tile_bytes)
+        rng = np.random.default_rng([n, d])
+        g1 = gram_matrix(spec, rng.normal(size=(n, d))).values
+        g2 = gram_matrix(spec, rng.normal(size=(n, d))).values
+        self.check_pass(g1, g2, list(range(min(n - 2, 7) + 1)))
+
+    @pytest.mark.parametrize("lags", [[3], [1, 4, 6], [7, 0]])
+    def test_subsets_of_lags(self, lags):
+        # A config computes only the lags the shared dict lacks.
+        g1, g2 = random_grams(np.random.default_rng(15), 301)
+        self.check_pass(g1, g2, lags)
+
+    def test_joint_pass_fills_the_dict(self):
+        g1, g2 = random_grams(np.random.default_rng(16), 130)
+        for direction in (1, 2):
+            singles = {}
+            joint = stat_from_grams(g1, g2, LagConfig(direction, max_lag=7), singles)
+            parts = [
+                hsic_module.single_from_grams(g1, g2, m, direction) for m in range(8)
+            ]
+            assert [singles[(direction if m else 1, m)] for m in range(8)] == parts
+            assert joint == float(sum(parts))
+
+    @pytest.mark.parametrize("n", [9, 301])
+    def test_constant_gram_is_exactly_zero(self, n):
+        k = random_grams(np.random.default_rng(n), n)[0]
+        const = np.full((n, n), 0.7)
+        for g1, g2 in ((k, const), (const, k)):
+            for direction in (1, 2):
+                singles = {}
+                assert stat_from_grams(g1, g2, LagConfig(direction, max_lag=7), singles) == 0.0
+                assert set(singles.values()) == {0.0}
+
+    def test_transposed_grams_give_the_same_bits(self):
+        # Column-major input is copied to row-major, so the top-down
+        # column sums are the ones hsic_v takes on the windows.
+        g1, g2 = random_grams(np.random.default_rng(17), 130)
+        for cfg in (LagConfig(1, max_lag=5), LagConfig(2, max_lag=5), LagConfig(2, m=3)):
+            assert stat_from_grams(g1.T, g2.T, cfg) == stat_from_grams(g1, g2, cfg)
+
+    def test_size_mismatch(self):
+        g1, _ = random_grams(np.random.default_rng(18), 12)
+        with pytest.raises(DataError):
+            stat_from_grams(g1, np.ones((10, 10)), LagConfig(1, max_lag=2))
+
+    def test_hsic_v_same_bits_for_view_copy_and_offset_buffer(self):
+        g1, g2 = random_grams(np.random.default_rng(19), 301)
+        k, l = g1[:290, :290], g2[11:, 11:]
+        value = hsic_v(k, l)
+        assert hsic_v(np.ascontiguousarray(k), np.ascontiguousarray(l)) == value
+        for nbytes in (8, 24, 1):
+            assert hsic_v(offset_copy(k, nbytes), offset_copy(l, nbytes)) == value
+
+
 class TestLagConfig:
     def test_validation(self):
         with pytest.raises(ValueError):

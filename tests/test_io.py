@@ -41,6 +41,20 @@ class TestReadCsv:
             read_csv(path)
 
 
+    @pytest.mark.parametrize("first", ["-1.321e-01,2.0", "1,2", "nan,inf"])
+    def test_headerless_file_rejected(self, tmp_path, first):
+        # Taking an all-number first row as the header would drop it.
+        path = tmp_path / "headerless.csv"
+        path.write_text(f"{first}\n3.0,4.0\n5.0,6.0\n")
+        with pytest.raises(DataError, match="header row"):
+            read_csv(path)
+
+    def test_header_with_some_numeric_names_accepted(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        path.write_text("2020,price\n3.0,4.0\n")
+        assert_allclose(read_csv(path), [[3.0, 4.0]])
+
+
 class TestRoundtrip:
     def test_write_read_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
