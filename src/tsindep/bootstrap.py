@@ -34,7 +34,7 @@ from .models import (
     FitResult,
     _fit_var_batch,
     _garch_residuals_batch,
-    _garch_unpack_batch,
+    _garch_unpack,
     _garch_xspace_scores_batch,
     _simulate_garch,
     _simulate_var,
@@ -164,6 +164,12 @@ def bootstrap_estimate(fit: FitResult, boot_data, mode: str = "auto") -> np.ndar
     return coef[0].ravel()
 
 
+# Coordinate caps keep unpacked parameters strictly inside the valid region
+# (tanh(8) < 1 - 1e-7) while leaving the logistic coordinates free to
+# saturate harmlessly.
+_X_CAP = np.array([40.0, 40.0, 40.0, 40.0, 40.0, 40.0, 8.0])
+
+
 def _garch_onestep(fit: FitResult, paths: np.ndarray, v_init: np.ndarray) -> np.ndarray:
     """One Newton step per path from ``fit.x_hat`` in the unconstrained
     optimization coordinates, mapped back to (nb, 7) parameters.
@@ -172,7 +178,8 @@ def _garch_onestep(fit: FitResult, paths: np.ndarray, v_init: np.ndarray) -> np.
     region, mirroring the constrained refit estimator.
     """
     scores = _garch_xspace_scores_batch(fit.x_hat, paths, v_init)
-    return _garch_unpack_batch(fit.x_hat + scores @ fit.xinfo_inv / paths.shape[1])
+    x = fit.x_hat + scores @ fit.xinfo_inv / paths.shape[1]
+    return _garch_unpack(np.clip(x, -_X_CAP, _X_CAP))
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +215,7 @@ def _series_block(fit: FitResult, pool: np.ndarray, cfg: BootstrapConfig, b0: in
             valid = np.ones(nb, dtype=bool)
         valid &= np.isfinite(resid).reshape(nb, -1).all(axis=1)
         return resid, valid
-    theta = fit.theta
-    uncond = np.array(
-        [theta[0] / (1.0 - theta[1] - theta[2]), theta[3] / (1.0 - theta[4] - theta[5])]
-    )
-    paths = _simulate_garch(theta, innov, v_init=uncond)
-    paths = paths[:, cfg.burn_in :]
+    paths = _simulate_garch(fit.theta, innov)[:, cfg.burn_in :]
     v_init_b = paths.var(axis=1)
     if mode == "one_step":
         return _garch_residuals_batch(_garch_onestep(fit, paths, v_init_b), paths, v_init_b)

@@ -108,6 +108,8 @@ def _parse_mtest(text: str, what: str):
         raise UsageError(f"bad {what} spec {text!r} (expected M or M:variant)") from None
     if variant not in (1, 2):
         raise UsageError(f"{what} variant must be 1 or 2")
+    if m < 0:
+        raise UsageError(f"{what} lag M must be nonnegative, got {m}")
     return m, variant
 
 
@@ -415,21 +417,26 @@ def _cmd_test(args) -> int:
     if args.max_lag is not None:
         _check_lag("--max-lag", args.max_lag, pair.n)
 
+    # The competitors run before the bootstrap, so a bad flag fails fast;
+    # the report still lists them after the HSIC tests.
+    competitors = []
+    for flag, texts, what, test in (
+        ("--gtest", args.gtest, "G", g_test),
+        ("--ltest", args.ltest, "L", l_test),
+        ("--ttest", args.ttest, "T", t_test),
+    ):
+        for text in texts or []:
+            m, variant = _parse_mtest(text, what)
+            _check_lag(flag, m, pair.n)
+            competitors.append(test(pair, m, variant))
+    for text in args.wtest or []:
+        band, variant = _parse_wtest(text)
+        competitors.append(w_test(y1, y2, h=band, variant=variant))
+
     outcomes = hsic_test_suite(
         fit1, fit2, lag_cfgs, kernel, kernel, cfg, keep_replicates=args.emit_replicates
     )
-    for text in args.gtest or []:
-        m, variant = _parse_mtest(text, "G")
-        outcomes.append(g_test(pair, m, variant))
-    for text in args.ltest or []:
-        m, variant = _parse_mtest(text, "L")
-        outcomes.append(l_test(pair, m, variant))
-    for text in args.ttest or []:
-        m, variant = _parse_mtest(text, "T")
-        outcomes.append(t_test(pair, m, variant))
-    for text in args.wtest or []:
-        band, variant = _parse_wtest(text)
-        outcomes.append(w_test(y1, y2, h=band, variant=variant))
+    outcomes.extend(competitors)
 
     config = {
         "model1": _model_echo(model1),

@@ -97,15 +97,22 @@ def _corr_normalizers(r0: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _lag0_correlations(e1: np.ndarray, e2: np.ndarray):
+    """Column scalings ``s = 1 / sd`` and inverse lag-zero correlation
+    matrices of both series: ``(s1, s2, R11(0)^-1, R22(0)^-1)``."""
+    c11 = cross_cov(e1, e1, 0)
+    c22 = cross_cov(e2, e2, 0)
+    s1 = _corr_normalizers(c11)
+    s2 = _corr_normalizers(c22)
+    r11_inv = _inv_sym(s1[:, None] * c11 * s1[None, :], "lag-zero correlation of series 1")
+    r22_inv = _inv_sym(s2[:, None] * c22 * s2[None, :], "lag-zero correlation of series 2")
+    return s1, s2, r11_inv, r22_inv
+
+
 def _correlation_quadratics(e1: np.ndarray, e2: np.ndarray, lags) -> np.ndarray:
     """n * vec(R12(m))' [R22(0)^-1 kron R11(0)^-1] vec(R12(m)) per lag."""
     n = e1.shape[0]
-    s1 = _corr_normalizers(cross_cov(e1, e1, 0))
-    s2 = _corr_normalizers(cross_cov(e2, e2, 0))
-    r11 = s1[:, None] * cross_cov(e1, e1, 0) * s1[None, :]
-    r22 = s2[:, None] * cross_cov(e2, e2, 0) * s2[None, :]
-    r11_inv = _inv_sym(r11, "lag-zero correlation of series 1")
-    r22_inv = _inv_sym(r22, "lag-zero correlation of series 2")
+    s1, s2, r11_inv, r22_inv = _lag0_correlations(e1, e2)
     out = np.empty(len(lags))
     for i, m in enumerate(lags):
         r12 = s1[:, None] * cross_cov(e1, e2, m) * s2[None, :]
@@ -177,10 +184,7 @@ def _all_lag_quadratics(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
     """Correlation quadratic forms for every lag 1-n..n-1, in lag order."""
     n, d1 = e1.shape
     d2 = e2.shape[1]
-    s1 = _corr_normalizers(cross_cov(e1, e1, 0))
-    s2 = _corr_normalizers(cross_cov(e2, e2, 0))
-    r11_inv = _inv_sym(s1[:, None] * cross_cov(e1, e1, 0) * s1[None, :], "lag-zero correlation")
-    r22_inv = _inv_sym(s2[:, None] * cross_cov(e2, e2, 0) * s2[None, :], "lag-zero correlation")
+    s1, s2, r11_inv, r22_inv = _lag0_correlations(e1, e2)
     xc = (e1 - e1.mean(axis=0)) * s1[None, :]
     yc = (e2 - e2.mean(axis=0)) * s2[None, :]
     # r12[m] for m >= 0 via one correlation pass per component pair
@@ -228,7 +232,9 @@ def w_test(
         h = bandwidth_rule(h, n)
     h = float(h)
     if not 1 <= h < n:
-        raise DataError(f"bandwidth h={h} must lie in [1, n)")
+        raise DataError(
+            f"bandwidth h={h} must lie in [1, n) for n={n} prewhitened residual rows"
+        )
     d1 = e1.shape[1]
     d2 = e2.shape[1]
     quads = _all_lag_quadratics(e1, e2)
@@ -262,14 +268,22 @@ def _squared_norms(eta: np.ndarray) -> np.ndarray:
     return np.einsum("ti,ti->t", eta, eta)
 
 
-def _scalar_cross_corr(q1: np.ndarray, q2: np.ndarray, m: int) -> float:
-    c = cross_cov(q1[:, None], q2[:, None], m)[0, 0]
+def _l_setup(res: PairedResiduals):
+    """Squared-norm series ``(q1, q2)`` and the product of their standard
+    deviations, the denominator of every lag's correlation."""
+    q1 = _squared_norms(res.eta1)
+    q2 = _squared_norms(res.eta2)
     v1 = cross_cov(q1[:, None], q1[:, None], 0)[0, 0]
     v2 = cross_cov(q2[:, None], q2[:, None], 0)[0, 0]
     for q, v in ((q1, v1), (q2, v2)):
         if v <= 1e-18 * max(1.0, float(np.mean(q)) ** 2):
             raise DataError("squared-norm series is constant; L statistic undefined")
-    return float(c / np.sqrt(v1 * v2))
+    return q1, q2, np.sqrt(v1 * v2)
+
+
+def _l_term(q1: np.ndarray, q2: np.ndarray, m: int, scale) -> float:
+    """Lag-m cross-correlation of the squared-norm series."""
+    return float(cross_cov(q1[:, None], q2[:, None], m)[0, 0] / scale)
 
 
 def l_test(res: PairedResiduals, max_lag: int, variant: int = 1) -> TestOutcome:
@@ -279,11 +293,10 @@ def l_test(res: PairedResiduals, max_lag: int, variant: int = 1) -> TestOutcome:
     n = res.n
     if max_lag >= n - 1:
         raise DataError(f"max_lag {max_lag} infeasible for n={n}")
-    q1 = _squared_norms(res.eta1)
-    q2 = _squared_norms(res.eta2)
+    q1, q2, scale = _l_setup(res)
     stat = 0.0
     for m in range(-max_lag, max_lag + 1):
-        rho = _scalar_cross_corr(q1, q2, m)
+        rho = _l_term(q1, q2, m, scale)
         weight = n if variant == 1 else n * n / (n - abs(m))
         stat += weight * rho * rho
     df = 2 * max_lag + 1
@@ -308,6 +321,15 @@ def _vech(eta: np.ndarray) -> np.ndarray:
     return eta[:, rows] * eta[:, cols]
 
 
+def _t_setup(res: PairedResiduals):
+    """vech transforms ``(phi1, phi2)`` and their inverse lag-zero covariances."""
+    phi1 = _vech(res.eta1)
+    phi2 = _vech(res.eta2)
+    c11_inv = _inv_sym(cross_cov(phi1, phi1, 0), "lag-zero covariance of vech transform (1)")
+    c22_inv = _inv_sym(cross_cov(phi2, phi2, 0), "lag-zero covariance of vech transform (2)")
+    return phi1, phi2, c11_inv, c22_inv
+
+
 def _t_term(phi1: np.ndarray, phi2: np.ndarray, m: int, c11_inv, c22_inv) -> float:
     c12 = cross_cov(phi1, phi2, m)
     return float(np.trace(c12.T @ c11_inv @ c12 @ c22_inv))
@@ -320,10 +342,7 @@ def t_test(res: PairedResiduals, max_lag: int, variant: int = 1) -> TestOutcome:
     n = res.n
     if max_lag >= n - 1:
         raise DataError(f"max_lag {max_lag} infeasible for n={n}")
-    phi1 = _vech(res.eta1)
-    phi2 = _vech(res.eta2)
-    c11_inv = _inv_sym(cross_cov(phi1, phi1, 0), "lag-zero covariance of vech transform (1)")
-    c22_inv = _inv_sym(cross_cov(phi2, phi2, 0), "lag-zero covariance of vech transform (2)")
+    phi1, phi2, c11_inv, c22_inv = _t_setup(res)
     stat = 0.0
     for m in range(-max_lag, max_lag + 1):
         weight = n if variant == 1 else n * n / (n - abs(m))
@@ -360,13 +379,9 @@ def single_lag_stat(res: PairedResiduals, m: int, family: str, direction: int = 
         raise DataError(f"lag {m} infeasible for n={n}")
     lag = m if direction == 1 else -m
     if family == "L":
-        q1 = _squared_norms(res.eta1)
-        q2 = _squared_norms(res.eta2)
-        rho = _scalar_cross_corr(q1, q2, lag)
+        q1, q2, scale = _l_setup(res)
+        rho = _l_term(q1, q2, lag, scale)
         return float(n * rho * rho), 1
-    phi1 = _vech(res.eta1)
-    phi2 = _vech(res.eta2)
-    c11_inv = _inv_sym(cross_cov(phi1, phi1, 0), "lag-zero covariance of vech transform (1)")
-    c22_inv = _inv_sym(cross_cov(phi2, phi2, 0), "lag-zero covariance of vech transform (2)")
+    phi1, phi2, c11_inv, c22_inv = _t_setup(res)
     df = phi1.shape[1] * phi2.shape[1]
     return float(n * _t_term(phi1, phi2, lag, c11_inv, c22_inv)), df

@@ -443,16 +443,17 @@ def _garch_pack(theta: np.ndarray) -> np.ndarray:
     return x
 
 
-def _garch_unpack(x: np.ndarray) -> np.ndarray:
-    theta = np.empty(7)
+def _garch_unpack(x) -> np.ndarray:
+    """Parameters ``theta`` of unconstrained coordinates ``x``, over (..., 7) stacks."""
+    x = np.asarray(x, dtype=float)
+    theta = np.empty(x.shape)
     for i in range(2):
-        w = np.exp(x[3 * i])
-        frac = expit(x[3 * i + 1])
-        s = expit(x[3 * i + 2])
-        theta[3 * i] = w
-        theta[3 * i + 1] = frac * s
-        theta[3 * i + 2] = (1.0 - frac) * s
-    theta[6] = np.tanh(x[6])
+        frac = expit(x[..., 3 * i + 1])
+        s = expit(x[..., 3 * i + 2])
+        theta[..., 3 * i] = np.exp(x[..., 3 * i])
+        theta[..., 3 * i + 1] = frac * s
+        theta[..., 3 * i + 2] = (1.0 - frac) * s
+    theta[..., 6] = np.tanh(x[..., 6])
     return theta
 
 
@@ -469,25 +470,6 @@ def _garch_unpack_jacobian(x: np.ndarray) -> np.ndarray:
         jac[3 * i + 2, 3 * i + 1 : 3 * i + 3] = -dfrac, (1.0 - frac) * ds
     jac[6, 6] = 1.0 - np.tanh(x[6]) ** 2
     return jac
-
-
-# Coordinate caps keep unpacked parameters strictly inside the valid region
-# (tanh(8) < 1 - 1e-7) while leaving the logistic coordinates free to
-# saturate harmlessly.
-_X_CAP = np.array([40.0, 40.0, 40.0, 40.0, 40.0, 40.0, 8.0])
-
-
-def _garch_unpack_batch(x: np.ndarray) -> np.ndarray:
-    x = np.clip(x, -_X_CAP, _X_CAP)
-    theta = np.empty_like(x)
-    for i in range(2):
-        theta[:, 3 * i] = np.exp(x[:, 3 * i])
-        frac = expit(x[:, 3 * i + 1])
-        s = expit(x[:, 3 * i + 2])
-        theta[:, 3 * i + 1] = frac * s
-        theta[:, 3 * i + 2] = (1.0 - frac) * s
-    theta[:, 6] = np.tanh(x[:, 6])
-    return theta
 
 
 def _garch_xspace_derivs(x: np.ndarray, grad: np.ndarray, hess: np.ndarray):
@@ -651,15 +633,17 @@ def fit_ccc_garch(
 
     v = garch_variance_path(theta, y, v_init)
     residuals = y / np.sqrt(v)
-    loglik = float(garch_loglik_terms(theta, y, v_init).sum())
-    scores = _garch_scores(theta, y, v_init)
-    info = _garch_curvature(theta, y, v_init)
+    terms, scores, hess = _garch_terms(theta, y, v_init, hess=True)
+    info = _floored_information(hess, n)
     cond = np.linalg.cond(info)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise SingularityError(f"information matrix is singular (cond={cond:.3g})")
     info_inv = np.linalg.inv(info)
     influence = scores @ info_inv
-    xinfo_inv = np.linalg.inv(_garch_xspace_info(x_hat, y, v_init))
+    # Minus the averaged exact Hessian in the unconstrained coordinates,
+    # floored the same way: the metric of the bootstrap's one-step update.
+    hx = _garch_xspace_derivs(x_hat, scores.sum(axis=0), hess)[1]
+    xinfo_inv = np.linalg.inv(_floored_information(hx, n))
     return FitResult(
         model=ModelSpec("ccc_garch"),
         theta=theta,
@@ -668,7 +652,7 @@ def fit_ccc_garch(
         n_obs=n,
         presample=0,
         init_values=v_init,
-        loglik=loglik,
+        loglik=float(terms.sum()),
         info_inv=info_inv,
         x_hat=x_hat.copy(),
         xinfo_inv=xinfo_inv,
@@ -684,13 +668,26 @@ def _garch_residuals(theta, data, v_init=None) -> np.ndarray:
     return y / np.sqrt(v)
 
 
-def _simulate_garch(theta, innovations, v_init=None, allow_explosive=False):
-    """Y_t = D_t^{1/2} eps_t: the supplied innovations carry the (constant)
-    cross-component correlation; the recursion only scales them."""
+def _simulate_garch(theta, innovations, v_init=None, allow_explosive=False, *, mixed=False):
+    """CCC-GARCH(1,1) paths driven by ``innovations`` (n, 2) or a stack (nb, n, 2).
+
+    Each component variance follows ``v_t = omega + alpha Y_{t-1}^2 +
+    beta v_{t-1}`` from ``v_init`` (the stationary variances
+    ``omega / (1 - alpha - beta)`` by default), one output row per
+    innovation row.  Two output forms share that recursion:
+
+    - the standard form ``Y_t = D_t^{1/2} eps_t`` (default): the supplied
+      innovations carry the (constant) cross-component correlation and the
+      recursion only scales each component;
+    - with ``mixed``, ``Y_t = V_t^{1/2} eta_t`` with the symmetric PSD root
+      of the full conditional covariance (``v_t,12 = rho sqrt(v_t,1 v_t,2)``),
+      which mixes the innovation components through rho.  This is the
+      generating form of the benchmark system in :mod:`tsindep.simlab`.
+    """
     e = np.asarray(innovations, dtype=float)
     _garch_check_theta(theta, allow_explosive)
     th = np.asarray(theta, dtype=float)
-    w, a, b = th[0:6:3], th[1:6:3], th[2:6:3]
+    w, a, b, rho = th[0:6:3], th[1:6:3], th[2:6:3], th[6]
     batched = e.ndim == 3
     if not batched:
         e = e[None]
@@ -708,56 +705,14 @@ def _simulate_garch(theta, innovations, v_init=None, allow_explosive=False):
     for t in range(n_out):
         if t > 0:
             v = w + a * out[t - 1] ** 2 + b * v
-        out[t] = np.sqrt(v) * steps[t]
+        if mixed:
+            s11, s22, s12 = _sqrt2x2(v[0], v[1], rho * np.sqrt(v[0] * v[1]))
+            out[t, 0] = s11 * steps[t, 0] + s12 * steps[t, 1]
+            out[t, 1] = s12 * steps[t, 0] + s22 * steps[t, 1]
+        else:
+            out[t] = np.sqrt(v) * steps[t]
     out = np.ascontiguousarray(out.transpose(2, 0, 1))
     return out if batched else out[0]
-
-
-def _simulate_garch_mixed(theta, innovations, v_init=None, allow_explosive=False):
-    """Y_t = V_t^{1/2} eta_t with the symmetric PSD root of the full
-    conditional covariance (v_t,12 = rho sqrt(v_t,1 v_t,2)).
-
-    This is the generating form of the benchmark conditional-variance
-    system in :mod:`tsindep.simlab`, which mixes the innovation components
-    through the correlation explicitly.
-    """
-    e = np.asarray(innovations, dtype=float)
-    _garch_check_theta(theta, allow_explosive)
-    w1, a1, b1, w2, a2, b2, rho = (float(v) for v in np.asarray(theta, dtype=float))
-    batched = e.ndim == 3
-    if not batched:
-        e = e[None]
-    nb, n_out, d = e.shape
-    if d != 2:
-        raise DataError("ccc_garch innovations must be bivariate")
-    if v_init is None:
-        v_init = np.array([w1 / (1.0 - a1 - b1), w2 / (1.0 - a2 - b2)])
-    v_init = np.asarray(v_init, dtype=float)
-    out = np.empty((nb, n_out, 2))
-    v1 = np.full(nb, v_init[0])
-    v2 = np.full(nb, v_init[1])
-    for t in range(n_out):
-        if t > 0:
-            v1 = w1 + a1 * out[:, t - 1, 0] ** 2 + b1 * v1
-            v2 = w2 + a2 * out[:, t - 1, 1] ** 2 + b2 * v2
-        v12 = rho * np.sqrt(v1 * v2)
-        s11, s22, s12 = _sqrt2x2(v1, v2, v12)
-        out[:, t, 0] = s11 * e[:, t, 0] + s12 * e[:, t, 1]
-        out[:, t, 1] = s12 * e[:, t, 0] + s22 * e[:, t, 1]
-    return out if batched else out[0]
-
-
-def _garch_variance_batch(omega, alpha, beta, y2: np.ndarray, v0: np.ndarray) -> np.ndarray:
-    """Variance recursion on fixed data for a batch of paths.
-
-    Runs along the leading (time) axis of ``y2`` (n, ...); ``v0`` has the
-    shape of ``y2[0]`` and the coefficients broadcast against it.
-    """
-    v = np.empty(y2.shape)
-    v[0] = v0
-    for t in range(1, y2.shape[0]):
-        v[t] = omega + alpha * y2[t - 1] + beta * v[t - 1]
-    return v
 
 
 def _garch_xspace_scores_batch(x_hat: np.ndarray, y: np.ndarray, v_init: np.ndarray) -> np.ndarray:
@@ -770,18 +725,6 @@ def _garch_xspace_scores_batch(x_hat: np.ndarray, y: np.ndarray, v_init: np.ndar
     return scores.sum(axis=-2) @ _garch_unpack_jacobian(x)
 
 
-def _garch_xspace_info(x_hat: np.ndarray, data: np.ndarray, v_init) -> np.ndarray:
-    """Observed information in the unconstrained coordinates (per obs).
-
-    Minus the exact Hessian of the average log-likelihood in x, with
-    eigenvalues floored at 1e-8 of the largest so saturated (flat)
-    coordinates stay harmless.
-    """
-    x = np.asarray(x_hat, dtype=float)
-    _, scores, hess = _garch_terms(_garch_unpack(x), data, v_init, hess=True)
-    return _floored_information(_garch_xspace_derivs(x, scores.sum(axis=0), hess)[1], data.shape[0])
-
-
 def _garch_residuals_batch(theta_b: np.ndarray, y: np.ndarray, v_init: np.ndarray):
     """Residual extraction with per-path parameters.
 
@@ -789,12 +732,16 @@ def _garch_residuals_batch(theta_b: np.ndarray, y: np.ndarray, v_init: np.ndarra
     |rho| >= 1, as can happen after a one-step update) are flagged rather
     than raising.
     """
-    nb = y.shape[0]
+    nb, n = y.shape[:2]
     # Time-major (n, 2, nb), so each step updates both components of every
     # path in one operation along contiguous rows.
     y2 = np.ascontiguousarray((y**2).transpose(1, 2, 0))
-    coef = theta_b[:, :6].T.reshape(2, 3, nb)
-    v = _garch_variance_batch(coef[:, 0], coef[:, 1], coef[:, 2], y2, v_init.T).transpose(2, 0, 1)
+    w, a, b = theta_b[:, :6].T.reshape(2, 3, nb).transpose(1, 0, 2)
+    v = np.empty(y2.shape)
+    v[0] = v_init.T
+    for t in range(1, n):
+        v[t] = w + a * y2[t - 1] + b * v[t - 1]
+    v = v.transpose(2, 0, 1)
     valid = (np.abs(theta_b[:, 6]) < 1.0) & (v > 0).all(axis=(1, 2))
     eta = y / np.sqrt(np.where(v > 0, v, 1.0))
     valid &= np.isfinite(eta).reshape(nb, -1).all(axis=1)

@@ -34,7 +34,7 @@ from .exceptions import DataError, NumericalError, TsindepError
 from .hsic import LagConfig
 from .kernels import KernelSpec
 from .models import (
-    _simulate_garch_mixed,
+    _simulate_garch,
     _simulate_var,
     fit_ccc_garch,
     fit_var,
@@ -140,16 +140,20 @@ def gen_garch_pair(innovations, burn_in: int = 500):
 
     Each series follows Y_t = V_t^{1/2} eta_t with the symmetric PSD root
     of the full conditional covariance (correlations 0.5 and 0.6), so the
-    innovation components are mixed through the correlation.  Variance
-    recursions start at their stationary values omega / (1 - alpha - beta);
-    the first ``burn_in`` rows are discarded.
+    innovation components are mixed through the correlation.  This is the
+    mixed output form of the model simulator; the standard form
+    Y_t = D_t^{1/2} eps_t, which only scales already-correlated
+    innovations, is what the bootstrap and ``simulate`` draw, and what the
+    working model fitted to these series assumes.  Variance recursions
+    start at their stationary values omega / (1 - alpha - beta); the first
+    ``burn_in`` rows are discarded.
     """
     e1, e2 = innovations
     if e1.shape[0] <= burn_in:
         raise DataError("innovation sample shorter than the burn-in")
     out = []
     for theta, e in zip(GARCH_PAIR_THETA, (e1, e2)):
-        y = _simulate_garch_mixed(theta, np.asarray(e, dtype=float))
+        y = _simulate_garch(theta, np.asarray(e, dtype=float), mixed=True)
         out.append(y[burn_in:])
     return tuple(out)
 

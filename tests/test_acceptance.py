@@ -39,7 +39,7 @@ from tsindep.cli import main as cli_main
 from tsindep.crosscorr import daniell
 from tsindep.models import (
     _garch_curvature,
-    _simulate_garch_mixed,
+    _simulate_garch,
     _simulate_var,
     garch_loglik_terms,
 )
@@ -302,7 +302,7 @@ def test_criterion_9_estimator_recovery():
     min_margin, min_margin_seed = np.inf, None
     for seed in range(20):
         local = np.random.default_rng(1000 + seed)
-        data = _simulate_garch_mixed(theta, local.normal(size=(2500, 2)))[500:]
+        data = _simulate_garch(theta, local.normal(size=(2500, 2)), mixed=True)[500:]
         try:
             fit = fit_ccc_garch(data, seed=seed)
         except TsindepError as exc:

@@ -44,6 +44,10 @@ def run_cli(args):
     return main(args)
 
 
+def no_bootstrap(*args, **kwargs):
+    raise AssertionError("the bootstrap ran before the flags were checked")
+
+
 class TestExitCodes:
     def test_usage_error(self, capsys):
         assert run_cli(["test"]) == 1
@@ -60,19 +64,22 @@ class TestExitCodes:
         assert "data error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("band", ["nan", "0.5"])
-    def test_bad_wtest_bandwidth_is_data_error(self, series_files, capsys, band):
+    def test_bad_wtest_bandwidth_is_data_error(self, series_files, capsys, monkeypatch, band):
         # NaN fails every comparison, so it must not slip past the range check.
+        monkeypatch.setattr("tsindep.cli.hsic_test_suite", no_bootstrap)
         code = run_cli(
             ["test", "--series1", series_files[0], "--series2", series_files[1],
              "-B", "9", "--wtest", band]
         )
         assert code == 2
-        assert "data error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "data error" in err and "for n=97 prewhitened residual rows" in err
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["test", "--lag", "-2"],
+            ["test", "--gtest", "-1"],
             ["test", "--max-lag", "-1"],
             ["lagscan", "--max-lag", "-1"],
             ["test", "-B", "0"],
@@ -87,7 +94,8 @@ class TestExitCodes:
         ],
         ids="_".join,
     )
-    def test_bad_configuration_is_usage_error(self, series_files, capsys, argv):
+    def test_bad_configuration_is_usage_error(self, series_files, capsys, monkeypatch, argv):
+        monkeypatch.setattr("tsindep.cli.hsic_test_suite", no_bootstrap)
         if argv[0] != "simulate":
             argv = [argv[0], "--series1", series_files[0], "--series2", series_files[1], *argv[1:]]
         assert run_cli(argv) == 1
@@ -243,8 +251,13 @@ class TestTestCommand:
         assert report["fits"][0]["kind"] == "ccc_garch"
 
 
-    @pytest.mark.parametrize("flag,lag", [("--lag", "80"), ("--lag", "57"), ("--max-lag", "57")])
-    def test_lag_beyond_data_names_the_flag(self, short_files, capsys, flag, lag):
+    @pytest.mark.parametrize(
+        "flag,lag",
+        [("--lag", "80"), ("--lag", "57"), ("--max-lag", "57"),
+         ("--gtest", "80"), ("--ltest", "57"), ("--ttest", "60")],
+    )
+    def test_lag_beyond_data_names_the_flag(self, short_files, capsys, monkeypatch, flag, lag):
+        monkeypatch.setattr("tsindep.cli.hsic_test_suite", no_bootstrap)
         code = run_cli(
             ["test", "--series1", short_files[0], "--series2", short_files[1],
              "-B", "19", flag, lag]

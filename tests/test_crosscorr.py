@@ -160,6 +160,85 @@ class TestWTest:
             w_test(y, y.copy(), h=0.5)
 
 
+def scalar_cross_corr_loop(q1, q2, m):
+    """Oracle: one lag's squared-norm correlation, recomputing both variances
+    and the constant-series check at every lag."""
+    c = cross_cov(q1[:, None], q2[:, None], m)[0, 0]
+    v1 = cross_cov(q1[:, None], q1[:, None], 0)[0, 0]
+    v2 = cross_cov(q2[:, None], q2[:, None], 0)[0, 0]
+    for q, v in ((q1, v1), (q2, v2)):
+        if v <= 1e-18 * max(1.0, float(np.mean(q)) ** 2):
+            raise DataError("squared-norm series is constant; L statistic undefined")
+    return float(c / np.sqrt(v1 * v2))
+
+
+def l_stat_loop(res, max_lag, variant):
+    """Oracle: the L statistic as a sum of per-lag correlations."""
+    n = res.n
+    q1 = np.einsum("ti,ti->t", res.eta1, res.eta1)
+    q2 = np.einsum("ti,ti->t", res.eta2, res.eta2)
+    stat = 0.0
+    for m in range(-max_lag, max_lag + 1):
+        rho = scalar_cross_corr_loop(q1, q2, m)
+        weight = n if variant == 1 else n * n / (n - abs(m))
+        stat += weight * rho * rho
+    return float(stat)
+
+
+def t_lag_loop(res, lag):
+    """Oracle: one lag's T term with its own inverse lag-zero covariances."""
+    rows1, cols1 = np.tril_indices(res.eta1.shape[1])
+    rows2, cols2 = np.tril_indices(res.eta2.shape[1])
+    phi1 = res.eta1[:, rows1] * res.eta1[:, cols1]
+    phi2 = res.eta2[:, rows2] * res.eta2[:, cols2]
+    c11_inv = np.linalg.inv(cross_cov(phi1, phi1, 0))
+    c22_inv = np.linalg.inv(cross_cov(phi2, phi2, 0))
+    c12 = cross_cov(phi1, phi2, lag)
+    return float(res.n * float(np.trace(c12.T @ c11_inv @ c12 @ c22_inv)))
+
+
+def correlation_quadratics_loop(e1, e2, lags):
+    """Oracle: the G quadratic forms with the lag-zero covariances built twice."""
+    n = e1.shape[0]
+    s1 = 1.0 / np.sqrt(np.diag(cross_cov(e1, e1, 0)))
+    s2 = 1.0 / np.sqrt(np.diag(cross_cov(e2, e2, 0)))
+    r11_inv = np.linalg.inv(s1[:, None] * cross_cov(e1, e1, 0) * s1[None, :])
+    r22_inv = np.linalg.inv(s2[:, None] * cross_cov(e2, e2, 0) * s2[None, :])
+    out = np.empty(len(lags))
+    for i, m in enumerate(lags):
+        r12 = s1[:, None] * cross_cov(e1, e2, m) * s2[None, :]
+        out[i] = n * float(np.einsum("ab,ac,cd,bd->", r12, r11_inv, r12, r22_inv))
+    return out
+
+
+class TestPerLagOracles:
+    # The per-call setup is shared across lags; every per-lag value keeps
+    # the bits of the loop that rebuilt it at each lag.
+    @pytest.fixture(scope="class")
+    def res(self):
+        rng = np.random.default_rng(22)
+        return PairedResiduals(rng.normal(size=(90, 2)), rng.normal(size=(90, 3)))
+
+    @pytest.mark.parametrize("variant", [1, 2])
+    def test_l_statistic(self, res, variant):
+        for max_lag in (0, 3, 20, 88):
+            assert l_test(res, max_lag, variant).statistic == l_stat_loop(res, max_lag, variant)
+
+    def test_single_lag_values(self, res):
+        q1 = np.einsum("ti,ti->t", res.eta1, res.eta1)
+        q2 = np.einsum("ti,ti->t", res.eta2, res.eta2)
+        for m in range(89):
+            for direction, lag in ((1, m), (2, -m)):
+                rho = scalar_cross_corr_loop(q1, q2, lag)
+                assert single_lag_stat(res, m, "L", direction)[0] == float(res.n * rho * rho)
+                assert single_lag_stat(res, m, "T", direction)[0] == t_lag_loop(res, lag)
+
+    def test_g_quadratics(self, res):
+        lags = list(range(-88, 89))
+        quads = _correlation_quadratics(res.eta1, res.eta2, lags)
+        assert (quads == correlation_quadratics_loop(res.eta1, res.eta2, lags)).all()
+
+
 class TestLTest:
     def test_variants_match_at_lag_zero(self):
         rng = np.random.default_rng(12)

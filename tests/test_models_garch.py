@@ -16,13 +16,10 @@ from tsindep.models import (
     _garch_starts,
     _garch_terms,
     _garch_unpack,
-    _garch_unpack_batch,
     _garch_unpack_jacobian,
     _garch_xspace_derivs,
-    _garch_xspace_info,
     _garch_xspace_scores_batch,
     _simulate_garch,
-    _simulate_garch_mixed,
     _sqrt2x2,
     garch_loglik_terms,
     garch_variance_path,
@@ -111,7 +108,7 @@ class TestSimulateGarch:
         rng = np.random.default_rng(40)
         theta = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.5])
         e = rng.normal(size=(100, 2))
-        out = _simulate_garch_mixed(theta, e)
+        out = _simulate_garch(theta, e, mixed=True)
         from tsindep import psd_sqrt
 
         expected = e @ psd_sqrt(np.array([[1.0, 0.5], [0.5, 1.0]])).T
@@ -162,6 +159,30 @@ def simulate_garch_loop(theta, innovations, v_init=None):
     return out if batched else out[0]
 
 
+def simulate_garch_mixed_loop(theta, innovations, v_init=None):
+    """Oracle: the mixed symmetric-root form as a per-component step loop."""
+    e = np.asarray(innovations, dtype=float)
+    w1, a1, b1, w2, a2, b2, rho = (float(v) for v in theta)
+    batched = e.ndim == 3
+    if not batched:
+        e = e[None]
+    nb, n_out, _ = e.shape
+    if v_init is None:
+        v_init = np.array([w1 / (1.0 - a1 - b1), w2 / (1.0 - a2 - b2)])
+    out = np.empty((nb, n_out, 2))
+    v1 = np.full(nb, v_init[0])
+    v2 = np.full(nb, v_init[1])
+    for t in range(n_out):
+        if t > 0:
+            v1 = w1 + a1 * out[:, t - 1, 0] ** 2 + b1 * v1
+            v2 = w2 + a2 * out[:, t - 1, 1] ** 2 + b2 * v2
+        v12 = rho * np.sqrt(v1 * v2)
+        s11, s22, s12 = _sqrt2x2(v1, v2, v12)
+        out[:, t, 0] = s11 * e[:, t, 0] + s12 * e[:, t, 1]
+        out[:, t, 1] = s12 * e[:, t, 0] + s22 * e[:, t, 1]
+    return out if batched else out[0]
+
+
 def residuals_batch_loop(theta_b, y, v_init):
     """Oracle: batched residual extraction, one variance loop per component."""
     nb, n, _ = y.shape
@@ -192,6 +213,18 @@ class TestStepLoopsBitIdentical:
         single = _simulate_garch(theta, e[0])
         assert single.shape == (300, 2)
         assert (single == simulate_garch_loop(theta, e[0])).all()
+
+    @pytest.mark.parametrize("nb", [1, 7, 64])
+    def test_mixed_form_matches_mixed_loop(self, nb):
+        rng = np.random.default_rng(70 + nb)
+        theta = np.array([0.05, 0.13, 0.81, 0.3, 0.07, 0.6, 0.4])
+        e = rng.normal(size=(nb, 300, 2))
+        for v_init in (None, np.array([0.7, 1.9])):
+            got = _simulate_garch(theta, e, v_init, mixed=True)
+            assert (got == simulate_garch_mixed_loop(theta, e, v_init)).all()
+        single = _simulate_garch(theta, e[0], mixed=True)
+        assert single.shape == (300, 2)
+        assert (single == simulate_garch_mixed_loop(theta, e[0])).all()
 
     @pytest.mark.parametrize("nb", [1, 7, 64])
     def test_batch_residuals_match_component_loop(self, nb):
@@ -371,7 +404,19 @@ class TestExactHessian:
         assert_allclose(_garch_curvature(fit.theta, data, v_init), -hess / n, rtol=1e-10, atol=1e-12)
         _, scores, hess = _garch_terms(_garch_unpack(fit.x_hat), data, v_init, hess=True)
         hx = _garch_xspace_derivs(fit.x_hat, scores.sum(axis=0), hess)[1]
-        assert_allclose(_garch_xspace_info(fit.x_hat, data, v_init), -hx / n, rtol=1e-10, atol=1e-12)
+        xinfo = _floored_information(hx, n)
+        assert_allclose(xinfo, -hx / n, rtol=1e-10, atol=1e-12)
+        assert (fit.xinfo_inv == np.linalg.inv(xinfo)).all()
+
+    def test_fit_evaluations_match_their_helpers(self, sample):
+        # The fit takes its log-likelihood, scores and curvature from one
+        # exact-Hessian pass; each equals the standalone helper exactly.
+        data, v_init, fit = sample
+        assert fit.loglik == garch_loglik_terms(fit.theta, data, v_init).sum()
+        info_inv = np.linalg.inv(_garch_curvature(fit.theta, data, v_init))
+        assert (fit.info_inv == info_inv).all()
+        assert (fit.influence == _garch_scores(fit.theta, data, v_init) @ info_inv).all()
+        assert (fit.residuals == _garch_residuals(fit.theta, data, v_init)).all()
 
     def test_batched_hessian_matches_single(self):
         data = np.stack([simulate_garch_data(np.random.default_rng(20 + i), 150)[0] for i in range(3)])
@@ -457,8 +502,16 @@ class TestBatchHelpers:
     def test_pack_unpack_roundtrip(self):
         x = _garch_pack(THETA)
         assert_allclose(_garch_unpack(x), THETA, rtol=1e-10)
-        batch = _garch_unpack_batch(np.vstack([x, x + 0.1]))
+        batch = _garch_unpack(np.vstack([x, x + 0.1]))
         assert_allclose(batch[0], THETA, rtol=1e-10)
+
+    @pytest.mark.parametrize("shape", [(1, 7), (64, 7), (3, 5, 7)])
+    def test_stacked_unpack_matches_rows(self, shape):
+        x = np.random.default_rng(18).normal(scale=10.0, size=shape)
+        stacked = _garch_unpack(x)
+        assert stacked.shape == shape
+        for idx in np.ndindex(shape[:-1]):
+            assert (stacked[idx] == _garch_unpack(x[idx])).all()
 
     def test_xspace_scores_match_chain_rule(self):
         # s_x = J' s_theta with J the Jacobian of the unpacking transform.
@@ -487,7 +540,7 @@ class TestBatchHelpers:
         assert valid.all()
         for b in range(3):
             solo = _garch_residuals(THETA, data[b], v_init[b])
-            assert_allclose(eta[b], solo, rtol=1e-10)
+            assert (eta[b] == solo).all()
 
     def test_batch_residuals_flag_invalid(self):
         data = np.ones((1, 100, 2)) * 0.5
