@@ -209,7 +209,7 @@ def _series_block(fit: FitResult, pool: np.ndarray, cfg: BootstrapConfig, b0: in
         paths = _simulate_var(fit.coef, fit.model.p, fit.model.intercept, innov)
         paths = paths[:, cfg.burn_in :]
         if mode == "full_refit":
-            _, resid, valid = _fit_var_batch(paths, fit.model.p, fit.model.intercept)
+            _, resid, valid, _, _ = _fit_var_batch(paths, fit.model.p, fit.model.intercept)
         else:
             _, resid = _var_onestep_batch(fit, paths)
             valid = np.ones(nb, dtype=bool)

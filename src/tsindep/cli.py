@@ -234,19 +234,18 @@ def build_parser() -> _Parser:
 
 
 def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        if args.threads < 1:
-            raise UsageError("--threads must be >= 1")
-        return args.threads
-    env = os.environ.get(ENV_THREADS)
-    if env:
+    value, source = args.threads, "--threads"
+    if value is None:
+        env = os.environ.get(ENV_THREADS)
+        if not env:
+            return 1
         try:
-            value = int(env)
+            value, source = int(env), ENV_THREADS
         except ValueError:
             raise UsageError(f"bad {ENV_THREADS} value {env!r}") from None
-        if value >= 1:
-            return value
-    return 1
+    if value < 1:
+        raise UsageError(f"{source} must be >= 1, got {value}")
+    return value
 
 
 def _load_pair(args):

@@ -169,20 +169,6 @@ def hsic_v_reference(K, L) -> float:
     return float(term1 + term2 - term3)
 
 
-def _lagged_pair(res: PairedResiduals, m: int, direction: int):
-    n = res.n
-    if m < 0:
-        raise DataError("lag must be nonnegative")
-    if n - m < 2:
-        raise DataError(f"lag m={m} leaves fewer than 2 pairs (n={n})")
-    big = n - m
-    if direction == 1:
-        return res.eta1[:big], res.eta2[m:]
-    if direction == 2:
-        return res.eta1[m:], res.eta2[:big]
-    raise ValueError("direction must be 1 or 2")
-
-
 def single_stat(
     res: PairedResiduals,
     m: int,
@@ -192,13 +178,15 @@ def single_stat(
 ) -> float:
     """Single-lag HSIC statistic on the lag-aligned residual pairs.
 
-    Both directions share one code path, so the two direction variants at
-    m = 0 coincide bit for bit.
+    Evaluated on windows of the full Gram matrices, as :func:`joint_stat`
+    is; both directions share one code path, so the two direction variants
+    at m = 0 coincide bit for bit.
     """
-    a, b = _lagged_pair(res, m, direction)
-    k = gram_matrix(kernel_k, a).values
-    l = gram_matrix(kernel_l, b).values
-    return hsic_v(k, l)
+    if m < 0:
+        raise DataError("lag must be nonnegative")
+    g1 = gram_matrix(kernel_k, res.eta1).values
+    g2 = gram_matrix(kernel_l, res.eta2).values
+    return stat_from_grams(g1, g2, LagConfig(direction, m=m))
 
 
 def joint_stat(

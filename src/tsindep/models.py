@@ -144,6 +144,46 @@ def _var_design(data: np.ndarray, p: int, intercept: bool):
     return data[..., p:, :], np.concatenate(cols, axis=-1)
 
 
+def _fit_var_batch(data: np.ndarray, p: int, intercept: bool):
+    """VAR(p) least squares on every path of a (..., n, d) stack.
+
+    Returns ``(coef, resid, valid, cond, gram)``: coefficients (..., d, q)
+    laid out as ``[intercept | A_1 | ... | A_p]``, residuals (..., n - p, d),
+    validity and the condition number of the Gram X'X (both (...,)), and
+    the Gram (..., q, q).  A path is valid iff ``cond < _COND_LIMIT``; a
+    path whose Gram is not finite (an overflowed path) gets ``cond = inf``.
+    An invalid path is solved against the identity as a placeholder and
+    neither raises nor warns, so bootstrap callers can count it against
+    the failure budget.  Each path gets the bits that a stack of that one
+    path gives, which is how :func:`fit_var` calls it.
+    """
+    target, design = _var_design(data, p, intercept)
+    design_t = np.swapaxes(design, -1, -2)
+    eye = np.eye(design.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = design_t @ design
+        xty = design_t @ target
+        finite = np.isfinite(gram).all(axis=(-2, -1))
+        # The SVD inside cond does not converge on a non-finite Gram.
+        cond = np.linalg.cond(np.where(finite[..., None, None], gram, eye))
+        cond = np.where(finite, cond, np.inf)
+        valid = cond < _COND_LIMIT
+        coef_t = np.linalg.solve(np.where(valid[..., None, None], gram, eye), xty)
+        resid = target - design @ coef_t
+    return np.swapaxes(coef_t, -1, -2), resid, valid, cond, gram
+
+
+def _var_influence(coef, gamma_inv, data, p: int, intercept: bool):
+    """Influence rows ``vec(eta_t x_t' Gamma^{-1})`` at ``coef`` on a (..., n, d) stack.
+
+    ``eta_t`` is the residual at ``coef``; the result is (..., n - p, d q).
+    """
+    target, design = _var_design(data, p, intercept)
+    resid = target - design @ np.swapaxes(coef, -1, -2)
+    scaled = design @ gamma_inv
+    return (resid[..., :, None] * scaled[..., None, :]).reshape(resid.shape[:-1] + (-1,))
+
+
 def fit_var(data, p: int = 1, intercept: bool = False) -> FitResult:
     """Multivariate least squares for a VAR(p).
 
@@ -157,22 +197,14 @@ def fit_var(data, p: int = 1, intercept: bool = False) -> FitResult:
         raise DataError(
             f"insufficient observations: n={n} leaves {n - p} rows for {q} regressors"
         )
-    target, design = _var_design(y, p, intercept)
-    gram = design.T @ design
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
+    coef, resid, valid, cond, gram = (a[0] for a in _fit_var_batch(y[None], p, intercept))
+    if not valid:
         raise SingularityError(f"rank-deficient VAR design (cond={cond:.3g})")
-    coef_t = np.linalg.solve(gram, design.T @ target)  # (q, d)
-    coef = coef_t.T  # (d, q) = [intercept | A_1 | ... | A_p]
-    resid_eff = target - design @ coef_t
-    n_eff = n - p
-    gamma_inv = np.linalg.inv(gram / n_eff)
-    scaled_x = design @ gamma_inv  # rows Gamma^{-1} x_t
-    infl_eff = (resid_eff[:, :, None] * scaled_x[:, None, :]).reshape(n_eff, d * q)
+    gamma_inv = np.linalg.inv(gram / (n - p))
     residuals = np.zeros((n, d))
-    residuals[p:] = resid_eff
+    residuals[p:] = resid
     influence = np.zeros((n, d * q))
-    influence[p:] = infl_eff
+    influence[p:] = _var_influence(coef, gamma_inv, y, p, intercept)
     return FitResult(
         model=ModelSpec("var", p=p, intercept=intercept),
         theta=coef.ravel().copy(),
@@ -184,14 +216,6 @@ def fit_var(data, p: int = 1, intercept: bool = False) -> FitResult:
         coef=coef,
         gamma_inv=gamma_inv,
     )
-
-
-def _var_residuals(coef: np.ndarray, data: np.ndarray, p: int, intercept: bool) -> np.ndarray:
-    n, d = data.shape
-    target, design = _var_design(data, p, intercept)
-    out = np.zeros((n, d))
-    out[p:] = target - design @ coef.T
-    return out
 
 
 # Rows per chunk of the VAR scan: the fastest of 12..32 for 1, 7 and 64
@@ -252,38 +276,16 @@ def _simulate_var(coef, p, intercept, innovations, init=None):
     return out if batched else out[0]
 
 
-def _fit_var_batch(data: np.ndarray, p: int, intercept: bool):
-    """Least-squares refit of many paths at once.
-
-    Returns ``(coef, residuals, valid)``; paths with a (numerically)
-    singular design are flagged invalid rather than raising, so bootstrap
-    callers can count them against the failure budget.
-    """
-    target, design = _var_design(data, p, intercept)
-    gram = np.einsum("bti,btj->bij", design, design)
-    xty = np.einsum("bti,btk->bik", design, target)
-    # The SVD inside cond does not converge on an overflowed path's gram.
-    eye = np.eye(gram.shape[1])[None]
-    finite = np.isfinite(gram).all(axis=(1, 2))
-    with np.errstate(all="ignore"):
-        cond = np.linalg.cond(np.where(finite[:, None, None], gram, eye))
-    valid = finite & np.isfinite(cond) & (cond < _COND_LIMIT)
-    safe_gram = np.where(valid[:, None, None], gram, eye)
-    coef_t = np.linalg.solve(safe_gram, xty)  # (nb, q, d)
-    resid = target - np.einsum("btq,bqk->btk", design, coef_t)
-    return np.swapaxes(coef_t, 1, 2), resid, valid
-
-
 def _var_onestep_batch(fit: FitResult, data: np.ndarray):
-    """One-step parameter update and residuals at the updated estimate."""
+    """One-step update of (nb, n, d) paths and the residuals at it.
+
+    The update is the fit's coefficients plus the mean influence row.
+    """
     p, intercept = fit.model.p, fit.model.intercept
+    mean_infl = _var_influence(fit.coef, fit.gamma_inv, data, p, intercept).mean(axis=-2)
+    coef = fit.coef + mean_infl.reshape(mean_infl.shape[:-1] + fit.coef.shape)
     target, design = _var_design(data, p, intercept)
-    resid_at_hat = target - np.einsum("btq,kq->btk", design, fit.coef)
-    scaled = np.einsum("btq,qr->btr", design, fit.gamma_inv)
-    mean_infl = np.einsum("btk,btr->bkr", resid_at_hat, scaled) / target.shape[1]
-    coef = fit.coef[None] + mean_infl
-    resid = target - np.einsum("btq,bkq->btk", design, coef)
-    return coef, resid
+    return coef, target - design @ np.swapaxes(coef, -1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +766,11 @@ def residuals(fit: FitResult, data) -> np.ndarray:
     if fit.model.kind == "var":
         if y.shape[1] != fit.coef.shape[0]:
             raise DataError("data dimension does not match the fitted model")
-        return _var_residuals(fit.coef, y, fit.model.p, fit.model.intercept)
+        p = fit.model.p
+        target, design = _var_design(y, p, fit.model.intercept)
+        out = np.zeros_like(y)
+        out[p:] = target - design @ fit.coef.T
+        return out
     return _garch_residuals(fit.theta, y)
 
 
@@ -776,14 +782,9 @@ def influence_values(fit: FitResult, data) -> np.ndarray:
     """
     y = as_points(data)
     if fit.model.kind == "var":
-        p, intercept = fit.model.p, fit.model.intercept
-        target, design = _var_design(y, p, intercept)
-        resid = target - design @ fit.coef.T
-        scaled = design @ fit.gamma_inv
-        d, q = fit.coef.shape
-        infl = (resid[:, :, None] * scaled[:, None, :]).reshape(y.shape[0] - p, d * q)
-        out = np.zeros((y.shape[0], d * q))
-        out[p:] = infl
+        p = fit.model.p
+        out = np.zeros((y.shape[0], fit.coef.size))
+        out[p:] = _var_influence(fit.coef, fit.gamma_inv, y, p, fit.model.intercept)
         return out
     v_init = y.var(axis=0)
     return _garch_scores(fit.theta, y, v_init) @ fit.info_inv

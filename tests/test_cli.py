@@ -113,6 +113,20 @@ class TestExitCodes:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_overflowed_design_is_quiet_numerical_failure(self, tmp_path, capfd):
+        # 1e160**2 overflows the VAR Gram; nothing may reach stdout, where
+        # reports go, and stderr holds the one failure line.
+        rng = np.random.default_rng(0)
+        path1 = tmp_path / "big.csv"
+        path2 = tmp_path / "small.csv"
+        write_csv(path1, 1e160 * rng.normal(size=(60, 2)))
+        write_csv(path2, rng.normal(size=(60, 2)))
+        code = run_cli(["fit", "--series1", str(path1), "--series2", str(path2)])
+        out, err = capfd.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == ["numerical failure: rank-deficient VAR design (cond=inf)"]
+
     def test_success(self, series_files, tmp_path):
         out = tmp_path / "r.json"
         code = run_cli(
@@ -471,6 +485,16 @@ class TestEnvThreads:
             ["test", "--series1", series_files[0], "--series2", series_files[1], "-B", "9"]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_nonpositive_env_value(self, series_files, monkeypatch, capsys, value):
+        monkeypatch.setattr("tsindep.cli.hsic_test_suite", no_bootstrap)
+        monkeypatch.setenv("TSINDEP_THREADS", value)
+        code = run_cli(
+            ["test", "--series1", series_files[0], "--series2", series_files[1], "-B", "9"]
+        )
+        assert code == 1
+        assert f"TSINDEP_THREADS must be >= 1, got {value}" in capsys.readouterr().err
 
 
 class TestFbmWarning:

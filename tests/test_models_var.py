@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from numpy.testing import assert_allclose
 from tsindep import (
     DataError,
     ModelSpec,
+    SingularityError,
     bootstrap,
     fit_var,
     influence_values,
@@ -16,7 +18,14 @@ from tsindep import (
     simulate,
 )
 from tsindep.bootstrap import BootstrapConfig, _series_block
-from tsindep.models import _SCAN_CHUNK, _fit_var_batch, _simulate_var, _var_onestep_batch
+from tsindep.models import (
+    _COND_LIMIT,
+    _SCAN_CHUNK,
+    _fit_var_batch,
+    _simulate_var,
+    _var_design,
+    _var_onestep_batch,
+)
 
 
 def make_var1_data(rng, n, coef, scale=1.0, burn=200):
@@ -76,6 +85,14 @@ class TestFitVar:
         data = np.ones((50, 2))  # constant columns, collinear with intercept
         with pytest.raises(Exception):
             fit_var(data, p=1, intercept=True)
+
+    def test_overflowed_design_is_singular_without_warning(self):
+        # 1e160**2 overflows: the Gram is not finite, so cond is inf.
+        data = 1e160 * np.random.default_rng(0).normal(size=(60, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularityError, match="cond=inf"):
+                fit_var(data, p=1, intercept=True)
 
     def test_normal_equations_hold(self):
         rng = np.random.default_rng(3)
@@ -175,13 +192,19 @@ class TestBatchHelpers:
             assert_allclose(batch[b], solo, rtol=1e-12, atol=1e-14)
 
     def test_batch_fit_matches_single(self):
+        # One least-squares core: a path in a stack gets the single fit's bits.
         rng = np.random.default_rng(13)
-        data = rng.normal(size=(4, 120, 2))
-        coefs, resid, _ = _fit_var_batch(data, p=1, intercept=False)
-        for b in range(4):
-            fit = fit_var(data[b], p=1, intercept=False)
-            assert_allclose(coefs[b], fit.coef, rtol=1e-9, atol=1e-12)
-            assert_allclose(resid[b], fit.effective_residuals, rtol=1e-9, atol=1e-12)
+        for nb in (1, 7, 64):
+            for p in (1, 2, 3):
+                for intercept in (False, True):
+                    for d in (1, 2, 3):
+                        data = rng.normal(size=(nb, 120, d))
+                        coefs, resid, valid, _, _ = _fit_var_batch(data, p, intercept)
+                        assert valid.all()
+                        for b in range(nb):
+                            fit = fit_var(data[b], p, intercept)
+                            assert np.array_equal(coefs[b], fit.coef)
+                            assert np.array_equal(resid[b], fit.effective_residuals)
 
     def test_onestep_close_to_refit(self):
         # Both estimators are root-n consistent; on a fresh path from the
@@ -195,7 +218,7 @@ class TestBatchHelpers:
             fit = fit_var(data, p=1, intercept=False)
             e = local.normal(size=(1, 1500, 2))
             path = _simulate_var(fit.coef, 1, False, e)[:, 500:]
-            refit_coef, _, _ = _fit_var_batch(path, 1, False)
+            refit_coef = _fit_var_batch(path, 1, False)[0]
             onestep_coef, _ = _var_onestep_batch(fit, path)
             if np.abs(refit_coef[0] - onestep_coef[0]).max() <= 0.05:
                 hits += 1
@@ -210,6 +233,61 @@ class TestBatchHelpers:
         exact = _simulate_var(fit.coef, 1, False, np.zeros((1, 100, 2)), init=np.ones((1, 2)) * 0.5)
         coef_b, _ = _var_onestep_batch(fit, exact)
         assert_allclose(coef_b[0], fit.coef, atol=1e-12)
+
+    @pytest.mark.parametrize("nb", [1, 7])
+    def test_onestep_is_mean_influence(self, nb):
+        # The update is the mean of influence_values' rows, bit for bit, and
+        # the residuals are those of residuals() at the updated coefficients.
+        rng = np.random.default_rng(20)
+        for p, intercept in ((1, False), (2, True)):
+            fit = fit_var(rng.normal(size=(150, 2)), p, intercept)
+            paths = rng.normal(size=(nb, 120, 2))
+            coef_b, resid_b = _var_onestep_batch(fit, paths)
+            for b in range(nb):
+                mean = influence_values(fit, paths[b])[p:].mean(0)
+                assert np.array_equal(coef_b[b], fit.coef + mean.reshape(fit.coef.shape))
+                moved = replace(fit, coef=coef_b[b])
+                assert np.array_equal(resid_b[b], residuals(moved, paths[b])[p:])
+
+
+def fit_var_batch_einsum(data, p, intercept):
+    """Oracle: the VAR batch refit as einsum products, as before the stacked core."""
+    target, design = _var_design(data, p, intercept)
+    gram = np.einsum("bti,btj->bij", design, design)
+    xty = np.einsum("bti,btk->bik", design, target)
+    eye = np.eye(gram.shape[1])[None]
+    finite = np.isfinite(gram).all(axis=(1, 2))
+    with np.errstate(all="ignore"):
+        cond = np.linalg.cond(np.where(finite[:, None, None], gram, eye))
+    valid = finite & np.isfinite(cond) & (cond < _COND_LIMIT)
+    safe_gram = np.where(valid[:, None, None], gram, eye)
+    coef_t = np.linalg.solve(safe_gram, xty)
+    resid = target - np.einsum("btq,bqk->btk", design, coef_t)
+    return np.swapaxes(coef_t, 1, 2), resid, valid
+
+
+def row_norm(m):
+    """Max-row-sum norm of each matrix in a stack."""
+    return np.abs(m).sum(axis=-1).max(axis=-1)
+
+
+def ls_term_scale(data, p, intercept, coef):
+    """Per path, the size of the terms behind least-squares coefficients and residuals.
+
+    With ``G = X'X`` and ``B`` the (q, d) coefficients, in max-row-sum norms,
+    ``s_B = ||G^-1|| (|| |X|'|Y| || + || |X|'|X| || ||B||)``: a relative
+    rounding error u in every product of X'X and X'Y, in any summation
+    order, moves B by at most about ``u s_B``, and the residuals Y - XB by
+    at most about ``u (||X|| s_B + ||Y|| + ||X|| ||B||)``.  Returns both scales.
+    """
+    target, design = _var_design(data, p, intercept)
+    abs_xt = np.swapaxes(np.abs(design), 1, 2)
+    gram = np.swapaxes(design, 1, 2) @ design
+    norm_x, norm_b = row_norm(design), row_norm(np.swapaxes(coef, 1, 2))
+    s_coef = row_norm(np.linalg.inv(gram)) * (
+        row_norm(abs_xt @ np.abs(target)) + row_norm(abs_xt @ np.abs(design)) * norm_b
+    )
+    return s_coef, norm_x * s_coef + row_norm(target) + norm_x * norm_b
 
 
 def step_loop(coef, p, intercept, innovations, init=None):
@@ -335,6 +413,40 @@ class TestChunkedScan:
             _, valid_loop = _series_block(fit, pool, cfg, 0, 64, series=1)
         # Every one of the 600-row paths overflows, with the scan as with the loop.
         assert not valid.any() and not valid_loop.any()
+
+
+class TestLeastSquaresOracle:
+    # Relative to ls_term_scale, as TestChunkedScan is to term_scale.
+    RTOL = 1e-12
+
+    @pytest.mark.parametrize("intercept", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_einsum_batch(self, p, d, intercept):
+        rng = np.random.default_rng(100 * p + 10 * d + intercept)
+        coef = coef_with_radius(rng, d, p, 0.9)
+        for nb, n in ((1, 60), (7, 200), (64, 500)):
+            e = rng.normal(size=(nb, n + 100, d))
+            data = _simulate_var(coef, p, False, e)[:, 100:]
+            got_coef, got_resid, got_valid, _, _ = _fit_var_batch(data, p, intercept)
+            ref_coef, ref_resid, ref_valid = fit_var_batch_einsum(data, p, intercept)
+            assert got_valid.all() and ref_valid.all()
+            coef_scale, resid_scale = ls_term_scale(data, p, intercept, ref_coef)
+            assert (np.abs(got_coef - ref_coef).max(axis=(1, 2)) <= self.RTOL * coef_scale).all()
+            assert (np.abs(got_resid - ref_resid).max(axis=(1, 2)) <= self.RTOL * resid_scale).all()
+
+    def test_same_paths_invalid_without_warning(self):
+        # Constant, collinear and overflowed paths fail under both forms.
+        rng = np.random.default_rng(21)
+        data = rng.normal(size=(6, 100, 2))
+        data[1] = 1.0
+        data[3, :, 1] = 2.0 * data[3, :, 0]
+        data[5] *= 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _fit_var_batch(data, 1, True)[2]
+            _, _, ref = fit_var_batch_einsum(data, 1, True)
+        assert got.tolist() == ref.tolist() == [True, False, True, False, True, False]
 
 
 class TestPairedResidualsAlignment:
