@@ -32,6 +32,7 @@ from .hsic import LagConfig, stat_from_grams
 from .kernels import KernelSpec, as_points, gram_matrix
 from .models import (
     FitResult,
+    _eval_data,
     _fit_var_batch,
     _garch_residuals_batch,
     _garch_unpack,
@@ -49,6 +50,8 @@ ESTIMATOR_MODES = ("auto", "full_refit", "one_step")
 
 _BLOCK = 64
 _FAILURE_BUDGET = 0.02
+# Simulated rows discarded before each bootstrap path.
+_BURN_IN = 500
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,6 @@ class BootstrapConfig:
     estimator_mode: str = "auto"
     master_seed: int = 0
     standardize: str = "center"
-    burn_in: int = 500
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -80,8 +82,6 @@ class BootstrapConfig:
             raise ValueError(f"estimator_mode must be one of {ESTIMATOR_MODES}")
         if self.standardize not in STANDARDIZE_MODES:
             raise ValueError(f"standardize must be one of {STANDARDIZE_MODES}")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be nonnegative")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
 
@@ -151,7 +151,7 @@ def bootstrap_estimate(fit: FitResult, boot_data, mode: str = "auto") -> np.ndar
     influence.
     """
     mode = _resolve_mode(mode, fit.model.kind)
-    data = as_points(boot_data)
+    data = _eval_data(fit, boot_data)
     if mode == "full_refit":
         if fit.model.kind == "var":
             return fit_var(data, p=fit.model.p, intercept=fit.model.intercept).theta
@@ -203,11 +203,11 @@ def _series_block(fit: FitResult, pool: np.ndarray, cfg: BootstrapConfig, b0: in
     """
     kind = fit.model.kind
     mode = _resolve_mode(cfg.estimator_mode, kind)
-    n_sim = fit.n_obs + cfg.burn_in
+    n_sim = fit.n_obs + _BURN_IN
     innov = _draw_innovations(pool, n_sim, cfg.master_seed, b0, nb, series)
     if kind == "var":
         paths = _simulate_var(fit.coef, fit.model.p, fit.model.intercept, innov)
-        paths = paths[:, cfg.burn_in :]
+        paths = paths[:, _BURN_IN:]
         if mode == "full_refit":
             _, resid, valid, _, _ = _fit_var_batch(paths, fit.model.p, fit.model.intercept)
         else:
@@ -215,7 +215,7 @@ def _series_block(fit: FitResult, pool: np.ndarray, cfg: BootstrapConfig, b0: in
             valid = np.ones(nb, dtype=bool)
         valid &= np.isfinite(resid).reshape(nb, -1).all(axis=1)
         return resid, valid
-    paths = _simulate_garch(fit.theta, innov)[:, cfg.burn_in :]
+    paths = _simulate_garch(fit.theta, innov)[:, _BURN_IN:]
     v_init_b = paths.var(axis=1)
     if mode == "one_step":
         return _garch_residuals_batch(_garch_onestep(fit, paths, v_init_b), paths, v_init_b)

@@ -40,6 +40,7 @@ from .hsic import PairedResiduals
 from .kernels import as_points
 
 _COND_LIMIT = 1e12
+_PSD_NEG_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -98,11 +99,11 @@ class FitResult:
 # ---------------------------------------------------------------------------
 
 
-def psd_sqrt(V, *, clip_tol: float = 1e-10, error_tol: float = 1e-8) -> np.ndarray:
+def psd_sqrt(V) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
-    Eigenvalues in ``[-clip_tol * ||V||, 0)`` are clipped to zero; anything
-    materially negative (below ``-error_tol * ||V||``) raises.
+    Eigenvalues in ``[-_PSD_NEG_TOL * max|w|, 0)`` are clipped to zero; a
+    more negative one raises :class:`SingularityError`.
     """
     mat = np.asarray(V, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -111,7 +112,7 @@ def psd_sqrt(V, *, clip_tol: float = 1e-10, error_tol: float = 1e-8) -> np.ndarr
         raise DataError("psd_sqrt expects a symmetric matrix")
     w, u = np.linalg.eigh(0.5 * (mat + mat.T))
     scale = max(float(np.abs(w).max()), 1e-300)
-    if w.min() < -error_tol * scale:
+    if w.min() < -_PSD_NEG_TOL * scale:
         raise SingularityError(f"matrix has a materially negative eigenvalue: {w.min():g}")
     w = np.clip(w, 0.0, None)
     root = (u * np.sqrt(w)) @ u.T
@@ -325,25 +326,28 @@ def _garch_component_path(omega: float, alpha: float, beta: float, y2: np.ndarra
     return v
 
 
-def garch_variance_path(theta, data, v_init=None) -> np.ndarray:
-    """Per-component conditional variance paths (n x 2) for given data.
+def _garch_variances(theta, y2: np.ndarray, v_init) -> np.ndarray:
+    """Variances (2, ..., n), component first, of squared data ``y2`` (..., n, 2)
+    from ``v_init`` (..., 2), for a shared (7,) or per-path (nb, 7) theta.
 
-    ``v_init`` defaults to the per-column sample variances of ``data``
-    (divisor n), the same initialization the fit uses.
+    A shared theta runs :func:`_garch_component_path`; per-path parameters
+    run the recursion time-major, one (2, nb) update per row along
+    contiguous rows.  Both routes give the same bits.
     """
-    y = as_points(data)
-    if y.shape[1] != 2:
-        raise DataError("ccc_garch supports bivariate series only")
     th = np.asarray(theta, dtype=float)
-    if v_init is None:
-        v_init = y.var(axis=0)
     v_init = np.asarray(v_init, dtype=float)
-    y2 = y**2
-    v = np.empty_like(y)
-    for i in range(2):
-        w, a, b = th[3 * i : 3 * i + 3]
-        v[:, i] = _garch_component_path(w, a, b, y2[:, i], v_init[i])
-    return v
+    if th.ndim == 1:
+        return np.stack(
+            [_garch_component_path(*th[3 * i : 3 * i + 3], y2[..., i], v_init[..., i]) for i in range(2)]
+        )
+    nb, n = y2.shape[:2]
+    steps = np.ascontiguousarray(y2.transpose(1, 2, 0))
+    w, a, b = th[:, :6].T.reshape(2, 3, nb).transpose(1, 0, 2)
+    v = np.empty(steps.shape)
+    v[0] = v_init.T
+    for t in range(1, n):
+        v[t] = w + a * steps[t - 1] + b * v[t - 1]
+    return v.transpose(1, 2, 0)
 
 
 def garch_loglik_terms(theta, data, v_init=None) -> np.ndarray:
@@ -374,10 +378,9 @@ def _garch_terms(theta, y: np.ndarray, v_init, grad: bool = False, hess: bool = 
     ``v_t``; the other second derivatives vanish.
     """
     th = np.asarray(theta, dtype=float)
-    v_init = np.asarray(v_init, dtype=float)
     y2 = y**2
-    v = [_garch_component_path(*th[3 * i : 3 * i + 3], y2[..., i], v_init[..., i]) for i in range(2)]
-    if not all((vi > 0).all() for vi in v):
+    v = _garch_variances(th, y2, v_init)
+    if not (v > 0).all():
         raise FitError("nonpositive conditional variance along the path")
     rho = th[6]
     z1 = y[..., 0] / np.sqrt(v[0])
@@ -582,19 +585,17 @@ def _garch_newton(objective, x: np.ndarray, gtol: float, maxiter: int):
     return f, g, x
 
 
-def fit_ccc_garch(
-    data,
-    seed: int = 0,
-    n_starts: int = 3,
-    maxiter: int = 500,
-    gtol: float = 1e-7,
-) -> FitResult:
+# Starting points, Newton steps per start and the gradient stopping rule of the fit.
+_N_STARTS, _MAXITER, _GTOL = 3, 500, 1e-7
+
+
+def fit_ccc_garch(data, seed: int = 0) -> FitResult:
     """Gaussian QMLE of the bivariate constant-correlation GARCH(1,1).
 
     Minimizes the average negative log-likelihood over an unconstrained
     reparameterization (log omega, logistic alpha-fraction and persistence,
     atanh rho) by damped Newton with the exact gradient and Hessian (see
-    :func:`_garch_newton`), from ``n_starts`` perturbed method-of-moments
+    :func:`_garch_newton`), from ``_N_STARTS`` perturbed method-of-moments
     starting points; a start counts as converged when its largest gradient
     entry is below 1e-5, and the best converged start wins.  Boundary
     solutions (alpha + beta within 1e-6 of 1) raise :class:`BoundaryError`;
@@ -615,8 +616,8 @@ def fit_ccc_garch(
         return -float(terms.mean()), -grad / n, -hx / n
 
     candidates = []
-    for x_start in _garch_starts(y, seed, n_starts):
-        fun, jac, x = _garch_newton(negll, x_start, gtol, maxiter)
+    for x_start in _garch_starts(y, seed, _N_STARTS):
+        fun, jac, x = _garch_newton(negll, x_start, _GTOL, _MAXITER)
         gnorm = float(np.max(np.abs(jac)))
         if np.isfinite(fun) and gnorm < 1e-5:
             candidates.append((fun, gnorm, x))
@@ -633,8 +634,7 @@ def fit_ccc_garch(
                 f"{theta[3 * i + 1] + theta[3 * i + 2]:.8f} is at the boundary"
             )
 
-    v = garch_variance_path(theta, y, v_init)
-    residuals = y / np.sqrt(v)
+    residuals = _garch_residuals_batch(theta, y, v_init)[0]
     terms, scores, hess = _garch_terms(theta, y, v_init, hess=True)
     info = _floored_information(hess, n)
     cond = np.linalg.cond(info)
@@ -659,15 +659,6 @@ def fit_ccc_garch(
         x_hat=x_hat.copy(),
         xinfo_inv=xinfo_inv,
     )
-
-
-def _garch_residuals(theta, data, v_init=None) -> np.ndarray:
-    y = as_points(data)
-    th = np.asarray(theta, dtype=float)
-    v = garch_variance_path(th, y, v_init)
-    if not np.all(v > 0) or abs(th[6]) >= 1:
-        raise FitError("invalid parameters for residual extraction")
-    return y / np.sqrt(v)
 
 
 def _simulate_garch(theta, innovations, v_init=None, allow_explosive=False, *, mixed=False):
@@ -727,32 +718,35 @@ def _garch_xspace_scores_batch(x_hat: np.ndarray, y: np.ndarray, v_init: np.ndar
     return scores.sum(axis=-2) @ _garch_unpack_jacobian(x)
 
 
-def _garch_residuals_batch(theta_b: np.ndarray, y: np.ndarray, v_init: np.ndarray):
-    """Residual extraction with per-path parameters.
+def _garch_residuals_batch(theta, y: np.ndarray, v_init):
+    """Residuals ``(eta, valid)`` of paths ``y`` (..., n, 2) under a shared or
+    per-path theta (see :func:`_garch_variances`).
 
-    Returns ``(eta, valid)`` where invalid paths (nonpositive variances or
-    |rho| >= 1, as can happen after a one-step update) are flagged rather
-    than raising.
+    A path with a nonpositive variance, |rho| >= 1 (as can happen after a
+    one-step update) or a non-finite residual is flagged, not raised.
     """
-    nb, n = y.shape[:2]
-    # Time-major (n, 2, nb), so each step updates both components of every
-    # path in one operation along contiguous rows.
-    y2 = np.ascontiguousarray((y**2).transpose(1, 2, 0))
-    w, a, b = theta_b[:, :6].T.reshape(2, 3, nb).transpose(1, 0, 2)
-    v = np.empty(y2.shape)
-    v[0] = v_init.T
-    for t in range(1, n):
-        v[t] = w + a * y2[t - 1] + b * v[t - 1]
-    v = v.transpose(2, 0, 1)
-    valid = (np.abs(theta_b[:, 6]) < 1.0) & (v > 0).all(axis=(1, 2))
-    eta = y / np.sqrt(np.where(v > 0, v, 1.0))
-    valid &= np.isfinite(eta).reshape(nb, -1).all(axis=1)
-    return eta, valid
+    th = np.asarray(theta, dtype=float)
+    v = np.moveaxis(_garch_variances(th, y**2, v_init), 0, -1)
+    positive = v > 0
+    valid = (np.abs(th[..., 6]) < 1.0) & positive.all(axis=(-2, -1))
+    eta = y / np.sqrt(np.where(positive, v, 1.0))
+    return eta, valid & np.isfinite(eta).all(axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------
 # Shared model-level operations
 # ---------------------------------------------------------------------------
+
+
+def _eval_data(fit: FitResult, data) -> np.ndarray:
+    """``data`` as points with the fit's column count and, for a VAR(p), more than p rows."""
+    y = as_points(data)
+    d = fit.coef.shape[0] if fit.model.kind == "var" else 2
+    if y.shape[1] != d:
+        raise DataError(f"data has {y.shape[1]} columns but the fitted model has {d}")
+    if y.shape[0] <= fit.presample:
+        raise DataError(f"a VAR({fit.presample}) needs more than {fit.presample} rows, got {y.shape[0]}")
+    return y
 
 
 def residuals(fit: FitResult, data) -> np.ndarray:
@@ -762,16 +756,17 @@ def residuals(fit: FitResult, data) -> np.ndarray:
     GARCH variance recursion is initialized at the sample variances of the
     data being processed, mirroring the original fit.
     """
-    y = as_points(data)
+    y = _eval_data(fit, data)
     if fit.model.kind == "var":
-        if y.shape[1] != fit.coef.shape[0]:
-            raise DataError("data dimension does not match the fitted model")
         p = fit.model.p
         target, design = _var_design(y, p, fit.model.intercept)
         out = np.zeros_like(y)
         out[p:] = target - design @ fit.coef.T
         return out
-    return _garch_residuals(fit.theta, y)
+    eta, valid = _garch_residuals_batch(fit.theta, y, y.var(axis=0))
+    if not valid:
+        raise FitError("invalid parameters for residual extraction")
+    return eta
 
 
 def influence_values(fit: FitResult, data) -> np.ndarray:
@@ -780,14 +775,13 @@ def influence_values(fit: FitResult, data) -> np.ndarray:
     Rows average to the one-step estimator update for that data set.
     Presample rows (VAR) are zero-filled as in the fit.
     """
-    y = as_points(data)
+    y = _eval_data(fit, data)
     if fit.model.kind == "var":
         p = fit.model.p
         out = np.zeros((y.shape[0], fit.coef.size))
         out[p:] = _var_influence(fit.coef, fit.gamma_inv, y, p, fit.model.intercept)
         return out
-    v_init = y.var(axis=0)
-    return _garch_scores(fit.theta, y, v_init) @ fit.info_inv
+    return _garch_scores(fit.theta, y, y.var(axis=0)) @ fit.info_inv
 
 
 def simulate(fit_or_spec, innovations, init_state=None, allow_explosive: bool = False):

@@ -234,8 +234,6 @@ class McConfig:
     master_seed: int = 0
     burn_in: int = 500
     workers: int = 1
-    var_order: int = 1
-    var_intercept: bool = False
 
     def __post_init__(self) -> None:
         if self.dgp not in DGP_KINDS:
@@ -329,8 +327,8 @@ def _mc_replication(cfg: McConfig, rep: int) -> dict | None:
     try:
         if cfg.dgp == "var":
             y1, y2 = gen_var_pair(innov, cfg.burn_in)
-            fit1 = fit_var(y1, p=cfg.var_order, intercept=cfg.var_intercept)
-            fit2 = fit_var(y2, p=cfg.var_order, intercept=cfg.var_intercept)
+            fit1 = fit_var(y1, p=1)
+            fit2 = fit_var(y2, p=1)
         else:
             y1, y2 = gen_garch_pair(innov, cfg.burn_in)
             fit1 = fit_ccc_garch(y1, seed=_fit_seed(cfg.master_seed, rep, 1))

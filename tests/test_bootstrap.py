@@ -13,11 +13,13 @@ from tsindep import (
     fit_ccc_garch,
     fit_var,
     hsic_test_suite,
+    influence_values,
     resample_innovations,
+    residuals,
     standardize_residuals,
 )
 from tsindep._streams import substream
-from tsindep.models import _simulate_var
+from tsindep.models import _simulate_garch, _simulate_var
 
 
 def var_fit_pair(seed=0, n=80, phi=0.3):
@@ -107,8 +109,6 @@ class TestBootstrapEstimate:
 
     def test_garch_one_step_stays_valid(self):
         rng = np.random.default_rng(6)
-        from tsindep.models import _simulate_garch
-
         theta0 = np.array([0.2, 0.1, 0.5, 0.2, 0.1, 0.5, 0.4])
         mix = np.linalg.cholesky(np.array([[1.0, 0.4], [0.4, 1.0]]))
         e = rng.normal(size=(700, 2)) @ mix.T
@@ -119,6 +119,48 @@ class TestBootstrapEstimate:
         assert theta[0] > 0 and theta[3] > 0
         assert theta[1] + theta[2] < 1 and theta[4] + theta[5] < 1
         assert abs(theta[6]) < 1
+
+
+@pytest.fixture(scope="module")
+def fits():
+    rng = np.random.default_rng(8)
+    y = rng.normal(size=(120, 2))
+    theta0 = np.array([0.2, 0.1, 0.5, 0.2, 0.1, 0.5, 0.4])
+    garch = fit_ccc_garch(_simulate_garch(theta0, rng.normal(size=(700, 2)))[500:], seed=0)
+    return {"var1": fit_var(y, 1, False), "var2": fit_var(y, 2, True), "garch": garch}
+
+
+EVALUATIONS = {
+    "residuals": residuals,
+    "influence": influence_values,
+    "one_step": lambda fit, y: bootstrap_estimate(fit, y, mode="one_step"),
+    "full_refit": lambda fit, y: bootstrap_estimate(fit, y, mode="full_refit"),
+}
+
+
+class TestNewDataChecked:
+    # Evaluating a fit on data it cannot describe is a DataError.
+    @pytest.mark.parametrize(
+        "model, evaluation",
+        [
+            ("var1", "influence"),
+            ("var1", "one_step"),
+            ("var1", "full_refit"),
+            ("garch", "influence"),
+            ("garch", "one_step"),
+        ],
+    )
+    def test_wrong_column_count(self, fits, model, evaluation):
+        y = np.random.default_rng(9).normal(size=(100, 3))
+        with pytest.raises(DataError, match="3 columns"):
+            EVALUATIONS[evaluation](fits[model], y)
+
+    @pytest.mark.parametrize("evaluation", ["residuals", "influence", "one_step"])
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_var_path_no_longer_than_order(self, fits, evaluation, rows):
+        y = np.random.default_rng(10).normal(size=(rows, 2))
+        with pytest.raises(DataError, match="more than 2 rows"):
+            EVALUATIONS[evaluation](fits["var2"], y)
 
 
 class TestBootstrapRun:

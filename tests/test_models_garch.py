@@ -10,19 +10,18 @@ from tsindep.models import (
     _garch_curvature,
     _garch_newton,
     _garch_pack,
-    _garch_residuals,
     _garch_residuals_batch,
     _garch_scores,
     _garch_starts,
     _garch_terms,
     _garch_unpack,
     _garch_unpack_jacobian,
+    _garch_variances,
     _garch_xspace_derivs,
     _garch_xspace_scores_batch,
     _simulate_garch,
     _sqrt2x2,
     garch_loglik_terms,
-    garch_variance_path,
 )
 
 THETA = np.array([0.2, 0.1, 0.5, 0.2, 0.1, 0.5, 0.5])
@@ -63,35 +62,42 @@ class TestSqrt2x2:
             assert_allclose(s @ s, v, rtol=1e-12)
 
 
+def variance_paths(theta, data, v_init):
+    """Variances (n, 2) of one path through the shared-theta route, then
+    through the per-path route."""
+    yield _garch_variances(theta, data**2, v_init).T
+    yield _garch_variances(theta[None], data[None] ** 2, v_init[None])[:, 0].T
+
+
 class TestVariancePath:
     def test_constant_parameters_collapse(self):
         # alpha = beta = 0 makes the conditional variance constant.
         rng = np.random.default_rng(2)
         theta = np.array([0.7, 0.0, 0.0, 0.3, 0.0, 0.0, 0.2])
         data = rng.normal(size=(100, 2))
-        v = garch_variance_path(theta, data, v_init=np.array([0.7, 0.3]))
-        assert_allclose(v[:, 0], 0.7)
-        assert_allclose(v[:, 1], 0.3)
+        for v in variance_paths(theta, data, np.array([0.7, 0.3])):
+            assert_allclose(v[:, 0], 0.7)
+            assert_allclose(v[:, 1], 0.3)
 
     def test_recursion_against_loop(self):
         rng = np.random.default_rng(3)
         data = rng.normal(size=(50, 2))
         v_init = np.array([1.3, 0.8])
-        v = garch_variance_path(THETA, data, v_init)
-        for i in range(2):
-            w, a, b = THETA[3 * i : 3 * i + 3]
-            expect = v_init[i]
-            assert_allclose(v[0, i], expect, rtol=1e-12)
-            for t in range(1, 50):
-                expect = w + a * data[t - 1, i] ** 2 + b * expect
-                assert_allclose(v[t, i], expect, rtol=1e-10)
+        for v in variance_paths(THETA, data, v_init):
+            for i in range(2):
+                w, a, b = THETA[3 * i : 3 * i + 3]
+                expect = v_init[i]
+                assert_allclose(v[0, i], expect, rtol=1e-12)
+                for t in range(1, 50):
+                    expect = w + a * data[t - 1, i] ** 2 + b * expect
+                    assert_allclose(v[t, i], expect, rtol=1e-10)
 
     def test_zero_innovations_decay_to_fixed_point(self):
         # With eta = 0 the output is 0, so v decays to omega / (1 - beta).
         out = _simulate_garch(THETA, np.zeros((200, 2)), v_init=np.array([5.0, 5.0]))
         assert_allclose(out, 0.0)
-        v = garch_variance_path(THETA, out, v_init=np.array([5.0, 5.0]))
-        assert_allclose(v[-1, 0], 0.2 / (1.0 - 0.5), rtol=1e-10)
+        for v in variance_paths(THETA, out, np.array([5.0, 5.0])):
+            assert_allclose(v[-1, 0], 0.2 / (1.0 - 0.5), rtol=1e-10)
 
 
 class TestSimulateGarch:
@@ -133,7 +139,8 @@ class TestSimulateGarch:
         # innovations once the variance recursion has burned in.
         rng = np.random.default_rng(6)
         data, innov = simulate_garch_data(rng, 400)
-        eta = _garch_residuals(THETA, data, v_init=None)
+        eta, valid = _garch_residuals_batch(THETA, data, data.var(axis=0))
+        assert valid
         assert_allclose(eta[50:], innov[50:], atol=1e-8)
 
 
@@ -239,6 +246,22 @@ class TestStepLoopsBitIdentical:
         assert (valid == want_valid).all()
         assert (eta == want_eta).all()
 
+    @pytest.mark.parametrize("nb", [1, 7, 64])
+    @pytest.mark.parametrize("n", [2, 200, 2000])
+    def test_shared_theta_matches_per_path(self, n, nb):
+        # The shared-theta filter and the per-path loop give the same bits.
+        rng = np.random.default_rng(80 + n + nb)
+        y = _simulate_garch(THETA, rng.normal(size=(nb, n, 2)), v_init=np.array([0.5, 0.5]))
+        v_init = y.var(axis=1)
+        static = np.array([0.7, 0.0, 0.0, 0.3, 0.0, 0.0, 0.2])
+        no_arch = np.array([0.2, 0.0, 0.5, 0.3, 0.0, 0.9, -0.3])
+        for theta in (THETA, static, no_arch):
+            eta, valid = _garch_residuals_batch(theta, y, v_init)
+            want_eta, want_valid = _garch_residuals_batch(np.tile(theta, (nb, 1)), y, v_init)
+            assert want_valid.all()
+            assert (valid == want_valid).all()
+            assert (eta == want_eta).all()
+
 
 class TestSimulateResidualRoundtrip:
     def test_simulate_from_fit_reproduces_data(self):
@@ -311,7 +334,7 @@ class TestFitCccGarch:
         assert t[1] >= 0 and t[2] >= 0 and t[4] >= 0 and t[5] >= 0
         assert t[1] + t[2] < 1 and t[4] + t[5] < 1
         assert abs(t[6]) < 1
-        assert (garch_variance_path(t, data) > 0).all()
+        assert (_garch_variances(t, data**2, data.var(axis=0)) > 0).all()
 
     def test_residuals_op_matches_fit(self):
         rng = np.random.default_rng(12)
@@ -416,7 +439,9 @@ class TestExactHessian:
         info_inv = np.linalg.inv(_garch_curvature(fit.theta, data, v_init))
         assert (fit.info_inv == info_inv).all()
         assert (fit.influence == _garch_scores(fit.theta, data, v_init) @ info_inv).all()
-        assert (fit.residuals == _garch_residuals(fit.theta, data, v_init)).all()
+        eta, valid = _garch_residuals_batch(fit.theta, data, v_init)
+        assert valid
+        assert (fit.residuals == eta).all()
 
     def test_batched_hessian_matches_single(self):
         data = np.stack([simulate_garch_data(np.random.default_rng(20 + i), 150)[0] for i in range(3)])
@@ -539,7 +564,8 @@ class TestBatchHelpers:
         eta, valid = _garch_residuals_batch(theta_b, data, v_init)
         assert valid.all()
         for b in range(3):
-            solo = _garch_residuals(THETA, data[b], v_init[b])
+            solo, ok = _garch_residuals_batch(THETA, data[b], v_init[b])
+            assert ok
             assert (eta[b] == solo).all()
 
     def test_batch_residuals_flag_invalid(self):

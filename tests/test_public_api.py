@@ -1,3 +1,5 @@
+import importlib
+
 import tsindep
 
 # The public names are part of the contract: private helpers may merge or
@@ -26,3 +28,31 @@ def test_public_names_are_frozen():
 def test_every_public_name_resolves():
     for name in PUBLIC_NAMES:
         assert getattr(tsindep, name) is not None, name
+
+
+# Module attributes that the benchmark's layer tracer replaces with timed
+# wrappers.  Renaming or dropping one silently removes its layer from a
+# traced run, so a refactor that moves one must update the tracer as well.
+TRACED_ATTRIBUTES = {
+    "tsindep.bootstrap": [
+        "_draw_innovations", "_fit_var_batch", "_garch_residuals_batch",
+        "_garch_xspace_scores_batch", "_simulate_garch", "_simulate_var", "_var_onestep_batch",
+        "bootstrap_run", "fit_ccc_garch", "gram_matrix", "stat_from_grams", "substream",
+    ],
+    "tsindep.hsic": ["gram_matrix", "single_from_grams"],
+    "tsindep.models": ["_garch_curvature", "_garch_scores", "garch_loglik_terms", "substream"],
+    "tsindep.cli": [
+        "_emit", "_json_text", "fit_ccc_garch", "g_test", "l_test", "read_csv", "t_test", "w_test",
+    ],
+    "tsindep.simlab": [
+        "_simulate_var", "bootstrap_run", "egp_innovations", "fit_ccc_garch", "fit_var", "g_test",
+        "gen_garch_pair", "gen_var_pair", "l_test", "substream", "t_test", "w_test",
+    ],
+}
+
+
+def test_traced_attributes_exist():
+    for module, names in TRACED_ATTRIBUTES.items():
+        mod = importlib.import_module(module)
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"{module}.{name}"
