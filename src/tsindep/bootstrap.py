@@ -16,6 +16,16 @@ streams is what enforces the independence null in the bootstrap world.
 Replicate ``b`` of series ``s`` draws from the stream derived from
 ``(master_seed, b, s)``, so results are bit-identical for any thread
 count and do not depend on which statistics are requested.
+
+Replicates run in blocks of ``_BLOCK``, one block per task of the thread
+pool.  A block draws, simulates and re-estimates all of its paths of
+both series at once (:func:`_series_block`).  Its valid replicates then
+go through the Gram matrices and the multi-lag HSIC pass in stacks: one
+:func:`~tsindep.kernels.gram_matrix` call per series and one
+:func:`~tsindep.hsic.stat_from_grams` call per statistic serve a whole
+stack, whose Grams take at most ``_STACK_BYTES`` per series (6
+replicates at n = 100, 2 at n = 150, and one from n = 182 on).  Each
+replicate's statistics have the bits they have when computed alone.
 """
 
 from __future__ import annotations
@@ -49,6 +59,10 @@ STANDARDIZE_MODES = ("whiten", "center", "none")
 ESTIMATOR_MODES = ("auto", "full_refit", "one_step")
 
 _BLOCK = 64
+# Bytes of one stack of replicate Grams (see _stats_block).  Equal to
+# hsic._TILE_BYTES: a stack of several replicates is then one tile of the
+# pass, and the two stacks of a block fit a 2 MB L2 cache together.
+_STACK_BYTES = 512 * 1024
 _FAILURE_BUDGET = 0.02
 # Simulated rows discarded before each bootstrap path.
 _BURN_IN = 500
@@ -130,7 +144,7 @@ def resample_innovations(res, n_out: int, rng: np.random.Generator) -> np.ndarra
     if n_out < 1:
         raise ValueError("n_out must be positive")
     idx = rng.integers(0, pool.shape[0], size=int(n_out))
-    return pool[idx]
+    return pool.take(idx, axis=0)
 
 
 def _resolve_mode(mode: str, kind: str) -> str:
@@ -192,7 +206,7 @@ def _draw_innovations(pool: np.ndarray, n_sim: int, master_seed: int, b0: int, n
     out = np.empty((nb, n_sim, d))
     for i in range(nb):
         rng = substream(master_seed, BOOTSTRAP, b0 + i, series)
-        out[i] = pool[rng.integers(0, pool.shape[0], size=n_sim)]
+        out[i] = pool.take(rng.integers(0, pool.shape[0], size=n_sim), axis=0)
     return out
 
 
@@ -231,17 +245,19 @@ def _series_block(fit: FitResult, pool: np.ndarray, cfg: BootstrapConfig, b0: in
     return resid, valid
 
 
-def _scaled_stats(g1, g2, lag_cfgs, n_scale) -> list[float]:
-    """``n_scale * stat`` for every config on one pair of Grams.
+def _scaled_stats(g1, g2, lag_cfgs, n_scale) -> np.ndarray:
+    """``n_scale * stat`` for every config on one pair of Grams or stacks.
 
-    Joint configs are evaluated first: each computes its missing lags in
-    one multi-lag pass, and the single-lag configs then read those lags
-    from the shared dict.  The values do not depend on the order.
+    Returns (n_cfgs,) values for two n x n Grams and (nb, n_cfgs) for two
+    (nb, n, n) stacks.  Joint configs are evaluated first: each computes
+    its missing lags in one multi-lag pass, and the single-lag configs
+    then read those lags from the shared dict.  The values do not depend
+    on the order.
     """
     singles = {}
-    out = [0.0] * len(lag_cfgs)
+    out = np.empty(g1.shape[:-2] + (len(lag_cfgs),))
     for c in sorted(range(len(lag_cfgs)), key=lambda c: not lag_cfgs[c].is_joint):
-        out[c] = n_scale * stat_from_grams(g1, g2, lag_cfgs[c], singles)
+        out[..., c] = n_scale * stat_from_grams(g1, g2, lag_cfgs[c], singles)
     return out
 
 
@@ -252,16 +268,24 @@ def _stats_block(
     res2, ok2 = _series_block(fit2, pool2, cfg, b0, nb, series=2)
     p1, p2 = fit1.presample, fit2.presample
     start = max(p1, p2)
+    e1 = res1[:, start:] if p1 == 0 else res1[:, start - p1 :]
+    e2 = res2[:, start:] if p2 == 0 else res2[:, start - p2 :]
     stats = np.full((nb, len(lag_cfgs)), np.nan)
     valid = ok1 & ok2
-    for i in range(nb):
-        if not valid[i]:
-            continue
-        e1 = res1[i, start:] if p1 == 0 else res1[i, start - p1 :]
-        e2 = res2[i, start:] if p2 == 0 else res2[i, start - p2 :]
-        g1 = gram_matrix(kernel_k, e1).values
-        g2 = gram_matrix(kernel_l, e2).values
-        stats[i] = _scaled_stats(g1, g2, lag_cfgs, n_scale)
+    # Valid replicates go through the Grams and the pass in stacks of at
+    # most _STACK_BYTES per Gram stack, and at least one replicate.  One
+    # pair of buffers serves every stack of the block: fresh stack-sized
+    # arrays would go back to the system when freed and fault their pages
+    # in again for the next stack.
+    n_res = e1.shape[1]
+    depth = max(1, _STACK_BYTES // (8 * n_res**2))
+    todo = np.flatnonzero(valid)
+    buf1, buf2 = np.empty((2, min(depth, todo.size), n_res, n_res))
+    for s0 in range(0, todo.size, depth):
+        items = todo[s0 : s0 + depth]
+        g1 = gram_matrix(kernel_k, e1[items], out=buf1[: items.size]).values
+        g2 = gram_matrix(kernel_l, e2[items], out=buf2[: items.size]).values
+        stats[items] = _scaled_stats(g1, g2, lag_cfgs, n_scale)
     valid &= np.isfinite(stats).all(axis=1)
     return stats, valid
 

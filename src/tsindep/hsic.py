@@ -88,12 +88,12 @@ def _gram_values(g) -> np.ndarray:
     if isinstance(g, GramMatrix):
         return g.values
     arr = np.asarray(g, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2]:
         raise DataError("Gram matrix must be square")
     return arr
 
 
-def hsic_v(K, L) -> float:
+def hsic_v(K, L) -> float | np.ndarray:
     """Biased (V-statistic) HSIC estimate from two symmetric Gram matrices.
 
     Equals trace(K H L H) / N^2 with H the centering matrix.  With the
@@ -111,36 +111,48 @@ def hsic_v(K, L) -> float:
     shares across lags.  When either Gram matrix is constant the
     result is exactly 0.0; otherwise it is nonnegative up to roundoff
     whenever both kernels are positive definite.
+
+    Two (nb, N, N) stacks give the (nb,) values of their item pairs, each
+    with the bits of that pair alone; two N x N matrices give a float.
     """
     k = _gram_values(K)
     l = _gram_values(L)
     if k.shape != l.shape:
         raise DataError(f"Gram size mismatch: {k.shape} vs {l.shape}")
-    if k.shape[0] < 2:
+    if k.shape[-1] < 2:
         raise DataError("need at least 2 points")
-    return _hsic_from_terms(k, l, (k.sum(axis=0), l.sum(axis=0), _row_dots(k, l)))
+    stat = _hsic_from_terms(k, l, (k.sum(axis=-2), l.sum(axis=-2), _row_dots(k, l)))
+    return stat if k.ndim == 3 else float(stat)
 
 
 def _row_dots(k: np.ndarray, l: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``k[i] . l[i]`` for every row i, one BLAS dot product per row."""
+    """``k[..., i, :] . l[..., i, :]`` for every row i, one BLAS dot per row."""
     if out is None:
-        out = np.empty(k.shape[0])
-    np.matmul(k[:, None, :], l[:, :, None], out=out[:, None, None])
+        out = np.empty(k.shape[:-1])
+    np.matmul(k[..., None, :], l[..., :, None], out=out[..., None, None])
     return out
 
 
-def _hsic_from_terms(k: np.ndarray, l: np.ndarray, terms) -> float:
-    """:func:`hsic_v` from its column sums and row dots ``(c_k, c_l, dots)``."""
+def _hsic_from_terms(k: np.ndarray, l: np.ndarray, terms):
+    """:func:`hsic_v` from its column sums and row dots ``(c_k, c_l, dots)``.
+
+    Each term carries the stack axes of ``k`` and ``l``, if any, first,
+    and so does the result.
+    """
     c_k, c_l, dots = terms
-    n = k.shape[0]
+    n = k.shape[-1]
+    stat = (
+        dots.sum(axis=-1) / n**2
+        + c_k.sum(axis=-1) * c_l.sum(axis=-1) / n**4
+        - 2.0 * _row_dots(c_k, c_l) / n**3
+    )
     for g, c in ((k, c_k), (l, c_l)):
         # Equal column sums are necessary for a constant matrix and cost
         # O(N) to test; only then is the full O(N^2) comparison made.
-        if (c == c[0]).all() and (g == g[0, 0]).all():
-            return 0.0
-    return float(
-        dots.sum() / n**2 + c_k.sum() * c_l.sum() / n**4 - 2.0 * (c_k @ c_l) / n**3
-    )
+        maybe = (c == c[..., :1]).all(axis=-1)
+        if maybe.any():
+            stat = np.where(maybe & (g == g[..., :1, :1]).all(axis=(-2, -1)), 0.0, stat)
+    return stat
 
 
 def hsic_v_reference(K, L) -> float:
@@ -222,7 +234,7 @@ def _window_offsets(m: int, direction: int) -> tuple[int, int]:
 
 def single_from_grams(
     g1: np.ndarray, g2: np.ndarray, m: int, direction: int, terms=None
-) -> float:
+) -> float | np.ndarray:
     """Single-lag statistic from precomputed full n x n Gram matrices.
 
     ``g1[i, j] = k(eta1_i, eta1_j)`` and likewise ``g2``; the lagged pairing
@@ -230,58 +242,63 @@ def single_from_grams(
     computation per series serves every lag.  Entry-identical to
     :func:`single_stat` on the same residuals.  ``terms`` optionally holds
     the submatrices' ``(c_k, c_l, dots)`` as :func:`_lag_terms` computes
-    them, which gives the same bits as computing them here.
+    them, which gives the same bits as computing them here.  Two
+    (nb, n, n) stacks give (nb,) values, as in :func:`hsic_v`.
     """
-    n = g1.shape[0]
+    n = g1.shape[-1]
     big = n - m
     if big < 2:
         raise DataError(f"lag m={m} leaves fewer than 2 pairs (n={n})")
     ko, lo = _window_offsets(m, direction)
-    k, l = g1[ko : ko + big, ko : ko + big], g2[lo : lo + big, lo : lo + big]
+    k, l = g1[..., ko : ko + big, ko : ko + big], g2[..., lo : lo + big, lo : lo + big]
     if terms is None:
         return hsic_v(k, l)
-    return _hsic_from_terms(k, l, terms)
+    stat = _hsic_from_terms(k, l, terms)
+    return stat if g1.ndim == 3 else float(stat)
 
 
 def _lag_terms(g1: np.ndarray, g2: np.ndarray, direction: int, lags) -> dict:
     """:func:`hsic_v`'s ``(c_k, c_l, dots)`` for every lag in one pass.
 
-    At lag m one Gram enters through its leading window ``G[:n-m, :n-m]``
-    (``g1`` in direction 1, ``g2`` in direction 2) and the other through
-    its trailing window ``G[m:, m:]``.  The leading windows' column sums
-    are prefixes of one top-down accumulation over the rows, so the sums
-    of all lags cost one pass; the trailing windows start at different
-    rows and keep their own sums.  The row dots of every lag are computed
-    in one sweep over row tiles of ``_TILE_BYTES``, so each tile of both
-    Grams stays in cache across the lags.  Every term has the bits
-    :func:`hsic_v` gives on the two windows.
+    ``g1`` and ``g2`` are two n x n matrices or two (nb, n, n) stacks; a
+    stack's terms carry its axis first.  At lag m one Gram enters through
+    its leading window ``G[:n-m, :n-m]`` (``g1`` in direction 1, ``g2`` in
+    direction 2) and the other through its trailing window ``G[m:, m:]``.
+    The leading windows' column sums are prefixes of one top-down
+    accumulation over the rows, so the sums of all lags cost one pass;
+    the trailing windows start at different rows and keep their own sums.
+    The row dots of every lag are computed in one sweep over row tiles of
+    ``_TILE_BYTES`` across the whole stack, so each tile of both stacks
+    stays in cache across the lags.  Every term of a stack item has the
+    bits :func:`hsic_v` gives on the two windows of that item alone.
     """
-    if g1.ndim != 2 or g1.shape != g2.shape or g1.shape[0] != g1.shape[1]:
+    if g1.ndim not in (2, 3) or g1.shape != g2.shape or g1.shape[-1] != g1.shape[-2]:
         raise DataError(f"Gram size mismatch: {g1.shape} vs {g2.shape}")
-    n = g1.shape[0]
+    n = g1.shape[-1]
     lead, trail = (g1, g2) if direction == 1 else (g2, g1)
     top = n - max(lags)
-    acc = lead[:top].sum(axis=0)
+    acc = lead[..., :top, :].sum(axis=-2)
     lead_sums = {}
     for m in sorted(lags, reverse=True):
-        for row in lead[top : n - m]:
-            acc += row
+        for r in range(top, n - m):
+            acc += lead[..., r, :]
         top = n - m
-        lead_sums[m] = acc[:top].copy()
-    dots = {m: np.empty(n - m) for m in lags}
-    rows = max(1, _TILE_BYTES // (8 * n))
+        lead_sums[m] = acc[..., :top].copy()
+    dots = {m: np.empty(g1.shape[:-2] + (n - m,)) for m in lags}
+    # A tile holds the same rows of every item, so its bytes grow with the stack.
+    rows = max(1, _TILE_BYTES // (8 * g1[..., 0, :].size))
     for r0 in range(0, n, rows):
         for m in lags:
             big = n - m
             r1 = min(r0 + rows, big)
             if r0 < r1:
                 ko, lo = _window_offsets(m, direction)
-                k = g1[ko + r0 : ko + r1, ko : ko + big]
-                l = g2[lo + r0 : lo + r1, lo : lo + big]
-                _row_dots(k, l, dots[m][r0:r1])
+                k = g1[..., ko + r0 : ko + r1, ko : ko + big]
+                l = g2[..., lo + r0 : lo + r1, lo : lo + big]
+                _row_dots(k, l, dots[m][..., r0:r1])
     terms = {}
     for m in lags:
-        trail_sums = trail[m:, m:].sum(axis=0)
+        trail_sums = trail[..., m:, m:].sum(axis=-2)
         c_k, c_l = (lead_sums[m], trail_sums) if direction == 1 else (trail_sums, lead_sums[m])
         terms[m] = (c_k, c_l, dots[m])
     return terms
@@ -289,19 +306,24 @@ def _lag_terms(g1: np.ndarray, g2: np.ndarray, direction: int, lags) -> dict:
 
 def stat_from_grams(
     g1: np.ndarray, g2: np.ndarray, cfg: LagConfig, singles: dict | None = None
-) -> float:
+) -> float | np.ndarray:
     """Raw single or joint statistic from full Gram matrices (see above).
+
+    ``g1`` and ``g2`` are two n x n matrices, which give a float, or two
+    (nb, n, n) stacks, which give the (nb,) statistics of their item
+    pairs in one pass; item ``i`` has the bits of the pair
+    ``g1[i], g2[i]`` alone.
 
     ``singles`` optionally maps ``(direction, m)`` to the value of
     :func:`single_from_grams` at that lag; missing entries are computed
     and added.  Several configs evaluated on the same ``g1, g2`` then
     compute each distinct single once.  The dict belongs to that one pair
-    of Grams: pass a fresh one for every new pair.  At m = 0 both
-    directions evaluate :func:`hsic_v` on the same two full matrices, so
-    they share the key ``(1, 0)``.  The missing lags of one config are
-    computed in one pass (:func:`_lag_terms`), and joint sums still add
-    the singles in ascending m, so every config gets the same bits with
-    or without the dict.
+    of Grams (or stacks): pass a fresh one for every new pair.  At m = 0
+    both directions evaluate :func:`hsic_v` on the same two full
+    matrices, so they share the key ``(1, 0)``.  The missing lags of one
+    config are computed in one pass (:func:`_lag_terms`), and joint sums
+    still add the singles in ascending m, so every config gets the same
+    bits with or without the dict.
     """
     if singles is None:
         singles = {}
@@ -311,10 +333,11 @@ def stat_from_grams(
     keys = {m: (cfg.direction if m else 1, m) for m in lags}
     missing = [m for m in lags if keys[m] not in singles]
     # Infeasible lags get no terms, so single_from_grams reports them.
-    feasible = [m for m in missing if g1.shape[0] - m >= 2]
+    feasible = [m for m in missing if g1.shape[-1] - m >= 2]
     terms = _lag_terms(g1, g2, cfg.direction, feasible) if feasible else {}
     for m in missing:
         singles[keys[m]] = single_from_grams(g1, g2, m, cfg.direction, terms.get(m))
-    if cfg.is_joint:
-        return float(sum(singles[keys[m]] for m in lags))
-    return singles[keys[cfg.m]]
+    if not cfg.is_joint:
+        return singles[keys[cfg.m]]
+    total = sum(singles[keys[m]] for m in lags)
+    return total if g1.ndim == 3 else float(total)

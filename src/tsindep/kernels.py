@@ -93,18 +93,22 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """An N x N matrix of kernel evaluations over all sample pairs."""
+    """An N x N matrix of kernel evaluations over all sample pairs.
+
+    ``values`` may carry a leading stack axis, (nb, N, N): item ``i`` is
+    then the Gram matrix of the i-th point set of a stack.
+    """
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
         v = self.values
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
+        if v.ndim not in (2, 3) or v.shape[-1] != v.shape[-2]:
             raise ValueError("Gram matrix must be square")
 
     @property
     def n_points(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-1]
 
 
 def as_points(x, min_rows: int = 1) -> np.ndarray:
@@ -145,30 +149,50 @@ def eval_kernel(spec: KernelSpec, u, v) -> float:
     return 0.5 * (nu + nv - sq**h)
 
 
-def _pairwise_sq_dists(pts: np.ndarray) -> np.ndarray:
+def _pairwise_sq_dists(pts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Squared Euclidean distances between all rows of ``pts``, as n x n.
 
-    scipy's ``sqeuclidean`` loop adds ``(u_k - v_k)**2`` coordinate by
-    coordinate.  Explicit differences rather than the ||u||^2 + ||v||^2 -
-    2<u,v> shortcut keep every entry nonnegative and accurate, and since
+    An (nb, n, d) stack gives (nb, n, n), item by item.  scipy's
+    ``sqeuclidean`` loop adds ``(u_k - v_k)**2`` coordinate by coordinate.
+    Explicit differences rather than the ||u||^2 + ||v||^2 - 2<u,v>
+    shortcut keep every entry nonnegative and accurate, and since
     (a - b)^2 == (b - a)^2 in IEEE arithmetic the result is exactly
-    symmetric.  The returned buffer is a fresh array the caller may
-    overwrite.
+    symmetric.  Each item is written into its slot of ``out`` if given
+    (a C-contiguous float buffer of the result's shape), else of a fresh
+    buffer; the caller may overwrite the result.
     """
-    return cdist(pts, pts, "sqeuclidean")
+    shape = pts.shape[:-1] + pts.shape[-2:-1]
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ValueError(f"out has shape {out.shape}, need {shape}")
+    for item, vals in zip(pts[None] if pts.ndim == 2 else pts, out[None] if out.ndim == 2 else out):
+        cdist(item, item, "sqeuclidean", out=vals)
+    return out
 
 
-def gram_matrix(spec: KernelSpec, points) -> GramMatrix:
+def gram_matrix(spec: KernelSpec, points, out: np.ndarray | None = None) -> GramMatrix:
     """Gram matrix of ``points`` (rows are observations) under ``spec``.
 
-    The kernel is applied in place to the squared-distance buffer of
-    :func:`_pairwise_sq_dists`.  That buffer is exactly symmetric because
-    each entry is a sum of ``(a - b)**2`` terms, and applying the same
-    elementwise operations to equal entries gives equal results, so the
-    Gram matrix is exactly symmetric too.
+    ``points`` is one n x d point set or an (nb, n, d) stack of them; a
+    stack gives (nb, n, n) values whose item ``i`` has the bits of the
+    Gram matrix of ``points[i]`` alone.  The values are written into
+    ``out`` if given (a C-contiguous float buffer of their shape, which
+    lets a caller reuse one buffer across calls), else into a fresh
+    array.  The kernel is applied in place, once over the whole
+    squared-distance buffer of :func:`_pairwise_sq_dists`.  That buffer
+    is exactly symmetric because each entry is a sum of ``(a - b)**2``
+    terms, and applying the same elementwise operations to equal entries
+    gives equal results, so the Gram matrix is exactly symmetric too.
     """
-    pts = as_points(points)
-    vals = _pairwise_sq_dists(pts)
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 3:
+        pts = as_points(pts)
+    elif 0 in pts.shape:
+        raise DataError(f"empty point stack of shape {pts.shape}")
+    elif not np.isfinite(pts).all():
+        raise DataError("non-finite values in input points")
+    vals = _pairwise_sq_dists(pts, out)
     if spec.family == "gaussian":
         vals /= -(2.0 * spec.sigma**2)
         np.exp(vals, out=vals)
@@ -181,9 +205,10 @@ def gram_matrix(spec: KernelSpec, points) -> GramMatrix:
         vals += spec.beta
         vals **= -spec.alpha
     else:
-        norms = np.einsum("ij,ij->i", pts, pts) ** spec.hurst
+        flat = pts.reshape(-1, pts.shape[-1])
+        norms = (np.einsum("ij,ij->i", flat, flat) ** spec.hurst).reshape(pts.shape[:-1])
         vals **= spec.hurst
-        np.subtract(norms[:, None] + norms[None, :], vals, out=vals)
+        np.subtract(norms[..., :, None] + norms[..., None, :], vals, out=vals)
         vals *= 0.5
     return GramMatrix(values=vals)
 

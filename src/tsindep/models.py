@@ -40,6 +40,8 @@ from .hsic import PairedResiduals
 from .kernels import as_points
 
 _COND_LIMIT = 1e12
+# Bytes of one row block of influence values in _var_onestep_batch.
+_INFLUENCE_BLOCK_BYTES = 1 << 20
 _PSD_NEG_TOL = 1e-8
 
 
@@ -180,8 +182,12 @@ def _var_influence(coef, gamma_inv, data, p: int, intercept: bool):
     ``eta_t`` is the residual at ``coef``; the result is (..., n - p, d q).
     """
     target, design = _var_design(data, p, intercept)
-    resid = target - design @ np.swapaxes(coef, -1, -2)
-    scaled = design @ gamma_inv
+    return _var_influence_rows(target - design @ np.swapaxes(coef, -1, -2), design @ gamma_inv)
+
+
+def _var_influence_rows(resid, scaled):
+    """Influence rows from the residuals (..., m, d) and the regressors
+    times Gamma^{-1} (..., m, q), as (..., m, d q)."""
     return (resid[..., :, None] * scaled[..., None, :]).reshape(resid.shape[:-1] + (-1,))
 
 
@@ -280,12 +286,30 @@ def _simulate_var(coef, p, intercept, innovations, init=None):
 def _var_onestep_batch(fit: FitResult, data: np.ndarray):
     """One-step update of (nb, n, d) paths and the residuals at it.
 
-    The update is the fit's coefficients plus the mean influence row.
+    The update is the fit's coefficients plus the mean influence row.  The
+    mean sums the influence rows in blocks of ``_INFLUENCE_BLOCK_BYTES``,
+    each block led by the running sum of the blocks before it, so no
+    (nb, n - p, d q) array is formed and the rows are added top-down, in
+    the order of a mean over all rows at once.  With one influence
+    column that sum is pairwise instead, so the rows form one block.
     """
     p, intercept = fit.model.p, fit.model.intercept
-    mean_infl = _var_influence(fit.coef, fit.gamma_inv, data, p, intercept).mean(axis=-2)
-    coef = fit.coef + mean_infl.reshape(mean_infl.shape[:-1] + fit.coef.shape)
     target, design = _var_design(data, p, intercept)
+    resid = target - design @ np.swapaxes(fit.coef, -1, -2)
+    scaled = design @ fit.gamma_inv
+    n_rows, width = resid.shape[-2], fit.coef.size
+    rows = n_rows if width == 1 else max(
+        1, _INFLUENCE_BLOCK_BYTES // (8 * width * resid[..., 0, 0].size)
+    )
+    total = None
+    for r0 in range(0, n_rows, rows):
+        block = _var_influence_rows(resid[..., r0 : r0 + rows, :], scaled[..., r0 : r0 + rows, :])
+        if total is not None:
+            block = np.concatenate([total[..., None, :], block], axis=-2)
+        total = block.sum(axis=-2)
+    del resid, scaled
+    mean_infl = total / n_rows
+    coef = fit.coef + mean_infl.reshape(mean_infl.shape[:-1] + fit.coef.shape)
     return coef, target - design @ np.swapaxes(coef, -1, -2)
 
 

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import tsindep.bootstrap as bootstrap_module
 from tsindep import (
     BootstrapConfig,
     DataError,
+    KernelSpec,
     LagConfig,
     SingularityError,
     bootstrap_estimate,
@@ -12,13 +16,14 @@ from tsindep import (
     bootstrap_test,
     fit_ccc_garch,
     fit_var,
+    gram_matrix,
     hsic_test_suite,
     influence_values,
     resample_innovations,
     residuals,
     standardize_residuals,
 )
-from tsindep._streams import substream
+from tsindep._streams import BOOTSTRAP, substream
 from tsindep.models import _simulate_garch, _simulate_var
 
 
@@ -88,6 +93,16 @@ class TestResample:
         freq = counts / 10_000
         assert freq.min() >= 0.005
         assert freq.max() <= 0.015
+
+
+    def test_draws_are_the_fancy_indexed_rows(self):
+        pool = np.random.default_rng(3).normal(size=(600, 2))
+        out = bootstrap_module._draw_innovations(pool, 700, 5, 10, 3, 2)
+        for i in range(3):
+            idx = substream(5, BOOTSTRAP, 10 + i, 2).integers(0, 600, size=700)
+            assert np.array_equal(out[i], pool[idx])
+        idx = substream(7, 1, 2).integers(0, 600, size=50)
+        assert np.array_equal(resample_innovations(pool, 50, substream(7, 1, 2)), pool[idx])
 
 
 class TestBootstrapEstimate:
@@ -279,3 +294,118 @@ class TestSuiteWrapper:
         assert s.replicates.shape == (39,)
         assert s.reference == "bootstrap(B=39)"
         assert_allclose(s.scaled, s.statistic * s.n, rtol=1e-12)
+
+
+class TestStackedBlock:
+    """``_stats_block`` on stacks of replicates against one replicate at a time."""
+
+    CFGS = [LagConfig(1, m=0), LagConfig(2, m=2), LagConfig(1, max_lag=3)]
+    KERNEL = KernelSpec.gaussian(1.0)
+
+    def prepare(self, monkeypatch, n, nb, invalid=()):
+        """Fix the replicate residuals of a VAR(1) pair of length n.
+
+        Returns ``(block, oracle)``: calls that give ``_stats_block``'s
+        ``(stats, valid)`` and the per-replicate stats.  The replicates in
+        ``invalid`` are marked failed in series 1.
+        """
+        fits = var_fit_pair(seed=n, n=n)
+        cfg = BootstrapConfig(n_replicates=nb, master_seed=n)
+        pools = [standardize_residuals(f.effective_residuals, "center") for f in fits]
+        replicates = [
+            bootstrap_module._series_block(f, pool, cfg, 0, nb, series=s)
+            for s, f, pool in zip((1, 2), fits, pools)
+        ]
+        replicates[0][1][list(invalid)] = False
+        monkeypatch.setattr(
+            bootstrap_module, "_series_block",
+            lambda fit, pool, cfg, b0, nb, series: replicates[series - 1],
+        )
+        args = (*fits, *pools, self.CFGS, self.KERNEL, self.KERNEL, cfg, n - 1, 0, nb)
+        return (lambda: bootstrap_module._stats_block(*args)), (
+            lambda: self.one_by_one(replicates, n - 1)
+        )
+
+    def one_by_one(self, replicates, n_scale):
+        """Oracle: each valid replicate's Grams and statistics on their own."""
+        (res1, ok1), (res2, ok2) = replicates
+        out = np.full((res1.shape[0], len(self.CFGS)), np.nan)
+        for i in np.flatnonzero(ok1 & ok2):
+            g1 = gram_matrix(self.KERNEL, res1[i]).values
+            g2 = gram_matrix(self.KERNEL, res2[i]).values
+            out[i] = bootstrap_module._scaled_stats(g1, g2, self.CFGS, n_scale)
+        return out
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = {"gram_matrix": [], "stat_from_grams": []}
+        for name, record in calls.items():
+            real = getattr(bootstrap_module, name)
+
+            def wrapper(*args, _real=real, _record=record, **kwargs):
+                _record.append(np.shape(args[1]))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(bootstrap_module, name, wrapper)
+        return calls
+
+    @pytest.mark.parametrize("n, nb", [(101, 64), (41, 7), (151, 9), (501, 2)])
+    def test_equals_one_replicate_at_a_time(self, monkeypatch, n, nb):
+        block, oracle = self.prepare(monkeypatch, n, nb)
+        stats, valid = block()
+        assert valid.all()
+        assert np.array_equal(stats, oracle())
+
+    def test_invalid_replicates_stay_out_of_the_stacks(self, monkeypatch):
+        invalid = [0, 5, 6, 20, 63]
+        block, oracle = self.prepare(monkeypatch, 101, 64, invalid)
+        want = oracle()
+        calls = self.count_calls(monkeypatch)
+        stats, valid = block()
+        assert np.flatnonzero(~valid).tolist() == invalid
+        assert np.isnan(stats[invalid]).all()
+        assert np.array_equal(stats[valid], want[valid])
+        assert sum(shape[0] for shape in calls["gram_matrix"]) == 2 * (64 - len(invalid))
+
+    def test_one_traced_call_per_stack(self, monkeypatch):
+        # The benchmark's tracer times bootstrap.gram_matrix and
+        # bootstrap.stat_from_grams; each call is one stack.  A 100 x 100
+        # Gram is 80 000 bytes, so a 512 KiB stack holds 6 of them.
+        block, _ = self.prepare(monkeypatch, 101, 64)
+        calls = self.count_calls(monkeypatch)
+        block()
+        assert bootstrap_module._STACK_BYTES // 80_000 == 6
+        depths = [6] * 10 + [4]
+        assert [shape[0] for shape in calls["gram_matrix"]] == [d for d in depths for _ in (1, 2)]
+        assert calls["gram_matrix"][0] == (6, 100, 2)
+        assert [shape[0] for shape in calls["stat_from_grams"]] == [
+            d for d in depths for _ in self.CFGS
+        ]
+
+    @staticmethod
+    def peak_bytes(fn):
+        fn()
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_at_n_500_no_higher_than_one_by_one(self, monkeypatch):
+        # A 500 x 500 Gram is 2 MB, over the stack budget: stacks of one.
+        block, oracle = self.prepare(monkeypatch, 501, 4)
+        assert self.peak_bytes(block) <= self.peak_bytes(oracle)
+
+    @pytest.mark.parametrize("budget", [None, 4 * 80_000], ids=["default", "four_grams"])
+    def test_memory_at_n_100_follows_the_budget(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(bootstrap_module, "_STACK_BYTES", budget)
+        block, _ = self.prepare(monkeypatch, 101, 64)
+        peak = self.peak_bytes(block)
+        calls = self.count_calls(monkeypatch)
+        block()
+        depth = bootstrap_module._STACK_BYTES // 80_000
+        assert max(shape[0] for shape in calls["gram_matrix"]) == depth
+        # Two stacks of Grams live at once, and little else grows with them.
+        assert 2 * depth * 80_000 <= peak <= 2 * bootstrap_module._STACK_BYTES + 256 * 1024

@@ -332,6 +332,83 @@ class TestMultiLagPass:
             assert hsic_v(offset_copy(k, nbytes), offset_copy(l, nbytes)) == value
 
 
+class TestStackedPass:
+    """A (nb, n, n) stack of Grams against the same pairs one at a time."""
+
+    CONFIGS = [
+        LagConfig(direction=1, m=0),
+        LagConfig(direction=2, m=0),
+        LagConfig(direction=1, m=1),
+        LagConfig(direction=2, m=3),
+    ]
+
+    @staticmethod
+    def stacks(spec, nb, n, seed):
+        rng = np.random.default_rng([seed, nb, n])
+        pts1, pts2 = rng.normal(size=(nb, n, 2)), rng.normal(size=(nb, n, 3))
+        return gram_matrix(spec, pts1).values, gram_matrix(spec, pts2).values
+
+    def check_items(self, g1, g2, cfgs):
+        singles = {}
+        stacked = [stat_from_grams(g1, g2, cfg, singles) for cfg in cfgs]
+        for i in range(g1.shape[0]):
+            alone = {}
+            for cfg, values in zip(cfgs, stacked):
+                assert values.shape == (g1.shape[0],)
+                assert values[i] == stat_from_grams(g1[i], g2[i], cfg, alone)
+            assert {key: v[i] for key, v in singles.items()} == alone
+
+    @pytest.mark.parametrize("tile_bytes", [None, 5000], ids=["default_tile", "small_tile"])
+    @pytest.mark.parametrize("nb", [1, 2, 5])
+    @pytest.mark.parametrize("n", [2, 9, 35, 130])
+    @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.family)
+    def test_items_equal_stack_of_one(self, monkeypatch, spec, n, nb, tile_bytes):
+        # 5000-byte tiles split even a stack of n = 9 Grams into several
+        # tiles; the default tile splits a stack of five 130 x 130 Grams
+        # after row 100.
+        if tile_bytes is not None:
+            monkeypatch.setattr(hsic_module, "_TILE_BYTES", tile_bytes)
+        g1, g2 = self.stacks(spec, nb, n, 40)
+        joints = [LagConfig(direction, max_lag=n - 2) for direction in (1, 2)]
+        self.check_items(g1, g2, joints + [c for c in self.CONFIGS if c.m <= n - 2])
+
+    def test_lag_terms_carry_the_stack_axis(self):
+        g1, g2 = self.stacks(GAUSS, 3, 40, 41)
+        for direction in (1, 2):
+            lags = list(range(39))
+            terms = hsic_module._lag_terms(g1, g2, direction, lags)
+            for i in range(3):
+                alone = hsic_module._lag_terms(g1[i], g2[i], direction, lags)
+                for m in lags:
+                    for part, want in zip(terms[m], alone[m]):
+                        assert np.array_equal(part[i], want)
+
+    def test_hsic_v_on_stacks(self):
+        g1, g2 = self.stacks(KernelSpec.laplace(1.0), 3, 30, 42)
+        values = hsic_v(g1, g2)
+        assert [values[i] for i in range(3)] == [hsic_v(g1[i], g2[i]) for i in range(3)]
+        assert isinstance(hsic_v(g1[0], g2[0]), float)
+
+    def test_constant_item_reads_zero_alone(self):
+        g1, g2 = self.stacks(GAUSS, 5, 30, 43)
+        g2[2] = 0.7
+        cfgs = [LagConfig(1, max_lag=6), LagConfig(2, max_lag=6), LagConfig(2, m=4)]
+        self.check_items(g1, g2, cfgs)
+        for cfg in cfgs:
+            values = stat_from_grams(g1, g2, cfg)
+            assert values[2] == 0.0
+            assert (np.delete(values, 2) > 0.0).all()
+
+    def test_infeasible_lag_and_mismatch_rejected(self):
+        g1, g2 = self.stacks(GAUSS, 2, 6, 44)
+        with pytest.raises(DataError):
+            stat_from_grams(g1, g2, LagConfig(1, max_lag=5))
+        with pytest.raises(DataError):
+            stat_from_grams(g1, g2[:1], LagConfig(1, max_lag=2))
+        with pytest.raises(DataError):
+            stat_from_grams(g1, g2[0], LagConfig(1, m=1))
+
+
 class TestLagConfig:
     def test_validation(self):
         with pytest.raises(ValueError):

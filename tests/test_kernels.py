@@ -173,6 +173,43 @@ class TestGramMatrix:
         g = gram_matrix(KernelSpec.gaussian(1.0), [[4.2]])
         assert g.values.shape == (1, 1)
 
+    @pytest.mark.parametrize("nb", [1, 2, 5])
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_stack_items_equal_single_grams(self, spec, nb):
+        rng = np.random.default_rng([nb, 7])
+        for d in (1, 2, 5):
+            for n in (1, 9, 100):
+                pts = rng.normal(size=(nb, n, d))
+                g = gram_matrix(spec, pts)
+                assert g.values.shape == (nb, n, n) and g.n_points == n
+                for i in range(nb):
+                    assert np.array_equal(g.values[i], gram_matrix(spec, pts[i]).values)
+        # Items of a strided view, as the bootstrap passes them.
+        view = rng.normal(size=(4, 60, 2))[::2, 5:]
+        g = gram_matrix(spec, view).values
+        assert all(np.array_equal(g[i], gram_matrix(spec, view[i]).values) for i in range(2))
+
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_out_buffer_gets_the_same_bits(self, spec):
+        rng = np.random.default_rng(8)
+        for shape in ((30, 2), (4, 30, 2)):
+            pts = rng.normal(size=shape)
+            out = np.full(shape[:-1] + shape[-2:-1], np.nan)
+            g = gram_matrix(spec, pts, out=out)
+            assert g.values is out
+            assert np.array_equal(out, gram_matrix(spec, pts).values)
+        with pytest.raises(ValueError):
+            gram_matrix(spec, pts, out=np.empty((3, 30, 30)))
+        with pytest.raises(ValueError):
+            gram_matrix(spec, pts, out=np.empty((4, 30, 60))[..., :30])
+
+    def test_stack_rejects_bad_points(self):
+        bad = np.zeros((2, 3, 1))
+        bad[1, 2, 0] = np.nan
+        for pts in (bad, np.empty((0, 3, 1)), np.empty((2, 3, 0)), np.zeros((1, 2, 2, 1))):
+            with pytest.raises(DataError):
+                gram_matrix(KernelSpec.gaussian(1.0), pts)
+
 
 def test_median_heuristic():
     rng = np.random.default_rng(5)

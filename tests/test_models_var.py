@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -17,6 +18,7 @@ from tsindep import (
     residuals,
     simulate,
 )
+import tsindep.models as models_module
 from tsindep.bootstrap import BootstrapConfig, _series_block
 from tsindep.models import (
     _COND_LIMIT,
@@ -235,19 +237,38 @@ class TestBatchHelpers:
         assert_allclose(coef_b[0], fit.coef, atol=1e-12)
 
     @pytest.mark.parametrize("nb", [1, 7])
-    def test_onestep_is_mean_influence(self, nb):
+    def test_onestep_is_mean_influence(self, monkeypatch, nb):
         # The update is the mean of influence_values' rows, bit for bit, and
         # the residuals are those of residuals() at the updated coefficients.
+        # Blocks of one row, of a few rows and the default block sum the
+        # rows; one influence column (d = 1, p = 1) stays one block.
         rng = np.random.default_rng(20)
-        for p, intercept in ((1, False), (2, True)):
-            fit = fit_var(rng.normal(size=(150, 2)), p, intercept)
-            paths = rng.normal(size=(nb, 120, 2))
-            coef_b, resid_b = _var_onestep_batch(fit, paths)
-            for b in range(nb):
-                mean = influence_values(fit, paths[b])[p:].mean(0)
-                assert np.array_equal(coef_b[b], fit.coef + mean.reshape(fit.coef.shape))
-                moved = replace(fit, coef=coef_b[b])
-                assert np.array_equal(resid_b[b], residuals(moved, paths[b])[p:])
+        for d, p, intercept in ((2, 1, False), (2, 2, True), (1, 1, False), (1, 2, True), (3, 6, True)):
+            fit = fit_var(rng.normal(size=(150, d)), p, intercept)
+            paths = rng.normal(size=(nb, 120, d))
+            for block_bytes in (1 << 20, 1, 8 * fit.coef.size * nb * 5):
+                monkeypatch.setattr(models_module, "_INFLUENCE_BLOCK_BYTES", block_bytes)
+                coef_b, resid_b = _var_onestep_batch(fit, paths)
+                for b in range(nb):
+                    mean = influence_values(fit, paths[b])[p:].mean(0)
+                    assert np.array_equal(coef_b[b], fit.coef + mean.reshape(fit.coef.shape))
+                    moved = replace(fit, coef=coef_b[b])
+                    assert np.array_equal(resid_b[b], residuals(moved, paths[b])[p:])
+
+    def test_onestep_never_forms_every_influence_row(self):
+        # 16 paths x 1994 rows x 57 influence columns are 14.5 MB at once;
+        # forming them all and then taking the mean peaks at 1.7 times that.
+        rng = np.random.default_rng(21)
+        fit = fit_var(rng.normal(size=(300, 3)), 6, True)
+        paths = rng.normal(size=(16, 2000, 3))
+        full = 8 * paths.shape[0] * (2000 - 6) * fit.coef.size
+        tracemalloc.start()
+        try:
+            _var_onestep_batch(fit, paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full
 
 
 def fit_var_batch_einsum(data, p, intercept):
