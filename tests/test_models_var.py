@@ -243,7 +243,8 @@ class TestBatchHelpers:
         # Blocks of one row, of a few rows and the default block sum the
         # rows; one influence column (d = 1, p = 1) stays one block.
         rng = np.random.default_rng(20)
-        for d, p, intercept in ((2, 1, False), (2, 2, True), (1, 1, False), (1, 2, True), (3, 6, True)):
+        shapes = ((2, 1, False), (2, 2, True), (1, 1, False), (1, 2, True), (3, 6, True))
+        for d, p, intercept in shapes:
             fit = fit_var(rng.normal(size=(150, d)), p, intercept)
             paths = rng.normal(size=(nb, 120, d))
             for block_bytes in (1 << 20, 1, 8 * fit.coef.size * nb * 5):
