@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-from scipy.signal import lfilter
 from scipy.special import expit
 
 from ._streams import FIT, substream
@@ -152,24 +151,31 @@ def _fit_var_batch(data: np.ndarray, p: int, intercept: bool):
 
     Returns ``(coef, resid, valid, cond, gram)``: coefficients (..., d, q)
     laid out as ``[intercept | A_1 | ... | A_p]``, residuals (..., n - p, d),
-    validity and the condition number of the Gram X'X (both (...,)), and
-    the Gram (..., q, q).  A path is valid iff ``cond < _COND_LIMIT``; a
-    path whose Gram is not finite (an overflowed path) gets ``cond = inf``.
-    An invalid path is solved against the identity as a placeholder and
-    neither raises nor warns, so bootstrap callers can count it against
-    the failure budget.  Each path gets the bits that a stack of that one
-    path gives, which is how :func:`fit_var` calls it.
+    validity and the condition number (both (...,)), and the Gram X'X
+    (..., q, q).  ``cond`` is that of the column-equilibrated Gram
+    ``D^-1/2 X'X D^-1/2`` with ``D = diag(X'X)``, so it measures
+    collinearity and not the data's units: rescaling a series leaves it
+    unchanged up to rounding.  A path is valid iff
+    ``cond < _COND_LIMIT``; a path whose Gram is not finite (an overflowed
+    path) or has a zero diagonal entry gets ``cond = inf``.  The solve uses
+    the raw Gram.  An invalid path is solved against the identity as a
+    placeholder and neither raises nor warns, so bootstrap callers can
+    count it against the failure budget.  Each path gets the bits that a
+    stack of that one path gives, which is how :func:`fit_var` calls it.
     """
     target, design = _var_design(data, p, intercept)
     design_t = np.swapaxes(design, -1, -2)
     eye = np.eye(design.shape[-1])
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         gram = design_t @ design
         xty = design_t @ target
-        finite = np.isfinite(gram).all(axis=(-2, -1))
-        # The SVD inside cond does not converge on a non-finite Gram.
-        cond = np.linalg.cond(np.where(finite[..., None, None], gram, eye))
-        cond = np.where(finite, cond, np.inf)
+        diag = np.diagonal(gram, axis1=-2, axis2=-1)
+        usable = np.isfinite(gram).all(axis=(-2, -1)) & (diag > 0).all(axis=-1)
+        inv_root = 1.0 / np.sqrt(diag)
+        scaled = gram * inv_root[..., :, None] * inv_root[..., None, :]
+        # The SVD inside cond does not converge on a non-finite matrix.
+        cond = np.linalg.cond(np.where(usable[..., None, None], scaled, eye))
+        cond = np.where(usable, cond, np.inf)
         valid = cond < _COND_LIMIT
         coef_t = np.linalg.solve(np.where(valid[..., None, None], gram, eye), xty)
         resid = target - design @ coef_t
@@ -194,8 +200,11 @@ def _var_influence_rows(resid, scaled):
 def fit_var(data, p: int = 1, intercept: bool = False) -> FitResult:
     """Multivariate least squares for a VAR(p).
 
-    Requires a full-rank regressor matrix and strictly more effective
-    observations than parameters per equation.
+    Requires strictly more effective observations than parameters per
+    equation, and a full-rank regressor matrix: the condition number of
+    the column-equilibrated Gram ``D^-1/2 X'X D^-1/2`` (``D = diag(X'X)``)
+    must be below 1e12, so the check does not depend on the data's units.
+    Otherwise raises :class:`SingularityError`.
     """
     y = as_points(data, min_rows=2)
     n, d = y.shape
@@ -341,6 +350,9 @@ def _garch_component_path(omega: float, alpha: float, beta: float, y2: np.ndarra
     Runs along the last axis of ``y2``; ``v0`` is a scalar or broadcasts
     against the leading axes.
     """
+    # Imported here: scipy.signal loads scipy.stats and more, which no VAR run needs.
+    from scipy.signal import lfilter
+
     v = np.empty(y2.shape)
     v[..., 0] = v0
     if y2.shape[-1] > 1:
@@ -428,30 +440,32 @@ def _garch_terms(theta, y: np.ndarray, v_init, grad: bool = False, hess: bool = 
     if not hess:
         return terms, scores
 
-    # Second derivatives of each term in (v1, v2, rho).
-    sq = (z1 * z1, z2 * z2)
-    one_p = 1.0 + rho * rho
-    lin = cross * one_p - rho * (sq[0] + sq[1])
-    d2_rr = (one_p + 2.0 * rho * cross - sq[0] - sq[1]) / one_m**2 + 4.0 * rho * lin / one_m**3
-    d2_12 = rho * cross / (4.0 * one_m * v[0] * v[1])
-    out = np.empty(terms.shape[:-1] + (7, 7))
-    for i in range(2):
-        blk = slice(3 * i, 3 * i + 3)
-        dv = dvs[i]
-        d2_vv = (1.0 - (2.0 * sq[i] - 1.5 * rho * cross) / one_m) / (2.0 * v[i] ** 2)
-        d2_vr = (2.0 * rho * sq[i] - one_p * cross) / (2.0 * v[i] * one_m**2)
-        # The filter is linear, so 2 dv/dbeta is applied as a final factor 2.
-        d2v = _garch_component_path(0.0, 1.0, th[3 * i + 2], dv, 0.0)
-        curv = np.einsum("a...t,...t->...a", d2v, dll_dvs[i])  # (wb, ab, bb / 2)
-        h = np.einsum("a...t,b...t->...ab", dv * d2_vv, dv)
-        h[..., :2, 2] += curv[..., :2]
-        h[..., 2, :2] += curv[..., :2]
-        h[..., 2, 2] += 2.0 * curv[..., 2]
-        out[..., blk, blk] = h
-        out[..., blk, 6] = out[..., 6, blk] = np.einsum("a...t,...t->...a", dv, d2_vr)
-    out[..., :3, 3:6] = np.einsum("a...t,b...t->...ab", dvs[0] * d2_12, dvs[1])
-    out[..., 3:6, :3] = np.swapaxes(out[..., :3, 3:6], -1, -2)
-    out[..., 6, 6] = d2_rr.sum(axis=-1)
+    # Second derivatives of each term in (v1, v2, rho).  On huge data the
+    # products of variances overflow; the fit rejects a non-finite result.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = (z1 * z1, z2 * z2)
+        one_p = 1.0 + rho * rho
+        lin = cross * one_p - rho * (sq[0] + sq[1])
+        d2_rr = (one_p + 2.0 * rho * cross - sq[0] - sq[1]) / one_m**2 + 4.0 * rho * lin / one_m**3
+        d2_12 = rho * cross / (4.0 * one_m * v[0] * v[1])
+        out = np.empty(terms.shape[:-1] + (7, 7))
+        for i in range(2):
+            blk = slice(3 * i, 3 * i + 3)
+            dv = dvs[i]
+            d2_vv = (1.0 - (2.0 * sq[i] - 1.5 * rho * cross) / one_m) / (2.0 * v[i] ** 2)
+            d2_vr = (2.0 * rho * sq[i] - one_p * cross) / (2.0 * v[i] * one_m**2)
+            # The filter is linear, so 2 dv/dbeta is applied as a final factor 2.
+            d2v = _garch_component_path(0.0, 1.0, th[3 * i + 2], dv, 0.0)
+            curv = np.einsum("a...t,...t->...a", d2v, dll_dvs[i])  # (wb, ab, bb / 2)
+            h = np.einsum("a...t,b...t->...ab", dv * d2_vv, dv)
+            h[..., :2, 2] += curv[..., :2]
+            h[..., 2, :2] += curv[..., :2]
+            h[..., 2, 2] += 2.0 * curv[..., 2]
+            out[..., blk, blk] = h
+            out[..., blk, 6] = out[..., 6, blk] = np.einsum("a...t,...t->...a", dv, d2_vr)
+        out[..., :3, 3:6] = np.einsum("a...t,b...t->...ab", dvs[0] * d2_12, dvs[1])
+        out[..., 3:6, :3] = np.swapaxes(out[..., :3, 3:6], -1, -2)
+        out[..., 6, 6] = d2_rr.sum(axis=-1)
     return terms, scores, out
 
 

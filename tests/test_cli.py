@@ -127,6 +127,30 @@ class TestExitCodes:
         assert out == ""
         assert err.splitlines() == ["numerical failure: rank-deficient VAR design (cond=inf)"]
 
+    def test_huge_garch_data_is_quiet_numerical_failure(self, tmp_path, capfd, monkeypatch):
+        # Scaled by 1e150, the variance products in the QMLE's Hessian
+        # overflow from each start's first evaluation on; no overflow
+        # warning may reach stderr.  Every start fails whatever its step
+        # budget (500 Newton steps take seconds), so the test cuts it.
+        rng = np.random.default_rng(5)
+        from tsindep.models import _simulate_garch
+
+        monkeypatch.setattr("tsindep.models._MAXITER", 3)
+
+        theta = np.array([0.2, 0.1, 0.5, 0.2, 0.1, 0.5, 0.4])
+        paths = []
+        for name in ("g1.csv", "g2.csv"):
+            path = tmp_path / name
+            write_csv(path, 1e150 * _simulate_garch(theta, rng.normal(size=(400, 2)))[200:])
+            paths.append(str(path))
+        code = run_cli(["fit", "--series1", paths[0], "--series2", paths[1],
+                        "--model1", "ccc-garch", "--model2", "ccc-garch"])
+        out, err = capfd.readouterr()
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("numerical failure:")
+
     def test_success(self, series_files, tmp_path):
         out = tmp_path / "r.json"
         code = run_cli(
@@ -391,6 +415,18 @@ class TestFitCommand:
         assert code == 0
         fits = json.loads(out.read_text())["fits"]
         assert [f["layout"] for f in fits] == [layout, layout]
+
+
+    def test_var_fit_on_tiny_units(self, series_files, tmp_path):
+        # 1e-7 puts the raw Gram's condition number near 1e14, but the
+        # columns are not collinear.
+        path = tmp_path / "tiny.csv"
+        write_csv(path, 1e-7 * tsindep.read_csv(series_files[0]))
+        out = tmp_path / "fit.json"
+        code = run_cli(["fit", "--series1", str(path), "--series2", series_files[1],
+                        "--output", str(out)])
+        assert code == 0
+        assert len(json.loads(out.read_text())["fits"]) == 2
 
 
 class TestLagscanCommand:

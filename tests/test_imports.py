@@ -1,0 +1,75 @@
+"""Start-up cost: VAR commands must not load scipy.signal or scipy.stats.
+
+``scipy.signal`` (which pulls in ``scipy.stats``) serves only the GARCH
+variance filter, so it loads at the first GARCH fit.  Each check runs in a
+fresh interpreter, since the test process has long since imported both.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import tsindep
+from tsindep import write_csv
+from tsindep.cli import main
+from tsindep.models import _simulate_garch, _simulate_var
+
+SRC = str(Path(tsindep.__file__).resolve().parents[1])
+
+VAR_RUN = """
+import json, sys
+import tsindep
+from tsindep.cli import main
+
+loaded = {"import": [m for m in ("scipy.signal", "scipy.stats") if m in sys.modules]}
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    loaded[argv[0]] = [m for m in ("scipy.signal", "scipy.stats") if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def fresh_python(args, cwd):
+    return subprocess.run(
+        [sys.executable, *args], env=dict(os.environ, PYTHONPATH=SRC), cwd=cwd,
+        capture_output=True, text=True, timeout=120, check=False,
+    )
+
+
+def test_var_commands_leave_scipy_signal_unloaded(tmp_path):
+    rng = np.random.default_rng(0)
+    coef = np.array([[0.3, 0.0], [0.1, 0.2]])
+    paths = []
+    for name in ("a.csv", "b.csv"):
+        write_csv(tmp_path / name, _simulate_var(coef, 1, False, rng.normal(size=(80, 2))))
+        paths.append(name)
+    pair = ["--series1", paths[0], "--series2", paths[1]]
+    runs = [
+        ["test", *pair, "-B", "9", "--output", "t.json"],
+        ["fit", *pair, "--output", "f.json"],
+        ["lagscan", *pair, "--max-lag", "1", "-B", "9", "--output", "l.json"],
+        ["simulate", "--dgp", "var", "--egp", "1", "-n", "40", "--replications", "1",
+         "--tests", "S1:0", "-B", "9", "--output", "s.json"],
+    ]
+    proc = fresh_python(["-c", VAR_RUN, json.dumps(runs)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded == {"import": [], "test": [], "fit": [], "lagscan": [], "simulate": []}
+
+
+def test_garch_fit_in_fresh_process_matches_in_process(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    theta = np.array([0.2, 0.1, 0.5, 0.2, 0.1, 0.5, 0.4])
+    for name in ("g1.csv", "g2.csv"):
+        write_csv(tmp_path / name, _simulate_garch(theta, rng.normal(size=(1000, 2)))[500:])
+    argv = ["fit", "--series1", "g1.csv", "--series2", "g2.csv",
+            "--model1", "ccc-garch", "--model2", "ccc-garch"]
+    proc = fresh_python(["-m", "tsindep.cli", *argv, "--output", "fresh.json"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--output", "here.json"]) == 0
+    assert (tmp_path / "fresh.json").read_bytes() == (tmp_path / "here.json").read_bytes()

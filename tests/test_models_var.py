@@ -273,15 +273,20 @@ class TestBatchHelpers:
 
 
 def fit_var_batch_einsum(data, p, intercept):
-    """Oracle: the VAR batch refit as einsum products, as before the stacked core."""
+    """Oracle: the VAR batch refit as einsum products, as before the stacked core.
+
+    The rank check is on the Gram rescaled to a unit diagonal.
+    """
     target, design = _var_design(data, p, intercept)
     gram = np.einsum("bti,btj->bij", design, design)
     xty = np.einsum("bti,btk->bik", design, target)
     eye = np.eye(gram.shape[1])[None]
-    finite = np.isfinite(gram).all(axis=(1, 2))
+    diag = np.einsum("bii->bi", gram)
+    usable = np.isfinite(gram).all(axis=(1, 2)) & (diag > 0).all(axis=1)
     with np.errstate(all="ignore"):
-        cond = np.linalg.cond(np.where(finite[:, None, None], gram, eye))
-    valid = finite & np.isfinite(cond) & (cond < _COND_LIMIT)
+        unit = gram / np.sqrt(np.einsum("bi,bj->bij", diag, diag))
+        cond = np.linalg.cond(np.where(usable[:, None, None], unit, eye))
+    valid = usable & np.isfinite(cond) & (cond < _COND_LIMIT)
     safe_gram = np.where(valid[:, None, None], gram, eye)
     coef_t = np.linalg.solve(safe_gram, xty)
     resid = target - np.einsum("btq,bqk->btk", design, coef_t)
@@ -469,6 +474,44 @@ class TestLeastSquaresOracle:
             got = _fit_var_batch(data, 1, True)[2]
             _, _, ref = fit_var_batch_einsum(data, 1, True)
         assert got.tolist() == ref.tolist() == [True, False, True, False, True, False]
+
+
+class TestUnitFreeFit:
+    # Relative to ls_term_scale of the unscaled, unshifted data.
+    RTOL = 1e-12
+    COEF = np.array([[0.5, 0.1], [-0.2, 0.3]])
+
+    @pytest.mark.parametrize("intercept", [False, True])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("c", [1e-8, 1e-6, 1e6, 1e8])
+    def test_residuals_scale_with_the_data(self, c, p, intercept):
+        y = make_var1_data(np.random.default_rng(31), 500, self.COEF)
+        ref = fit_var(y, p, intercept)
+        got = fit_var(c * y, p, intercept)
+        # Rescaling scales every term of the fit, and its rounding, by c.
+        scale = c * ls_term_scale(y[None], p, intercept, ref.coef[None])[1][0]
+        gap = np.abs(got.effective_residuals - c * ref.effective_residuals).max()
+        assert gap <= self.RTOL * scale
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("m", [1e2, 1e3])
+    def test_level_shift_leaves_residuals(self, m, p):
+        y = make_var1_data(np.random.default_rng(32), 500, self.COEF)
+        ref = fit_var(y, p, True)
+        got = fit_var(m + y, p, True)
+        # The shift makes the data columns nearly collinear with the intercept
+        # column; that cancellation amplifies rounding by at most the
+        # equilibrated condition number.
+        cond = _fit_var_batch((m + y)[None], p, True)[3][0]
+        scale = cond * ls_term_scale(y[None], p, True, ref.coef[None])[1][0]
+        gap = np.abs(got.effective_residuals - ref.effective_residuals).max()
+        assert gap <= self.RTOL * scale
+
+    def test_condition_number_ignores_units(self):
+        y = np.random.default_rng(33).normal(size=(500, 2))
+        conds = [_fit_var_batch(c * y[None], 1, True)[3][0] for c in (1e-8, 1.0, 1e8)]
+        assert_allclose(conds, conds[1], rtol=1e-8)
+        assert conds[1] < 2.0
 
 
 class TestPairedResidualsAlignment:
