@@ -19,7 +19,6 @@ import numpy as np
 BOOTSTRAP = 1
 MONTE_CARLO = 2
 FIT = 3
-DATA = 4
 
 
 def substream(master_seed: int, *path: int) -> np.random.Generator:

@@ -42,6 +42,7 @@ from .hsic import LagConfig, stat_from_grams
 from .kernels import KernelSpec, as_points, gram_matrix
 from .models import (
     FitResult,
+    _align,
     _eval_data,
     _fit_var_batch,
     _garch_residuals_batch,
@@ -52,6 +53,7 @@ from .models import (
     _var_onestep_batch,
     fit_ccc_garch,
     fit_var,
+    paired_residuals,
 )
 from .results import TestOutcome
 
@@ -266,10 +268,7 @@ def _stats_block(
 ):
     res1, ok1 = _series_block(fit1, pool1, cfg, b0, nb, series=1)
     res2, ok2 = _series_block(fit2, pool2, cfg, b0, nb, series=2)
-    p1, p2 = fit1.presample, fit2.presample
-    start = max(p1, p2)
-    e1 = res1[:, start:] if p1 == 0 else res1[:, start - p1 :]
-    e2 = res2[:, start:] if p2 == 0 else res2[:, start - p2 :]
+    e1, e2 = _align(res1, fit1.presample, res2, fit2.presample)
     stats = np.full((nb, len(lag_cfgs)), np.nan)
     valid = ok1 & ok2
     # Valid replicates go through the Grams and the pass in stacks of at
@@ -317,20 +316,14 @@ def bootstrap_run(
     if not lag_cfgs:
         raise ValueError("no statistics requested")
 
-    # Residual alignment (presample trimming) mirrors models.paired_residuals.
-    p1, p2 = fit1.presample, fit2.presample
-    start = max(p1, p2)
-    e1 = fit1.effective_residuals[start - p1 :]
-    e2 = fit2.effective_residuals[start - p2 :]
-    if e1.shape[0] != e2.shape[0]:
-        raise DataError("fitted residual series do not align")
-    n_scale = e1.shape[0]
+    pair = paired_residuals(fit1, fit2)
+    n_scale = pair.n
     for lag_cfg in lag_cfgs:
         if n_scale - lag_cfg.lag < 2:
             raise DataError(f"lag {lag_cfg.lag} infeasible for n={n_scale}")
 
-    g1 = gram_matrix(kernel_k, e1).values
-    g2 = gram_matrix(kernel_l, e2).values
+    g1 = gram_matrix(kernel_k, pair.eta1).values
+    g2 = gram_matrix(kernel_l, pair.eta2).values
     observed = _scaled_stats(g1, g2, lag_cfgs, n_scale)
 
     pool1 = standardize_residuals(fit1.effective_residuals, cfg.standardize)
@@ -408,8 +401,7 @@ def hsic_test_suite(
     cfg = cfg or BootstrapConfig()
     lag_cfgs = list(lag_cfgs)
     raw = bootstrap_run(fit1, fit2, lag_cfgs, kernel_k, kernel_l, cfg)
-    start = max(fit1.presample, fit2.presample)
-    n = fit1.n_obs - start
+    n = paired_residuals(fit1, fit2).n
     outcomes = []
     for lag_cfg, res in zip(lag_cfgs, raw):
         outcomes.append(

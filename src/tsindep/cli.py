@@ -26,6 +26,8 @@ from .simlab import EgpSpec, McConfig, TestSpec, run_monte_carlo
 from .special import chi2_quantile
 
 ENV_THREADS = "TSINDEP_THREADS"
+_ALPHAS = (0.01, 0.05, 0.10)
+_DIRECTIONS = {"1": (1,), "2": (2,), "both": (1, 2)}
 
 
 class UsageError(TsindepError):
@@ -64,6 +66,7 @@ def _parse_model(text: str) -> ModelSpec:
 
 
 def _parse_kernel(text: str) -> KernelSpec:
+    """Parse ``--kernel``; the fbm kernel also gets a warning on stderr."""
     parts = text.strip().lower().split(":")
     try:
         if parts[0] == "gaussian":
@@ -75,7 +78,13 @@ def _parse_kernel(text: str) -> KernelSpec:
             beta = float(parts[2]) if len(parts) > 2 else 1.0
             return KernelSpec.inverse_multiquadric(alpha, beta)
         if parts[0] == "fbm":
-            return KernelSpec.fbm(float(parts[1]) if len(parts) > 1 else 0.5)
+            spec = KernelSpec.fbm(float(parts[1]) if len(parts) > 1 else 0.5)
+            print(
+                "warning: the fbm kernel is outside the regularity conditions the "
+                "bootstrap calibration relies on; interpret p-values with care",
+                file=sys.stderr,
+            )
+            return spec
     except (ValueError, IndexError):
         raise UsageError(f"bad kernel spec {text!r}") from None
     raise UsageError(f"unknown kernel {text!r}")
@@ -280,6 +289,25 @@ def _fit_series(model: ModelSpec, data, seed: int):
     return fit_ccc_garch(data, seed=seed)
 
 
+def _fitted_pair(args, flags=lambda threads: None):
+    """Load, parse and fit: the shared start of ``test``, ``fit`` and ``lagscan``.
+
+    Checks run in one order, so a bad input gets the same exit code and
+    message from every command: the thread budget, the data pair, both
+    models, then ``flags(threads)`` for the command's own flags, and last
+    the two fits (seeds ``seed`` and ``seed + 1``).  Returns the data
+    pair, the two fits and what ``flags`` returned.
+    """
+    threads = _resolve_threads(args)
+    y1, y2 = _load_pair(args)
+    model1 = _parse_model(args.model1)
+    model2 = _parse_model(args.model2)
+    parsed = flags(threads)
+    fit1 = _fit_series(model1, y1, seed=args.seed)
+    fit2 = _fit_series(model2, y2, seed=args.seed + 1)
+    return (y1, y2), (fit1, fit2), parsed
+
+
 def _fit_summary(fit) -> dict:
     out = {
         "kind": fit.model.kind,
@@ -300,8 +328,10 @@ def _fit_summary(fit) -> dict:
     return out
 
 
-def _bootstrap_config(args, threads: int) -> BootstrapConfig:
-    alphas = tuple(sorted(args.alpha)) if args.alpha else (0.01, 0.05, 0.10)
+def _bootstrap_config(args, threads: int, alphas=None) -> BootstrapConfig:
+    """The bootstrap flags; ``alphas`` replaces the ``--alpha`` levels."""
+    if alphas is None:
+        alphas = tuple(sorted(args.alpha)) if args.alpha else _ALPHAS
     mode = {"auto": "auto", "refit": "full_refit", "one-step": "one_step"}[args.estimator_mode]
     try:
         return BootstrapConfig(
@@ -316,17 +346,33 @@ def _bootstrap_config(args, threads: int) -> BootstrapConfig:
         raise UsageError(str(exc)) from None
 
 
-def _provenance(command: str, args, config: dict) -> dict:
-    # Threads are intentionally not echoed: the report must be byte-identical
-    # for any worker budget.
+def _bootstrap_echo(cfg: BootstrapConfig) -> dict:
+    """Config keys of the bootstrap, shared by test, lagscan and simulate."""
     return {
-        "package": "tsindep",
-        "version": __version__,
-        "schema_version": 1,
-        "command": command,
-        "seed": args.seed,
-        "config": config,
+        "B": cfg.n_replicates,
+        "alphas": list(cfg.alphas),
+        "estimator_mode": cfg.estimator_mode,
+        "standardize": cfg.standardize,
     }
+
+
+def _pair_echo(args, fits, kernel=None, cfg=None) -> dict:
+    """Config keys of test, fit and lagscan: the models and inputs, plus the
+    kernel, lag, direction and bootstrap keys when ``cfg`` is given."""
+    config = {
+        "model1": _model_echo(fits[0].model),
+        "model2": _model_echo(fits[1].model),
+        "log_returns": bool(args.log_returns),
+        "inputs": [p for p in (args.series1, args.series2, args.input) if p],
+    }
+    if cfg is not None:
+        config.update(
+            _bootstrap_echo(cfg),
+            kernel=_kernel_echo(kernel),
+            max_lag=args.max_lag,
+            direction=args.direction,
+        )
+    return config
 
 
 def _json_text(obj) -> str:
@@ -341,33 +387,31 @@ def _emit(text: str, output) -> None:
         sys.stdout.write(text)
 
 
-def _warn_fbm(kernel: KernelSpec) -> None:
-    if kernel.family == "fbm":
-        print(
-            "warning: the fbm kernel is outside the regularity conditions the "
-            "bootstrap calibration relies on; interpret p-values with care",
-            file=sys.stderr,
-        )
-
-
-def _test_csv(outcomes, alphas) -> str:
-    cols = ["name", "lag", "direction", "variant", "statistic", "scaled", "p_value"]
-    crit_cols = [f"crit_{a!r}" for a in alphas]
-    lines = [",".join(cols + crit_cols)]
-    for o in outcomes:
-        row = [
-            o.name,
-            "" if o.lag is None else str(o.lag),
-            "" if o.direction is None else str(o.direction),
-            "" if o.variant is None else str(o.variant),
-            repr(float(o.statistic)),
-            repr(float(o.scaled)),
-            repr(float(o.p_value)),
-        ]
-        for a in alphas:
-            row.append(repr(float(o.critical_values[a])) if a in o.critical_values else "")
-        lines.append(",".join(row))
+def _csv_text(header, rows) -> str:
+    """CSV lines under ``header``: ``None`` is an empty cell, anything else its ``str``."""
+    lines = [",".join(header)]
+    lines += [",".join("" if v is None else str(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def _report(args, config: dict, body: dict, csv) -> int:
+    """Write the command's report: with ``--format csv`` the text ``csv()``
+    returns, else JSON of the provenance (with ``config``) and ``body``."""
+    if args.format == "csv":
+        _emit(csv(), args.output)
+        return 0
+    # Threads are intentionally not echoed: the report must be byte-identical
+    # for any worker budget.
+    provenance = {
+        "package": "tsindep",
+        "version": __version__,
+        "schema_version": 1,
+        "command": args.command,
+        "seed": args.seed,
+        "config": config,
+    }
+    _emit(_json_text({"provenance": provenance, **body}), args.output)
+    return 0
 
 
 def _check_lag(flag: str, lag: int, n: int) -> None:
@@ -380,34 +424,23 @@ def _check_lag(flag: str, lag: int, n: int) -> None:
 
 
 def _cmd_test(args) -> int:
-    threads = _resolve_threads(args)
-    y1, y2 = _load_pair(args)
-    model1 = _parse_model(args.model1)
-    model2 = _parse_model(args.model2)
-    kernel = _parse_kernel(args.kernel)
-    _warn_fbm(kernel)
-    cfg = _bootstrap_config(args, threads)
+    (y1, y2), fits, (kernel, cfg) = _fitted_pair(
+        args, lambda threads: (_parse_kernel(args.kernel), _bootstrap_config(args, threads))
+    )
+    pair = paired_residuals(*fits)
 
-    fit1 = _fit_series(model1, y1, seed=args.seed)
-    fit2 = _fit_series(model2, y2, seed=args.seed + 1)
-    pair = paired_residuals(fit1, fit2)
-
-    directions = (1, 2) if args.direction == "both" else (int(args.direction),)
+    directions = _DIRECTIONS[args.direction]
     lags = args.lag if args.lag else [0]
-    lag_cfgs = []
-    seen = set()
     try:
-        for m in lags:
-            for dd in directions:
-                key = ("s", m, dd)
-                if m == 0 and ("s", 0, 1) in seen and dd == 2:
-                    continue  # S1(0) and S2(0) coincide; report once
-                if key not in seen:
-                    lag_cfgs.append(LagConfig(direction=dd, m=m))
-                    seen.add(key)
+        # S1(0) and S2(0) coincide, so lag 0 is reported for the first direction only.
+        lag_cfgs = [
+            LagConfig(direction=dd, m=m)
+            for m in dict.fromkeys(lags)
+            for dd in directions
+            if m or dd == directions[0]
+        ]
         if args.max_lag is not None:
-            for dd in directions:
-                lag_cfgs.append(LagConfig(direction=dd, max_lag=args.max_lag))
+            lag_cfgs += [LagConfig(direction=dd, max_lag=args.max_lag) for dd in directions]
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -433,145 +466,79 @@ def _cmd_test(args) -> int:
         competitors.append(w_test(y1, y2, h=band, variant=variant))
 
     outcomes = hsic_test_suite(
-        fit1, fit2, lag_cfgs, kernel, kernel, cfg, keep_replicates=args.emit_replicates
+        *fits, lag_cfgs, kernel, kernel, cfg, keep_replicates=args.emit_replicates
     )
     outcomes.extend(competitors)
 
-    config = {
-        "model1": _model_echo(model1),
-        "model2": _model_echo(model2),
-        "kernel": _kernel_echo(kernel),
-        "lags": sorted(set(lags)),
-        "max_lag": args.max_lag,
-        "direction": args.direction,
-        "B": cfg.n_replicates,
-        "alphas": list(cfg.alphas),
-        "estimator_mode": cfg.estimator_mode,
-        "standardize": cfg.standardize,
-        "log_returns": bool(args.log_returns),
-        "inputs": [p for p in (args.series1, args.series2, args.input) if p],
+    config = _pair_echo(args, fits, kernel, cfg)
+    config["lags"] = sorted(set(lags))
+    alphas = list(cfg.alphas)
+    header = ["name", "lag", "direction", "variant", "statistic", "scaled", "p_value"]
+    header += [f"crit_{a!r}" for a in alphas]
+    rows = (
+        [o.name, o.lag, o.direction, o.variant]
+        + [float(v) for v in (o.statistic, o.scaled, o.p_value)]
+        + [float(o.critical_values[a]) if a in o.critical_values else None for a in alphas]
+        for o in outcomes
+    )
+    body = {
+        "fits": [_fit_summary(f) for f in fits],
+        "tests": [o.to_dict(include_replicates=args.emit_replicates) for o in outcomes],
     }
-    if args.format == "json":
-        report = {
-            "provenance": _provenance("test", args, config),
-            "fits": [_fit_summary(fit1), _fit_summary(fit2)],
-            "tests": [o.to_dict(include_replicates=args.emit_replicates) for o in outcomes],
-        }
-        _emit(_json_text(report), args.output)
-    else:
-        _emit(_test_csv(outcomes, list(cfg.alphas)), args.output)
-    return 0
+    return _report(args, config, body, lambda: _csv_text(header, rows))
 
 
 def _cmd_fit(args) -> int:
-    _resolve_threads(args)
-    y1, y2 = _load_pair(args)
-    model1 = _parse_model(args.model1)
-    model2 = _parse_model(args.model2)
-    fit1 = _fit_series(model1, y1, seed=args.seed)
-    fit2 = _fit_series(model2, y2, seed=args.seed + 1)
-    config = {
-        "model1": _model_echo(model1),
-        "model2": _model_echo(model2),
-        "log_returns": bool(args.log_returns),
-        "inputs": [p for p in (args.series1, args.series2, args.input) if p],
-    }
-    report = {
-        "provenance": _provenance("fit", args, config),
-        "fits": [_fit_summary(fit1), _fit_summary(fit2)],
-    }
-    if args.format == "csv":
-        lines = ["series,kind,index,estimate"]
-        for s, fit in ((1, fit1), (2, fit2)):
-            for i, v in enumerate(fit.theta):
-                lines.append(f"{s},{fit.model.kind},{i},{float(v)!r}")
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        _emit(_json_text(report), args.output)
-    return 0
+    _, fits, _ = _fitted_pair(args)
+    rows = (
+        (s, fit.model.kind, i, float(v))
+        for s, fit in enumerate(fits, start=1)
+        for i, v in enumerate(fit.theta)
+    )
+    return _report(
+        args,
+        _pair_echo(args, fits),
+        {"fits": [_fit_summary(f) for f in fits]},
+        lambda: _csv_text(["series", "kind", "index", "estimate"], rows),
+    )
 
 
 def _cmd_lagscan(args) -> int:
-    threads = _resolve_threads(args)
-    y1, y2 = _load_pair(args)
-    model1 = _parse_model(args.model1)
-    model2 = _parse_model(args.model2)
-    kernel = _parse_kernel(args.kernel)
-    _warn_fbm(kernel)
-    if args.max_lag < 0:
-        raise UsageError("--max-lag must be nonnegative")
-    alphas = tuple(sorted(set((args.alpha or [0.01, 0.05, 0.10])) | {0.05}))
-    args.alpha = list(alphas)
-    cfg = _bootstrap_config(args, threads)
+    def flags(threads):
+        kernel = _parse_kernel(args.kernel)
+        if args.max_lag < 0:
+            raise UsageError("--max-lag must be nonnegative")
+        # The scan's bound is the 95% critical value, so 0.05 is always a level.
+        alphas = tuple(sorted(set(args.alpha or _ALPHAS) | {0.05}))
+        return kernel, _bootstrap_config(args, threads, alphas)
 
-    fit1 = _fit_series(model1, y1, seed=args.seed)
-    fit2 = _fit_series(model2, y2, seed=args.seed + 1)
-    pair = paired_residuals(fit1, fit2)
+    _, fits, (kernel, cfg) = _fitted_pair(args, flags)
+    pair = paired_residuals(*fits)
     _check_lag("--max-lag", args.max_lag, pair.n)
 
-    directions = (1, 2) if args.direction == "both" else (int(args.direction),)
+    directions = _DIRECTIONS[args.direction]
     lag_cfgs = [
         LagConfig(direction=dd, m=m) for dd in directions for m in range(args.max_lag + 1)
     ]
     outcomes = hsic_test_suite(
-        fit1, fit2, lag_cfgs, kernel, kernel, cfg, keep_replicates=args.emit_replicates
+        *fits, lag_cfgs, kernel, kernel, cfg, keep_replicates=args.emit_replicates
     )
-    rows = []
-    for o in outcomes:
-        rows.append(
-            {
-                "lag": o.lag,
-                "direction": o.direction,
-                "statistic": float(o.scaled),
-                "bound_95": float(o.critical_values[0.05]),
-                "test_name": f"S{o.direction}",
-            }
-        )
+    header = ["lag", "direction", "statistic", "bound_95", "test_name"]
+    rows = [
+        [o.lag, o.direction, float(o.scaled), float(o.critical_values[0.05]), f"S{o.direction}"]
+        for o in outcomes
+    ]
     for family, enabled in (("L", args.include_l), ("T", args.include_t)):
         if not enabled:
             continue
         for dd in directions:
             for m in range(args.max_lag + 1):
                 value, df = single_lag_stat(pair, m, family, direction=dd)
-                rows.append(
-                    {
-                        "lag": m,
-                        "direction": dd,
-                        "statistic": value,
-                        "bound_95": chi2_quantile(0.95, df),
-                        "test_name": f"{family}{dd}",
-                    }
-                )
-    config = {
-        "model1": _model_echo(model1),
-        "model2": _model_echo(model2),
-        "kernel": _kernel_echo(kernel),
-        "max_lag": args.max_lag,
-        "direction": args.direction,
-        "B": cfg.n_replicates,
-        "alphas": list(cfg.alphas),
-        "estimator_mode": cfg.estimator_mode,
-        "standardize": cfg.standardize,
-        "log_returns": bool(args.log_returns),
-        "include_l": bool(args.include_l),
-        "include_t": bool(args.include_t),
-        "inputs": [p for p in (args.series1, args.series2, args.input) if p],
-    }
-    if args.format == "json":
-        report = {
-            "provenance": _provenance("lagscan", args, config),
-            "fits": [_fit_summary(fit1), _fit_summary(fit2)],
-            "scan": rows,
-        }
-        _emit(_json_text(report), args.output)
-    else:
-        lines = ["lag,direction,statistic,bound_95,test_name"]
-        for r in rows:
-            lines.append(
-                f"{r['lag']},{r['direction']},{r['statistic']!r},{r['bound_95']!r},{r['test_name']}"
-            )
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0
+                rows.append([m, dd, value, chi2_quantile(0.95, df), f"{family}{dd}"])
+    config = _pair_echo(args, fits, kernel, cfg)
+    config.update(include_l=bool(args.include_l), include_t=bool(args.include_t))
+    body = {"fits": [_fit_summary(f) for f in fits], "scan": [dict(zip(header, r)) for r in rows]}
+    return _report(args, config, body, lambda: _csv_text(header, rows))
 
 
 def _cmd_simulate(args) -> int:
@@ -606,22 +573,11 @@ def _cmd_simulate(args) -> int:
         "n": cfg.n,
         "replications": replications,
         "tests": [t.label for t in tests],
-        "B": boot.n_replicates,
-        "alphas": list(boot.alphas),
-        "estimator_mode": boot.estimator_mode,
-        "standardize": args.standardize,
         "burn_in": args.burn_in,
         "full_scale": bool(args.full_scale),
+        **_bootstrap_echo(boot),
     }
-    if args.format == "json":
-        report = {
-            "provenance": _provenance("simulate", args, config),
-            "summary": summary.to_json_dict(),
-        }
-        _emit(_json_text(report), args.output)
-    else:
-        _emit(summary.to_csv_text(), args.output)
-    return 0
+    return _report(args, config, {"summary": summary.to_json_dict()}, summary.to_csv_text)
 
 
 _COMMANDS = {

@@ -120,24 +120,21 @@ def _correlation_quadratics(e1: np.ndarray, e2: np.ndarray, lags) -> np.ndarray:
     return out
 
 
-def g_test(res: PairedResiduals, max_lag: int, variant: int = 1) -> TestOutcome:
-    """Cross-correlation portmanteau test over lags -M..M."""
+def _portmanteau_n(res: PairedResiduals, max_lag: int, variant: int) -> int:
+    """``res.n``, once the variant is 1 or 2 and lags -M..M leave two rows."""
     if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
     n = res.n
     if max_lag >= n - 1:
         raise DataError(f"max_lag {max_lag} infeasible for n={n}")
-    lags = list(range(-max_lag, max_lag + 1))
-    z = _correlation_quadratics(res.eta1, res.eta2, lags)
-    if variant == 2:
-        weights = np.array([n / (n - abs(m)) for m in lags])
-        z = z * weights
-    stat = float(z.sum())
-    d1 = res.eta1.shape[1]
-    d2 = res.eta2.shape[1]
-    df = (2 * max_lag + 1) * d1 * d2
+    return n
+
+
+def _chi2_outcome(family: str, stat, df: int, n: int, max_lag: int, variant: int) -> TestOutcome:
+    """The :class:`TestOutcome` of a G, L or T portmanteau against chi2(df)."""
+    stat = float(stat)
     return TestOutcome(
-        name=f"G{variant}({max_lag})",
+        name=f"{family}{variant}({max_lag})",
         statistic=stat,
         scaled=stat,
         p_value=chi2_sf(stat, df),
@@ -147,6 +144,18 @@ def g_test(res: PairedResiduals, max_lag: int, variant: int = 1) -> TestOutcome:
         variant=variant,
         df=df,
     )
+
+
+def g_test(res: PairedResiduals, max_lag: int, variant: int = 1) -> TestOutcome:
+    """Cross-correlation portmanteau test over lags -M..M."""
+    n = _portmanteau_n(res, max_lag, variant)
+    lags = list(range(-max_lag, max_lag + 1))
+    z = _correlation_quadratics(res.eta1, res.eta2, lags)
+    if variant == 2:
+        weights = np.array([n / (n - abs(m)) for m in lags])
+        z = z * weights
+    df = (2 * max_lag + 1) * res.eta1.shape[1] * res.eta2.shape[1]
+    return _chi2_outcome("G", z.sum(), df, n, max_lag, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -288,30 +297,14 @@ def _l_term(q1: np.ndarray, q2: np.ndarray, m: int, scale) -> float:
 
 def l_test(res: PairedResiduals, max_lag: int, variant: int = 1) -> TestOutcome:
     """Portmanteau on cross-correlations of squared residual norms."""
-    if variant not in (1, 2):
-        raise ValueError("variant must be 1 or 2")
-    n = res.n
-    if max_lag >= n - 1:
-        raise DataError(f"max_lag {max_lag} infeasible for n={n}")
+    n = _portmanteau_n(res, max_lag, variant)
     q1, q2, scale = _l_setup(res)
     stat = 0.0
     for m in range(-max_lag, max_lag + 1):
         rho = _l_term(q1, q2, m, scale)
         weight = n if variant == 1 else n * n / (n - abs(m))
         stat += weight * rho * rho
-    df = 2 * max_lag + 1
-    stat = float(stat)
-    return TestOutcome(
-        name=f"L{variant}({max_lag})",
-        statistic=stat,
-        scaled=stat,
-        p_value=chi2_sf(stat, df),
-        reference=f"chi2({df})",
-        n=n,
-        lag=max_lag,
-        variant=variant,
-        df=df,
-    )
+    return _chi2_outcome("L", stat, 2 * max_lag + 1, n, max_lag, variant)
 
 
 def _vech(eta: np.ndarray) -> np.ndarray:
@@ -337,31 +330,14 @@ def _t_term(phi1: np.ndarray, phi2: np.ndarray, m: int, c11_inv, c22_inv) -> flo
 
 def t_test(res: PairedResiduals, max_lag: int, variant: int = 1) -> TestOutcome:
     """Portmanteau on cross-covariances of vech(eta eta') transforms."""
-    if variant not in (1, 2):
-        raise ValueError("variant must be 1 or 2")
-    n = res.n
-    if max_lag >= n - 1:
-        raise DataError(f"max_lag {max_lag} infeasible for n={n}")
+    n = _portmanteau_n(res, max_lag, variant)
     phi1, phi2, c11_inv, c22_inv = _t_setup(res)
     stat = 0.0
     for m in range(-max_lag, max_lag + 1):
         weight = n if variant == 1 else n * n / (n - abs(m))
         stat += weight * _t_term(phi1, phi2, m, c11_inv, c22_inv)
-    d1s = phi1.shape[1]
-    d2s = phi2.shape[1]
-    df = (2 * max_lag + 1) * d1s * d2s
-    stat = float(stat)
-    return TestOutcome(
-        name=f"T{variant}({max_lag})",
-        statistic=stat,
-        scaled=stat,
-        p_value=chi2_sf(stat, df),
-        reference=f"chi2({df})",
-        n=n,
-        lag=max_lag,
-        variant=variant,
-        df=df,
-    )
+    df = (2 * max_lag + 1) * phi1.shape[1] * phi2.shape[1]
+    return _chi2_outcome("T", stat, df, n, max_lag, variant)
 
 
 def single_lag_stat(res: PairedResiduals, m: int, family: str, direction: int = 1):

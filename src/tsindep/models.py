@@ -643,8 +643,12 @@ def fit_ccc_garch(data, seed: int = 0) -> FitResult:
     n, d = y.shape
     if d != 2:
         raise DataError("ccc_garch requires a bivariate series")
-    col_var = y.var(axis=0)
-    if (col_var < 1e-12 * max(1.0, float(np.abs(y).max()) ** 2)).any():
+    with np.errstate(over="ignore", invalid="ignore"):
+        col_var = y.var(axis=0)
+        floor = 1e-12 * np.maximum(1.0, np.abs(y).max()) ** 2
+    if not np.isfinite(col_var).all():
+        raise FitError("sample variance overflows: the data are too large for the QMLE")
+    if (col_var < floor).any():
         raise FitError("degenerate likelihood: a component has (near-)zero variance")
     v_init = col_var.copy()
 
@@ -849,16 +853,22 @@ def simulate(fit_or_spec, innovations, init_state=None, allow_explosive: bool = 
     return _simulate_garch(theta, innovations, v_init=init_state, allow_explosive=allow_explosive)
 
 
-def paired_residuals(fit1: FitResult, fit2: FitResult) -> PairedResiduals:
-    """Align two fits' effective residuals on a common time axis.
+def _align(e1: np.ndarray, p1: int, e2: np.ndarray, p2: int):
+    """Trim residuals that start at observations ``p1`` and ``p2`` to a common start.
 
-    Residual row i of a fit corresponds to observation time ``presample + i``;
-    the head of whichever series starts earlier is trimmed so both start at
-    ``max(presample_1, presample_2)``.
+    Row i along axis -2 of ``e1`` is observation ``p1 + i``, and likewise
+    for ``e2``; the head of whichever series starts earlier is cut so both
+    start at ``max(p1, p2)``.  Works on single series and on stacks.
     """
-    start = max(fit1.presample, fit2.presample)
-    e1 = fit1.effective_residuals[start - fit1.presample :]
-    e2 = fit2.effective_residuals[start - fit2.presample :]
+    start = max(p1, p2)
+    return e1[..., start - p1 :, :], e2[..., start - p2 :, :]
+
+
+def paired_residuals(fit1: FitResult, fit2: FitResult) -> PairedResiduals:
+    """Two fits' effective residuals on a common time axis (see :func:`_align`)."""
+    e1, e2 = _align(
+        fit1.effective_residuals, fit1.presample, fit2.effective_residuals, fit2.presample
+    )
     if e1.shape[0] != e2.shape[0]:
         raise DataError(
             f"residual series do not align: {e1.shape[0]} vs {e2.shape[0]} rows"

@@ -353,13 +353,11 @@ def _mc_replication(cfg: McConfig, rep: int) -> dict | None:
             results = bootstrap_run(fit1, fit2, lag_cfgs, cfg.kernel, cfg.kernel, boot_cfg)
             for spec, res in zip(hsic_specs, results):
                 pvals[spec.label] = res.p_value
+        # Built per call, so the tests are looked up when the replication runs.
+        portmanteau = {"g": g_test, "l": l_test, "t": t_test}
         for spec in cfg.tests:
-            if spec.kind == "g":
-                pvals[spec.label] = g_test(pair, spec.lag, spec.variant).p_value
-            elif spec.kind == "l":
-                pvals[spec.label] = l_test(pair, spec.lag, spec.variant).p_value
-            elif spec.kind == "t":
-                pvals[spec.label] = t_test(pair, spec.lag, spec.variant).p_value
+            if spec.kind in portmanteau:
+                pvals[spec.label] = portmanteau[spec.kind](pair, spec.lag, spec.variant).p_value
             elif spec.kind == "w":
                 pvals[spec.label] = w_test(
                     y1, y2, h=_coerce_bandwidth(spec.bandwidth), variant=spec.variant

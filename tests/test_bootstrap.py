@@ -19,8 +19,10 @@ from tsindep import (
     gram_matrix,
     hsic_test_suite,
     influence_values,
+    paired_residuals,
     resample_innovations,
     residuals,
+    single_stat,
     standardize_residuals,
 )
 from tsindep._streams import BOOTSTRAP, substream
@@ -294,6 +296,44 @@ class TestSuiteWrapper:
         assert s.replicates.shape == (39,)
         assert s.reference == "bootstrap(B=39)"
         assert_allclose(s.scaled, s.statistic * s.n, rtol=1e-12)
+
+
+class TestUnequalPresamples:
+    """A VAR(3) x VAR(1) pair: the VAR(1) residuals lose their first two rows,
+    in the observed statistic and in every replicate."""
+
+    KERNEL = KernelSpec.gaussian(1.0)
+
+    @pytest.mark.parametrize("mode", ["one_step", "full_refit"])
+    def test_statistic_and_replicates_on_the_paired_rows(self, monkeypatch, mode):
+        rng = np.random.default_rng(7)
+        coef = np.array([[0.3, 0.1], [0.0, 0.3]])
+        y1, y2 = (_simulate_var(coef, 1, False, rng.normal(size=(180, 2)))[100:] for _ in "12")
+        fit1, fit2 = fit_var(y1, 3, False), fit_var(y2, 1, False)
+        pair = paired_residuals(fit1, fit2)
+        assert pair.n == 77
+
+        grams = []
+        real = bootstrap_module.gram_matrix
+
+        def recording(*args, **kwargs):
+            gram = real(*args, **kwargs)
+            grams.append(gram.values.shape)
+            return gram
+
+        monkeypatch.setattr(bootstrap_module, "gram_matrix", recording)
+        cfg = BootstrapConfig(n_replicates=19, estimator_mode=mode, master_seed=3)
+        (outcome,) = hsic_test_suite(
+            fit1, fit2, [LagConfig(direction=1, m=1)], self.KERNEL, self.KERNEL, cfg
+        )
+        assert outcome.n == pair.n
+        assert outcome.n_failed == 0
+        assert outcome.scaled == pair.n * single_stat(pair, 1, 1, self.KERNEL, self.KERNEL)
+        # Two observed Grams, then the replicate stacks of both series.
+        assert grams[:2] == [(pair.n, pair.n)] * 2
+        replicate = grams[2:]
+        assert sum(shape[0] for shape in replicate) == 2 * 19
+        assert {shape[1:] for shape in replicate} == {(pair.n, pair.n)}
 
 
 class TestStackedBlock:

@@ -132,24 +132,26 @@ class TestExitCodes:
         # overflow from each start's first evaluation on; no overflow
         # warning may reach stderr.  Every start fails whatever its step
         # budget (500 Newton steps take seconds), so the test cuts it.
-        rng = np.random.default_rng(5)
+        # Scaled by 1e160, the sample variance itself overflows, and the
+        # fit stops before its first start.
         from tsindep.models import _simulate_garch
 
         monkeypatch.setattr("tsindep.models._MAXITER", 3)
-
         theta = np.array([0.2, 0.1, 0.5, 0.2, 0.1, 0.5, 0.4])
-        paths = []
-        for name in ("g1.csv", "g2.csv"):
-            path = tmp_path / name
-            write_csv(path, 1e150 * _simulate_garch(theta, rng.normal(size=(400, 2)))[200:])
-            paths.append(str(path))
-        code = run_cli(["fit", "--series1", paths[0], "--series2", paths[1],
-                        "--model1", "ccc-garch", "--model2", "ccc-garch"])
-        out, err = capfd.readouterr()
-        assert code == 3
-        assert out == ""
-        assert len(err.splitlines()) == 1
-        assert err.startswith("numerical failure:")
+        for scale in (1e150, 1e160):
+            rng = np.random.default_rng(5)
+            paths = []
+            for name in ("g1.csv", "g2.csv"):
+                path = tmp_path / name
+                write_csv(path, scale * _simulate_garch(theta, rng.normal(size=(400, 2)))[200:])
+                paths.append(str(path))
+            code = run_cli(["fit", "--series1", paths[0], "--series2", paths[1],
+                            "--model1", "ccc-garch", "--model2", "ccc-garch"])
+            out, err = capfd.readouterr()
+            assert code == 3, scale
+            assert out == ""
+            assert len(err.splitlines()) == 1
+            assert err.startswith("numerical failure:")
 
     def test_success(self, series_files, tmp_path):
         out = tmp_path / "r.json"
@@ -542,3 +544,80 @@ class TestFbmWarning:
         )
         assert code == 0
         assert "fbm" in capsys.readouterr().err
+
+
+class TestReportShape:
+    """Each command's ``provenance.config`` keys and CSV header, and CSV rows
+    that carry the numbers of the JSON report of the same run."""
+
+    PAIR = {"model1", "model2", "log_returns", "inputs"}
+    BOOTSTRAP = {"B", "alphas", "estimator_mode", "standardize"}
+    CONFIG_KEYS = {
+        "test": PAIR | BOOTSTRAP | {"kernel", "max_lag", "direction", "lags"},
+        "fit": PAIR,
+        "lagscan": PAIR | BOOTSTRAP | {"kernel", "max_lag", "direction", "include_l", "include_t"},
+        "simulate": BOOTSTRAP | {"dgp", "egp", "n", "replications", "tests", "burn_in", "full_scale"},
+    }
+    CSV_HEADERS = {
+        "test": "name,lag,direction,variant,statistic,scaled,p_value,crit_0.01,crit_0.05,crit_0.1",
+        "fit": "series,kind,index,estimate",
+        "lagscan": "lag,direction,statistic,bound_95,test_name",
+        "simulate": "test,alpha,rejection_rate,mc_se,replicates",
+    }
+
+    @staticmethod
+    def argv(command, series_files):
+        pair = ["--series1", series_files[0], "--series2", series_files[1]]
+        return {
+            "test": ["test", *pair, "-B", "9", "--lag", "1", "--gtest", "1"],
+            "fit": ["fit", *pair, "--model1", "var:2"],
+            "lagscan": ["lagscan", *pair, "--max-lag", "1", "-B", "9", "--include-l", "--include-t"],
+            "simulate": ["simulate", "--dgp", "var", "-n", "40", "--replications", "2",
+                         "--tests", "S1:0,G1:1", "-B", "9"],
+        }[command]
+
+    @staticmethod
+    def reports(argv, tmp_path):
+        """The JSON report and the CSV rows (header first) of one run."""
+        texts = []
+        for fmt in ("json", "csv"):
+            out = tmp_path / f"report.{fmt}"
+            assert run_cli([*argv, "--format", fmt, "--output", str(out)]) == 0
+            texts.append(out.read_text())
+        return json.loads(texts[0]), [line.split(",") for line in texts[1].splitlines()]
+
+    @pytest.mark.parametrize("command", ["test", "fit", "lagscan", "simulate"])
+    def test_config_keys_and_csv_header(self, command, series_files, tmp_path):
+        report, rows = self.reports(self.argv(command, series_files), tmp_path)
+        assert report["provenance"]["command"] == command
+        assert set(report["provenance"]["config"]) == self.CONFIG_KEYS[command]
+        assert ",".join(rows[0]) == self.CSV_HEADERS[command]
+
+    def test_fit_csv_matches_json(self, series_files, tmp_path):
+        report, rows = self.reports(self.argv("fit", series_files), tmp_path)
+        want = [
+            [s, fit["kind"], i, value]
+            for s, fit in enumerate(report["fits"], start=1)
+            for i, value in enumerate(fit["theta"])
+        ]
+        assert [[int(s), kind, int(i), float(v)] for s, kind, i, v in rows[1:]] == want
+
+    def test_lagscan_csv_matches_json(self, series_files, tmp_path):
+        report, rows = self.reports(self.argv("lagscan", series_files), tmp_path)
+        want = [
+            [r["lag"], r["direction"], r["statistic"], r["bound_95"], r["test_name"]]
+            for r in report["scan"]
+        ]
+        got = [[int(m), int(d), float(s), float(b), name] for m, d, s, b, name in rows[1:]]
+        assert got == want
+        assert {r[4] for r in rows[1:]} == {"S1", "S2", "L1", "L2", "T1", "T2"}
+
+    def test_simulate_csv_matches_json(self, series_files, tmp_path):
+        report, rows = self.reports(self.argv("simulate", series_files), tmp_path)
+        want = [
+            [r["test"], r["alpha"], r["rejection_rate"], r["mc_se"], r["replicates"]]
+            for r in report["summary"]["rows"]
+        ]
+        got = [[t, float(a), float(r), float(se), int(k)] for t, a, r, se, k in rows[1:]]
+        assert got == want
+        assert len(got) == 2 * 3

@@ -1,10 +1,12 @@
-"""Start-up cost: VAR commands must not load scipy.signal or scipy.stats.
+"""Imports: VAR commands must not load scipy.signal or scipy.stats, and
+every module-level import of the library is used.
 
 ``scipy.signal`` (which pulls in ``scipy.stats``) serves only the GARCH
 variance filter, so it loads at the first GARCH fit.  Each check runs in a
 fresh interpreter, since the test process has long since imported both.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -73,3 +75,22 @@ def test_garch_fit_in_fresh_process_matches_in_process(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main([*argv, "--output", "here.json"]) == 0
     assert (tmp_path / "fresh.json").read_bytes() == (tmp_path / "here.json").read_bytes()
+
+
+def test_module_level_imports_are_used():
+    # Stands in for a linter's unused-import rule on the library modules;
+    # __init__.py imports to re-export, so it is left out.
+    unused = []
+    for path in sorted(Path(tsindep.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound.update({(a.asname or a.name.split(".")[0]): node.lineno for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update({(a.asname or a.name): node.lineno for a in node.names})
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used]
+    assert unused == []
