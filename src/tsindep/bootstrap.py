@@ -62,8 +62,10 @@ ESTIMATOR_MODES = ("auto", "full_refit", "one_step")
 
 _BLOCK = 64
 # Bytes of one stack of replicate Grams (see _stats_block).  Equal to
-# hsic._TILE_BYTES: a stack of several replicates is then one tile of the
-# pass, and the two stacks of a block fit a 2 MB L2 cache together.
+# hsic._TILE_BYTES: a stack of several replicates (n <= 181) is then one
+# tile of the pass, and the two stacks of a block fit a 2 MB L2 cache
+# together.  From n = 182 on a stack is one replicate, whose Grams the
+# pass reads in row tiles that do not straddle a hsic._CROSS_BLOCK edge.
 _STACK_BYTES = 512 * 1024
 _FAILURE_BUDGET = 0.02
 # Simulated rows discarded before each bootstrap path.
@@ -251,14 +253,18 @@ def _scaled_stats(g1, g2, lag_cfgs, n_scale) -> np.ndarray:
     """``n_scale * stat`` for every config on one pair of Grams or stacks.
 
     Returns (n_cfgs,) values for two n x n Grams and (nb, n_cfgs) for two
-    (nb, n, n) stacks.  Joint configs are evaluated first: each computes
-    its missing lags in one multi-lag pass, and the single-lag configs
-    then read those lags from the shared dict.  The values do not depend
-    on the order.
+    (nb, n, n) stacks.  Joint configs are evaluated first, direction 1
+    before direction 2: each computes its missing lags in one multi-lag
+    pass, a direction-2 joint finds the lag 0 both directions share
+    already computed, and the single-lag configs then read their lags
+    from the shared dict.  The values do not depend on the order.
     """
     singles = {}
     out = np.empty(g1.shape[:-2] + (len(lag_cfgs),))
-    for c in sorted(range(len(lag_cfgs)), key=lambda c: not lag_cfgs[c].is_joint):
+    order = sorted(
+        range(len(lag_cfgs)), key=lambda c: (not lag_cfgs[c].is_joint, lag_cfgs[c].direction)
+    )
+    for c in order:
         out[..., c] = n_scale * stat_from_grams(g1, g2, lag_cfgs[c], singles)
     return out
 

@@ -10,6 +10,17 @@ over the N = n - m overlapping pairs; the joint statistic sums the single
 statistics over lags 0..M.  Under independence the scaled statistics
 ``n * stat`` are stochastically bounded, which is what the residual
 bootstrap (see :mod:`tsindep.bootstrap`) calibrates against.
+
+At lag m the leading series enters through the leading window
+``G[:N, :N]`` of its Gram matrix and the other through the trailing
+window ``G[m:, m:]``.  Every statistic is evaluated in one defined order,
+which fixes its bits (see :func:`hsic_v`): the leading window's column
+sums add its rows top-down, the trailing window's add them bottom-up,
+and the cross term reads the upper triangle of both windows in blocks of
+``_CROSS_BLOCK`` rows.  Gram matrices must therefore be exactly
+symmetric, as :func:`~tsindep.kernels.gram_matrix` makes them.  The
+multi-lag pass shares one top-down and one bottom-up accumulation across
+all lags and reproduces these bits exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +33,15 @@ from .exceptions import DataError
 from .kernels import GramMatrix, KernelSpec, as_points, gram_matrix
 
 _REFERENCE_MAX_N = 50
+# Rows of one block of the split cross term (see hsic_v); a power of two.
+# It is part of the definition of the result's bits: block edges sit at
+# fixed rows of each window, whatever the tiling of the pass.  Each block
+# but the last costs a second dot call per row, which pays only when the
+# skipped products would come from beyond the cache, so windows of up to
+# 256 rows stay in one block.
+_CROSS_BLOCK = 256
 # Bytes of one row tile of a Gram in the multi-lag pass (see _lag_terms).
+# Any value gives the same bits.
 _TILE_BYTES = 512 * 1024
 
 
@@ -102,15 +121,27 @@ def hsic_v(K, L) -> float | np.ndarray:
 
         sum_i K_i . L_i / N^2 + sum(c_K) sum(c_L) / N^4 - 2 c_K . c_L / N^3
 
-    so neither H nor any other N x N temporary is formed.  The column sums
-    add the rows top-down, and the cross term takes one BLAS dot product
-    per pair of rows K_i, L_i.  For row-major input neither depends on the
-    row stride or the buffer's alignment, so a principal-submatrix view
-    gives the same bits as a contiguous copy of it, and
-    :func:`stat_from_grams` reproduces this value exactly from sums it
-    shares across lags.  When either Gram matrix is constant the
-    result is exactly 0.0; otherwise it is nonnegative up to roundoff
-    whenever both kernels are positive definite.
+    so neither H nor any other N x N temporary is formed.  ``K`` and
+    ``L`` must be exactly symmetric, and a :class:`DataError` is raised
+    otherwise: the column sums stand in for the row sums, and the cross
+    term reads one triangle only.  The sums are taken in this order:
+
+    - c_K adds the rows of ``K`` top-down and c_L adds the rows of ``L``
+      bottom-up;
+    - the cross term splits the rows into blocks of S = ``_CROSS_BLOCK``.
+      Row i of block b (rows ``[bS, (b+1)S)``) contributes
+      ``2 K[i, (b+1)S:] . L[i, (b+1)S:] + K[i, bS:(b+1)S] . L[i, bS:(b+1)S]``,
+      one BLAS dot product for each part, so only the upper triangle and
+      the diagonal blocks are read.  For N <= S this is one dot per row.
+
+    None of these depends on the memory layout or the buffer's alignment,
+    so a transposed matrix or a principal-submatrix view gives the same
+    bits as a contiguous copy of it.  This is the lag-0 case of the multi-lag
+    pass of :func:`stat_from_grams`: a single statistic equals
+    ``hsic_v(lead window, trailing window)`` (see :func:`single_from_grams`).
+    When either Gram matrix is constant the result is exactly 0.0;
+    otherwise it is nonnegative up to roundoff whenever both kernels are
+    positive definite.
 
     Two (nb, N, N) stacks give the (nb,) values of their item pairs, each
     with the bits of that pair alone; two N x N matrices give a float.
@@ -121,7 +152,12 @@ def hsic_v(K, L) -> float | np.ndarray:
         raise DataError(f"Gram size mismatch: {k.shape} vs {l.shape}")
     if k.shape[-1] < 2:
         raise DataError("need at least 2 points")
-    stat = _hsic_from_terms(k, l, (k.sum(axis=-2), l.sum(axis=-2), _row_dots(k, l)))
+    for g in (k, l):
+        if not np.array_equal(g, g.swapaxes(-1, -2)):
+            raise DataError("Gram matrix is not exactly symmetric")
+    # Rows must be contiguous for the column sums to add them in order.
+    k, l = (g if g.strides[-1] == g.itemsize else np.ascontiguousarray(g) for g in (k, l))
+    stat = _hsic_from_terms(k, l, _lag_terms(k, l, 1, [0])[0])
     return stat if k.ndim == 3 else float(stat)
 
 
@@ -131,6 +167,24 @@ def _row_dots(k: np.ndarray, l: np.ndarray, out: np.ndarray | None = None) -> np
         out = np.empty(k.shape[:-1])
     np.matmul(k[..., None, :], l[..., :, None], out=out[..., None, None])
     return out
+
+
+def _cross_dots(k: np.ndarray, l: np.ndarray, r0: int, r1: int, out: np.ndarray) -> None:
+    """Rows ``[r0, r1)`` of :func:`hsic_v`'s split cross term into ``out``.
+
+    ``k`` and ``l`` are the two N x N windows (or stacks of them); each
+    row's value depends only on the row and the windows, not on r0, r1.
+    """
+    n = k.shape[-1]
+    for b0 in range(r0 - r0 % _CROSS_BLOCK, r1, _CROSS_BLOCK):
+        b1 = min(b0 + _CROSS_BLOCK, n)
+        a, e = max(r0, b0), min(r1, b1)
+        part = out[..., a - r0 : e - r0]
+        _row_dots(k[..., a:e, b0:b1], l[..., a:e, b0:b1], part)
+        if b1 < n:
+            upper = _row_dots(k[..., a:e, b1:], l[..., a:e, b1:])
+            upper *= 2.0
+            part += upper
 
 
 def _hsic_from_terms(k: np.ndarray, l: np.ndarray, terms):
@@ -239,20 +293,29 @@ def single_from_grams(
 
     ``g1[i, j] = k(eta1_i, eta1_j)`` and likewise ``g2``; the lagged pairing
     only selects a contiguous principal submatrix of each, so one Gram
-    computation per series serves every lag.  Entry-identical to
-    :func:`single_stat` on the same residuals.  ``terms`` optionally holds
-    the submatrices' ``(c_k, c_l, dots)`` as :func:`_lag_terms` computes
-    them, which gives the same bits as computing them here.  Two
-    (nb, n, n) stacks give (nb,) values, as in :func:`hsic_v`.
+    computation per series serves every lag.  Both must be exactly
+    symmetric, as :func:`~tsindep.kernels.gram_matrix` makes them; this is
+    not checked here.  The value has the bits of
+    ``hsic_v(lead window, trailing window)``: in direction 1 the lead
+    window is ``g1[:n-m, :n-m]`` and the trailing one ``g2[m:, m:]``, and
+    direction 2 swaps the roles of ``g1`` and ``g2``.  At m = 0 both
+    directions take direction 1's order, so they agree bit for bit.
+    Entry-identical to :func:`single_stat` on the same residuals.
+    ``terms`` optionally holds the windows' ``(c_k, c_l, dots)`` as
+    :func:`_lag_terms` computes them (in direction 1 at m = 0), which
+    gives the same bits as computing them here.  Two (nb, n, n) stacks
+    give (nb,) values, as in :func:`hsic_v`.
     """
     n = g1.shape[-1]
     big = n - m
     if big < 2:
         raise DataError(f"lag m={m} leaves fewer than 2 pairs (n={n})")
+    if m == 0:
+        direction = 1
+    if terms is None:
+        terms = _lag_terms(g1, g2, direction, [m])[m]
     ko, lo = _window_offsets(m, direction)
     k, l = g1[..., ko : ko + big, ko : ko + big], g2[..., lo : lo + big, lo : lo + big]
-    if terms is None:
-        return hsic_v(k, l)
     stat = _hsic_from_terms(k, l, terms)
     return stat if g1.ndim == 3 else float(stat)
 
@@ -260,46 +323,57 @@ def single_from_grams(
 def _lag_terms(g1: np.ndarray, g2: np.ndarray, direction: int, lags) -> dict:
     """:func:`hsic_v`'s ``(c_k, c_l, dots)`` for every lag in one pass.
 
-    ``g1`` and ``g2`` are two n x n matrices or two (nb, n, n) stacks; a
-    stack's terms carry its axis first.  At lag m one Gram enters through
-    its leading window ``G[:n-m, :n-m]`` (``g1`` in direction 1, ``g2`` in
-    direction 2) and the other through its trailing window ``G[m:, m:]``.
-    The leading windows' column sums are prefixes of one top-down
-    accumulation over the rows, so the sums of all lags cost one pass;
-    the trailing windows start at different rows and keep their own sums.
-    The row dots of every lag are computed in one sweep over row tiles of
+    ``g1`` and ``g2`` are two exactly symmetric n x n matrices or two
+    (nb, n, n) stacks; a stack's terms carry its axis first.  At lag m
+    one Gram enters through its leading window ``G[:n-m, :n-m]`` (``g1``
+    in direction 1, ``g2`` in direction 2) and the other through its
+    trailing window ``G[m:, m:]``.  The leading windows' column sums are
+    prefixes of one top-down accumulation over the rows, and the trailing
+    windows' column sums are suffixes of one bottom-up accumulation, so
+    the sums of all lags cost one pass over each Gram.  The cross terms
+    of every lag are computed in one sweep over row tiles of
     ``_TILE_BYTES`` across the whole stack, so each tile of both stacks
-    stays in cache across the lags.  Every term of a stack item has the
-    bits :func:`hsic_v` gives on the two windows of that item alone.
+    stays in cache across the lags; :func:`_cross_dots` reads the upper
+    triangle and the diagonal blocks of each window.  Every term of a
+    stack item has the bits :func:`hsic_v` gives on the lead and the
+    trailing window of that item alone, whatever the tile size.
     """
     if g1.ndim not in (2, 3) or g1.shape != g2.shape or g1.shape[-1] != g1.shape[-2]:
         raise DataError(f"Gram size mismatch: {g1.shape} vs {g2.shape}")
     n = g1.shape[-1]
     lead, trail = (g1, g2) if direction == 1 else (g2, g1)
-    top = n - max(lags)
-    acc = lead[..., :top, :].sum(axis=-2)
-    lead_sums = {}
-    for m in sorted(lags, reverse=True):
+    ordered = sorted(lags, reverse=True)
+    top, bottom = n - ordered[0], ordered[0]
+    down = lead[..., :top, :].sum(axis=-2)
+    up = trail[..., bottom:, :][..., ::-1, :].sum(axis=-2)
+    sums = {}
+    for m in ordered:
         for r in range(top, n - m):
-            acc += lead[..., r, :]
-        top = n - m
-        lead_sums[m] = acc[..., :top].copy()
+            down += lead[..., r, :]
+        for r in range(bottom - 1, m - 1, -1):
+            up += trail[..., r, :]
+        top, bottom = n - m, m
+        sums[m] = (down[..., :top].copy(), up[..., m:].copy())
     dots = {m: np.empty(g1.shape[:-2] + (n - m,)) for m in lags}
-    # A tile holds the same rows of every item, so its bytes grow with the stack.
+    # A tile holds the same rows of every item, so its bytes grow with the
+    # stack.  Its rows are whole blocks or a power of two dividing one, so
+    # that no tile straddles a block edge and splits its dots into more calls.
     rows = max(1, _TILE_BYTES // (8 * g1[..., 0, :].size))
+    if rows < n:
+        rows = rows - rows % _CROSS_BLOCK or 1 << (rows.bit_length() - 1)
     for r0 in range(0, n, rows):
         for m in lags:
             big = n - m
             r1 = min(r0 + rows, big)
             if r0 < r1:
                 ko, lo = _window_offsets(m, direction)
-                k = g1[..., ko + r0 : ko + r1, ko : ko + big]
-                l = g2[..., lo + r0 : lo + r1, lo : lo + big]
-                _row_dots(k, l, dots[m][..., r0:r1])
+                k = g1[..., ko : ko + big, ko : ko + big]
+                l = g2[..., lo : lo + big, lo : lo + big]
+                _cross_dots(k, l, r0, r1, dots[m][..., r0:r1])
     terms = {}
     for m in lags:
-        trail_sums = trail[..., m:, m:].sum(axis=-2)
-        c_k, c_l = (lead_sums[m], trail_sums) if direction == 1 else (trail_sums, lead_sums[m])
+        lead_sums, trail_sums = sums[m]
+        c_k, c_l = (lead_sums, trail_sums) if direction == 1 else (trail_sums, lead_sums)
         terms[m] = (c_k, c_l, dots[m])
     return terms
 
@@ -309,34 +383,42 @@ def stat_from_grams(
 ) -> float | np.ndarray:
     """Raw single or joint statistic from full Gram matrices (see above).
 
-    ``g1`` and ``g2`` are two n x n matrices, which give a float, or two
-    (nb, n, n) stacks, which give the (nb,) statistics of their item
-    pairs in one pass; item ``i`` has the bits of the pair
-    ``g1[i], g2[i]`` alone.
+    ``g1`` and ``g2`` are two exactly symmetric n x n matrices, which give
+    a float, or two (nb, n, n) stacks of them, which give the (nb,)
+    statistics of their item pairs in one pass; item ``i`` has the bits
+    of the pair ``g1[i], g2[i]`` alone.  Symmetry is not checked here:
+    :func:`~tsindep.kernels.gram_matrix` guarantees it, and on other
+    input the result is silently wrong.
 
     ``singles`` optionally maps ``(direction, m)`` to the value of
     :func:`single_from_grams` at that lag; missing entries are computed
     and added.  Several configs evaluated on the same ``g1, g2`` then
     compute each distinct single once.  The dict belongs to that one pair
     of Grams (or stacks): pass a fresh one for every new pair.  At m = 0
-    both directions evaluate :func:`hsic_v` on the same two full
-    matrices, so they share the key ``(1, 0)``.  The missing lags of one
-    config are computed in one pass (:func:`_lag_terms`), and joint sums
-    still add the singles in ascending m, so every config gets the same
-    bits with or without the dict.
+    both directions take direction 1's order (see
+    :func:`single_from_grams`), so they share the key ``(1, 0)``.  The
+    missing lags of one config are computed in one pass
+    (:func:`_lag_terms`), except that lag 0 of a direction-2 config gets
+    a pass of its own, and joint sums still add the singles in ascending
+    m, so every config gets the same bits with or without the dict.
     """
     if singles is None:
         singles = {}
-    # Row-major layout, so that every window's column sums add top-down.
+    # Row-major layout, so that every window's column sums add the rows in
+    # the order hsic_v adds them.
     g1, g2 = np.ascontiguousarray(g1, dtype=float), np.ascontiguousarray(g2, dtype=float)
     lags = range(cfg.max_lag + 1) if cfg.is_joint else [cfg.m]
     keys = {m: (cfg.direction if m else 1, m) for m in lags}
     missing = [m for m in lags if keys[m] not in singles]
     # Infeasible lags get no terms, so single_from_grams reports them.
     feasible = [m for m in missing if g1.shape[-1] - m >= 2]
-    terms = _lag_terms(g1, g2, cfg.direction, feasible) if feasible else {}
+    terms = {}
+    for direction in (1, 2):
+        mine = [m for m in feasible if keys[m][0] == direction]
+        if mine:
+            terms.update(_lag_terms(g1, g2, direction, mine))
     for m in missing:
-        singles[keys[m]] = single_from_grams(g1, g2, m, cfg.direction, terms.get(m))
+        singles[keys[m]] = single_from_grams(g1, g2, m, keys[m][0], terms.get(m))
     if not cfg.is_joint:
         return singles[keys[cfg.m]]
     total = sum(singles[keys[m]] for m in lags)

@@ -24,6 +24,10 @@ from scipy.spatial.distance import cdist, pdist
 from .exceptions import DataError
 
 FAMILIES = ("gaussian", "laplace", "inverse_multiquadric", "fbm")
+# Rows of one tile of a Gram build (see gram_matrix); any value gives the
+# same bits.  Items of up to two tiles' rows are built in one piece, since
+# a short second tile costs more in calls than it saves.
+_GRAM_TILE_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -171,28 +175,13 @@ def _pairwise_sq_dists(pts: np.ndarray, out: np.ndarray | None = None) -> np.nda
     return out
 
 
-def gram_matrix(spec: KernelSpec, points, out: np.ndarray | None = None) -> GramMatrix:
-    """Gram matrix of ``points`` (rows are observations) under ``spec``.
+def _apply_kernel(spec: KernelSpec, vals: np.ndarray, norms, r0: int = 0) -> None:
+    """Turn squared distances into kernel values, in place.
 
-    ``points`` is one n x d point set or an (nb, n, d) stack of them; a
-    stack gives (nb, n, n) values whose item ``i`` has the bits of the
-    Gram matrix of ``points[i]`` alone.  The values are written into
-    ``out`` if given (a C-contiguous float buffer of their shape, which
-    lets a caller reuse one buffer across calls), else into a fresh
-    array.  The kernel is applied in place, once over the whole
-    squared-distance buffer of :func:`_pairwise_sq_dists`.  That buffer
-    is exactly symmetric because each entry is a sum of ``(a - b)**2``
-    terms, and applying the same elementwise operations to equal entries
-    gives equal results, so the Gram matrix is exactly symmetric too.
+    ``vals`` holds rows ``[r0, r0 + rows)`` and columns ``[r0, n)`` of a
+    squared-distance matrix (or a stack of them); ``norms`` holds the
+    ||u||^2h of all n points for fbm and is ``None`` otherwise.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 3:
-        pts = as_points(pts)
-    elif 0 in pts.shape:
-        raise DataError(f"empty point stack of shape {pts.shape}")
-    elif not np.isfinite(pts).all():
-        raise DataError("non-finite values in input points")
-    vals = _pairwise_sq_dists(pts, out)
     if spec.family == "gaussian":
         vals /= -(2.0 * spec.sigma**2)
         np.exp(vals, out=vals)
@@ -205,12 +194,64 @@ def gram_matrix(spec: KernelSpec, points, out: np.ndarray | None = None) -> Gram
         vals += spec.beta
         vals **= -spec.alpha
     else:
+        vals **= spec.hurst
+        rows = norms[..., r0 : r0 + vals.shape[-2]]
+        np.subtract(rows[..., :, None] + norms[..., None, r0:], vals, out=vals)
+        vals *= 0.5
+
+
+def gram_matrix(spec: KernelSpec, points, out: np.ndarray | None = None) -> GramMatrix:
+    """Gram matrix of ``points`` (rows are observations) under ``spec``.
+
+    ``points`` is one n x d point set or an (nb, n, d) stack of them; a
+    stack gives (nb, n, n) values whose item ``i`` has the bits of the
+    Gram matrix of ``points[i]`` alone.  The values are written into
+    ``out`` if given (a C-contiguous float buffer of their shape, which
+    lets a caller reuse one buffer across calls), else into a fresh
+    array.
+
+    When n is at most ``2 * _GRAM_TILE_ROWS`` the kernel is applied in
+    place, once over the whole squared-distance buffer of
+    :func:`_pairwise_sq_dists`.  Larger items are built one at a time in
+    tiles of ``_GRAM_TILE_ROWS`` rows: tile ``[r0, r1)`` computes the
+    distances and kernel values of its upper block ``[r0:r1, r0:]``
+    only, and the part right of its diagonal block is mirrored into the
+    lower triangle, which halves the distance and kernel work.  Each entry
+    is the same elementwise function of a sum of ``(a - b)**2`` terms,
+    and those sums are equal for (i, j) and (j, i), so both builds give
+    the same bits and the Gram matrix is exactly symmetric.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 3:
+        pts = as_points(pts)
+    elif 0 in pts.shape:
+        raise DataError(f"empty point stack of shape {pts.shape}")
+    elif not np.isfinite(pts).all():
+        raise DataError("non-finite values in input points")
+    n = pts.shape[-2]
+    shape = pts.shape[:-1] + (n,)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != float or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float array of shape {shape}")
+    norms = None
+    if spec.family == "fbm":
         flat = pts.reshape(-1, pts.shape[-1])
         norms = (np.einsum("ij,ij->i", flat, flat) ** spec.hurst).reshape(pts.shape[:-1])
-        vals **= spec.hurst
-        np.subtract(norms[..., :, None] + norms[..., None, :], vals, out=vals)
-        vals *= 0.5
-    return GramMatrix(values=vals)
+    if n <= 2 * _GRAM_TILE_ROWS:
+        _apply_kernel(spec, _pairwise_sq_dists(pts, out), norms)
+        return GramMatrix(values=out)
+    tile = np.empty(_GRAM_TILE_ROWS * n)
+    for i in np.ndindex(pts.shape[:-2]):
+        item, gram = pts[i], out[i]
+        for r0 in range(0, n, _GRAM_TILE_ROWS):
+            r1 = min(r0 + _GRAM_TILE_ROWS, n)
+            upper = tile[: (r1 - r0) * (n - r0)].reshape(r1 - r0, n - r0)
+            cdist(item[r0:r1], item[r0:], "sqeuclidean", out=upper)
+            _apply_kernel(spec, upper, None if norms is None else norms[i], r0)
+            gram[r0:r1, r0:] = upper
+            gram[r1:, r0:r1] = upper[:, r1 - r0 :].T
+    return GramMatrix(values=out)
 
 
 def median_heuristic_sigma(points) -> float:

@@ -645,10 +645,12 @@ def fit_ccc_garch(data, seed: int = 0) -> FitResult:
         raise DataError("ccc_garch requires a bivariate series")
     with np.errstate(over="ignore", invalid="ignore"):
         col_var = y.var(axis=0)
-        floor = 1e-12 * np.maximum(1.0, np.abs(y).max()) ** 2
+        # Relative to each column's own magnitude, so the rule does not
+        # depend on the data's units; zero and constant columns fail it.
+        floor = 1e-12 * np.abs(y).max(axis=0) ** 2
     if not np.isfinite(col_var).all():
         raise FitError("sample variance overflows: the data are too large for the QMLE")
-    if (col_var < floor).any():
+    if (col_var <= floor).any():
         raise FitError("degenerate likelihood: a component has (near-)zero variance")
     v_init = col_var.copy()
 

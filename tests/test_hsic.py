@@ -84,6 +84,16 @@ class TestHsicV:
         with pytest.raises(DataError):
             hsic_v_reference(np.ones((51, 51)), np.ones((51, 51)))
 
+    def test_asymmetric_gram_rejected(self):
+        # The sums read one triangle, so asymmetric input would give a
+        # silently wrong value.
+        k, l = random_grams(np.random.default_rng(20), 9)
+        bad = k.copy()
+        bad[2, 5] = np.nextafter(bad[2, 5], 2.0)
+        for args in ((bad, l), (l, bad), (np.stack([k, bad]), np.stack([l, l]))):
+            with pytest.raises(DataError, match="symmetric"):
+                hsic_v(*args)
+
 
 class TestSingleStat:
     def test_lag_zero_directions_identical_bitwise(self):
@@ -125,7 +135,8 @@ class TestSingleStat:
         res = PairedResiduals(e1, e2)
         k = gram_matrix(GAUSS, e1[4:]).values
         l = gram_matrix(GAUSS, e2[:26]).values
-        assert single_stat(res, 4, 2, GAUSS, GAUSS) == hsic_v(k, l)
+        # Series 2 leads: its window is summed top-down, series 1's bottom-up.
+        assert single_stat(res, 4, 2, GAUSS, GAUSS) == hsic_v(l, k)
 
     def test_infeasible_lag(self):
         res = PairedResiduals(np.zeros((5, 1)), np.zeros((5, 1)))
@@ -248,6 +259,28 @@ def offset_copy(a, nbytes):
     return out
 
 
+def lag_windows(g1, g2, m, direction):
+    """The windows of g1 and g2 that the single statistic at lag m pairs."""
+    big = g1.shape[-1] - m
+    if direction == 1:
+        return g1[:big, :big], g2[m:, m:]
+    return g1[m:, m:], g2[:big, :big]
+
+
+def split_cross_dots(k, l):
+    """hsic_v's cross term one row at a time: 2 x upper part + diagonal block."""
+    block = hsic_module._CROSS_BLOCK
+    n = k.shape[-1]
+    out = np.empty(n)
+    for i in range(n):
+        b0 = i - i % block
+        b1 = min(b0 + block, n)
+        out[i] = hsic_module._row_dots(k[i : i + 1, b0:b1], l[i : i + 1, b0:b1])[0]
+        if b1 < n:
+            out[i] += 2.0 * hsic_module._row_dots(k[i : i + 1, b1:], l[i : i + 1, b1:])[0]
+    return out
+
+
 class TestMultiLagPass:
     """The one-pass terms of every lag against hsic_v on each lag's windows."""
 
@@ -257,18 +290,18 @@ class TestMultiLagPass:
             terms = hsic_module._lag_terms(g1, g2, direction, lags)
             assert sorted(terms) == sorted(lags)
             for m in lags:
-                big = g1.shape[0] - m
-                if direction == 1:
-                    k, l = g1[:big, :big], g2[m:, m:]
-                else:
-                    k, l = g1[m:, m:], g2[:big, :big]
+                k, l = lag_windows(g1, g2, m, direction)
+                lead, trail = (k, l) if direction == 1 else (l, k)
                 c_k, c_l, dots = terms[m]
-                assert np.array_equal(c_k, k.sum(axis=0))
-                assert np.array_equal(c_l, l.sum(axis=0))
-                assert np.array_equal(dots, hsic_module._row_dots(k, l))
+                c_lead, c_trail = (c_k, c_l) if direction == 1 else (c_l, c_k)
+                assert np.array_equal(c_lead, lead.sum(axis=0))
+                assert np.array_equal(c_trail, trail[::-1].sum(axis=0))
+                assert np.array_equal(dots, split_cross_dots(k, l))
+                # At m = 0 both directions take direction 1's order.
                 want = hsic_module.single_from_grams(g1, g2, m, direction)
-                assert want == hsic_v(k, l)
-                assert hsic_module.single_from_grams(g1, g2, m, direction, terms[m]) == want
+                assert want == (hsic_v(lead, trail) if m else hsic_v(g1, g2))
+                if m or direction == 1:
+                    assert hsic_module.single_from_grams(g1, g2, m, direction, terms[m]) == want
 
     @pytest.mark.parametrize("tile_bytes", [None, 5000], ids=["default_tile", "small_tile"])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -328,8 +361,52 @@ class TestMultiLagPass:
         k, l = g1[:290, :290], g2[11:, 11:]
         value = hsic_v(k, l)
         assert hsic_v(np.ascontiguousarray(k), np.ascontiguousarray(l)) == value
+        assert hsic_v(k.T, l.T) == value
         for nbytes in (8, 24, 1):
             assert hsic_v(offset_copy(k, nbytes), offset_copy(l, nbytes)) == value
+
+
+def centred_oracle(k, l):
+    """HSIC as sum((HKH) * L) / N^2 in long double, with the term scale.
+
+    Independent of hsic_v's sums and their order.  The scale is the
+    largest of hsic_v's three terms on |K| and |L|, which bounds what
+    rounding in any order of the O(N^2) sums can reach.
+    """
+    n = k.shape[0]
+    k, l = k.astype(np.longdouble), l.astype(np.longdouble)
+    kc = k - k.mean(axis=0) - k.mean(axis=1)[:, None] + k.mean()
+    ak, al = np.abs(k), np.abs(l)
+    terms = (
+        (ak * al).sum() / n**2,
+        ak.sum() * al.sum() / n**4,
+        2 * ak.sum(axis=0) @ al.sum(axis=0) / n**3,
+    )
+    return float((kc * l).sum() / n**2), float(max(terms))
+
+
+class TestAboveTheBlockSize:
+    """hsic_v and the multi-lag pass against a centred long-double oracle."""
+
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("n", [127, 128, 129, 255, 256, 257, 700])
+    @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.family)
+    def test_matches_centred_oracle(self, spec, n):
+        rng = np.random.default_rng([n, 50])
+        g1 = gram_matrix(spec, rng.normal(size=(n, 2))).values
+        g2 = gram_matrix(spec, rng.normal(size=(n, 3))).values
+        value, scale = centred_oracle(g1, g2)
+        # N * eps * scale bounds the rounding of sums of N terms.
+        assert abs(hsic_v(g1, g2) - value) <= n * self.EPS * scale
+        for direction in (1, 2):
+            singles = {}
+            joint = stat_from_grams(g1, g2, LagConfig(direction, max_lag=10), singles)
+            oracle = [centred_oracle(*lag_windows(g1, g2, m, direction)) for m in range(11)]
+            for m, (value, scale) in enumerate(oracle):
+                assert abs(singles[(direction if m else 1, m)] - value) <= n * self.EPS * scale
+            values, scales = zip(*oracle)
+            assert abs(joint - sum(values)) <= n * self.EPS * sum(scales)
 
 
 class TestStackedPass:
@@ -407,6 +484,37 @@ class TestStackedPass:
             stat_from_grams(g1, g2[:1], LagConfig(1, max_lag=2))
         with pytest.raises(DataError):
             stat_from_grams(g1, g2[0], LagConfig(1, m=1))
+
+
+class TestNumpyReductionOrder:
+    """The row order of numpy's axis -2 sums, which the bits of every HSIC
+    value rest on: a numpy that reorders them fails here by name.
+
+    The order holds for two or more columns, and every Gram window has
+    at least two; a single column is one strided axis, which numpy sums
+    pairwise.
+    """
+
+    @staticmethod
+    def sequential(x):
+        acc = x[..., 0, :].copy()
+        for r in range(1, x.shape[-2]):
+            acc += x[..., r, :]
+        return acc
+
+    @pytest.mark.parametrize("width", [2, 9, 500])
+    @pytest.mark.parametrize("stack", [(), (3,)], ids=["2d", "3d"])
+    def test_sums_add_rows_in_order(self, stack, width):
+        big = np.random.default_rng(width).normal(size=stack + (306, width + 1))
+        # A contiguous array, and a window of a larger one as the pass reads it.
+        window = big[..., 5:, 1:]
+        for x in (np.ascontiguousarray(window), window):
+            top_down, bottom_up = self.sequential(x), self.sequential(x[..., ::-1, :])
+            assert np.array_equal(x.sum(axis=-2), top_down)
+            assert np.array_equal(x[..., ::-1, :].sum(axis=-2), bottom_up)
+            # The two orders differ, so the checks above can tell them apart.
+            if width == 500:
+                assert not np.array_equal(top_down, bottom_up)
 
 
 class TestLagConfig:

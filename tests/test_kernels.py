@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import tsindep.kernels as kernels_module
 from tsindep import DataError, KernelSpec, eval_kernel, gram_matrix, median_heuristic_sigma
 from tsindep.kernels import _pairwise_sq_dists
 
@@ -202,6 +203,32 @@ class TestGramMatrix:
             gram_matrix(spec, pts, out=np.empty((3, 30, 30)))
         with pytest.raises(ValueError):
             gram_matrix(spec, pts, out=np.empty((4, 30, 60))[..., :30])
+
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_row_tiles_give_the_same_bits(self, monkeypatch, spec):
+        # Tiles of n or more rows are the one-piece build; 7-row tiles cut
+        # every Gram past n = 14, and the default cuts those past n = 256.
+        rng = np.random.default_rng(41)
+        for n in (1, 2, 127, 128, 129, 256, 257, 500):
+            for shape in ((n, 3), (2, n, 3)):
+                pts = rng.normal(size=shape)
+                builds = {}
+                for rows in (n, 7, kernels_module._GRAM_TILE_ROWS):
+                    monkeypatch.setattr(kernels_module, "_GRAM_TILE_ROWS", rows)
+                    out = np.full(shape[:-1] + (n,), np.nan)
+                    builds[rows] = gram_matrix(spec, pts, out=out).values
+                    assert np.array_equal(builds[rows], gram_matrix(spec, pts).values)
+                    if len(shape) == 3:
+                        assert np.array_equal(builds[rows][1], gram_matrix(spec, pts[1]).values)
+                monkeypatch.undo()
+                one_piece = builds.pop(n)
+                assert all(np.array_equal(g, one_piece) for g in builds.values())
+
+    def test_tiled_build_rejects_bad_out(self):
+        pts = np.random.default_rng(42).normal(size=(2, 200, 2))
+        for out in (np.empty((2, 200, 400))[..., :200], np.empty((2, 200, 200), dtype=np.float32)):
+            with pytest.raises(ValueError):
+                gram_matrix(KernelSpec.gaussian(1.0), pts, out=out)
 
     def test_stack_rejects_bad_points(self):
         bad = np.zeros((2, 3, 1))

@@ -343,6 +343,38 @@ class TestFitCccGarch:
         assert_allclose(residuals(fit, data), fit.residuals, atol=1e-12)
 
 
+class TestUnitFreeGarchFit:
+    """fit_ccc_garch(c y) against fit_ccc_garch(y): the QMLE is scale-equivariant."""
+
+    # Residuals are standardized, so they are their own term scale.
+    RTOL = 1e-12
+    # The fitted parameters pass through the Newton iterations, whose
+    # rounding the rescaling does not reproduce exactly.
+    THETA_RTOL = 1e-9
+
+    @pytest.mark.parametrize("cols", [(0, 1), (0,), (1,)], ids=["both", "first", "second"])
+    @pytest.mark.parametrize("c", [1e-12, 1e-8, 1e-4, 1e4, 1e8])
+    def test_rescaled_columns_fit_the_same_model(self, c, cols):
+        data, _ = simulate_garch_data(np.random.default_rng(21), 200)
+        ref = fit_ccc_garch(data, seed=0)
+        scale = np.ones(2)
+        scale[list(cols)] = c
+        got = fit_ccc_garch(data * scale, seed=0)
+        gap = np.abs(got.residuals - ref.residuals).max()
+        assert gap <= self.RTOL * np.abs(ref.residuals).max()
+        # omega scales by c^2; alpha, beta and rho do not change.
+        theta = got.theta.copy()
+        theta[[0, 3]] /= scale**2
+        assert_allclose(theta, ref.theta, rtol=self.THETA_RTOL)
+
+    @pytest.mark.parametrize("value", [0.0, 3.7, 1e-9])
+    def test_constant_column_rejected(self, value):
+        data, _ = simulate_garch_data(np.random.default_rng(22), 200)
+        data[:, 1] = value
+        with pytest.raises(FitError):
+            fit_ccc_garch(data)
+
+
 def central_difference_scores(theta, data, v_init):
     """Oracle: per-observation scores by central differences of the loglik."""
     out = np.empty((data.shape[0], 7))
