@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._streams import BOOTSTRAP, substream
+from ._streams import BOOTSTRAP, path_keys, substream
 from .exceptions import BootstrapError, DataError, FitError, SingularityError
 from .hsic import LagConfig, stat_from_grams
 from .kernels import KernelSpec, as_points, gram_matrix
@@ -206,12 +206,24 @@ def _garch_onestep(fit: FitResult, paths: np.ndarray, v_init: np.ndarray) -> np.
 
 
 def _draw_innovations(pool: np.ndarray, n_sim: int, master_seed: int, b0: int, nb: int, series: int):
-    d = pool.shape[1]
-    out = np.empty((nb, n_sim, d))
-    for i in range(nb):
-        rng = substream(master_seed, BOOTSTRAP, b0 + i, series)
-        out[i] = pool.take(rng.integers(0, pool.shape[0], size=n_sim), axis=0)
-    return out
+    """Rows of ``pool`` resampled for replicates ``b0 .. b0 + nb - 1``, (nb, n_sim, d).
+
+    Replicate ``b`` draws from ``substream(master_seed, BOOTSTRAP, b,
+    series)``.  The generator of the first replicate is re-keyed to each
+    replicate's stream in turn (counter 0, empty buffer, keys from
+    :func:`~tsindep._streams.path_keys`), which draws the same values as
+    that substream without building a generator per replicate.
+    """
+    rng = substream(master_seed, BOOTSTRAP, b0, series)
+    bitgen = rng.bit_generator
+    fresh = bitgen.state
+    paths = np.column_stack([np.full(nb, BOOTSTRAP), np.arange(b0, b0 + nb), np.full(nb, series)])
+    idx = np.empty((nb, n_sim), dtype=np.int64)
+    for i, key in enumerate(path_keys(master_seed, paths)):
+        fresh["state"]["key"] = key
+        bitgen.state = fresh
+        idx[i] = rng.integers(0, pool.shape[0], size=n_sim)
+    return pool.take(idx, axis=0)
 
 
 def _series_block(fit: FitResult, pool: np.ndarray, cfg: BootstrapConfig, b0: int, nb: int, series: int):

@@ -131,6 +131,18 @@ def as_points(x, min_rows: int = 1) -> np.ndarray:
     return pts
 
 
+def _exponent_scale(spec: KernelSpec) -> float:
+    """The factor that turns r^2 (gaussian) or r (laplace) into the exponent.
+
+    A multiply by this reciprocal gives the bits of a divide by ``-2 sigma^2``
+    (``-sigma``) whenever that divisor is a power of two, as at sigma = 1,
+    and is within one rounding of it otherwise.
+    """
+    if spec.family == "gaussian":
+        return -1.0 / (2.0 * spec.sigma**2)
+    return -1.0 / spec.sigma
+
+
 def eval_kernel(spec: KernelSpec, u, v) -> float:
     """Evaluate k(u, v) for a single pair of points."""
     uu = np.asarray(u, dtype=float).ravel()
@@ -142,9 +154,9 @@ def eval_kernel(spec: KernelSpec, u, v) -> float:
     diff = uu - vv
     sq = float(diff @ diff)
     if spec.family == "gaussian":
-        return float(np.exp(-sq / (2.0 * spec.sigma**2)))
+        return float(np.exp(sq * _exponent_scale(spec)))
     if spec.family == "laplace":
-        return float(np.exp(-np.sqrt(sq) / spec.sigma))
+        return float(np.exp(np.sqrt(sq) * _exponent_scale(spec)))
     if spec.family == "inverse_multiquadric":
         return float((spec.beta + np.sqrt(sq)) ** -spec.alpha)
     h = spec.hurst
@@ -183,11 +195,11 @@ def _apply_kernel(spec: KernelSpec, vals: np.ndarray, norms, r0: int = 0) -> Non
     ||u||^2h of all n points for fbm and is ``None`` otherwise.
     """
     if spec.family == "gaussian":
-        vals /= -(2.0 * spec.sigma**2)
+        vals *= _exponent_scale(spec)
         np.exp(vals, out=vals)
     elif spec.family == "laplace":
         np.sqrt(vals, out=vals)
-        vals /= -spec.sigma
+        vals *= _exponent_scale(spec)
         np.exp(vals, out=vals)
     elif spec.family == "inverse_multiquadric":
         np.sqrt(vals, out=vals)

@@ -705,6 +705,70 @@ def fit_ccc_garch(data, seed: int = 0) -> FitResult:
     )
 
 
+# Rows per chunk of the GARCH variance scan (see _variance_scan): 12..32
+# were within 8% of each other for 7 and 64 paths of 600, 700 and 2500
+# rows (2-core x86-64), and 20 was never more than 2% off the fastest.
+_GARCH_SCAN_CHUNK = 20
+
+
+def _variance_scan(w, a, b, eps: np.ndarray, v0, out: np.ndarray) -> None:
+    """Write ``v_t = w + (a eps_{t-1}^2 + b) v_{t-1}`` from ``v_0 = v0`` into ``out``.
+
+    ``eps`` and ``out`` are time-major (n, ...) and may be strided views;
+    ``v0`` is one row and ``w``, ``a``, ``b`` broadcast against a row.  The
+    recurrence for t = 1..m (m = n - 1) runs as a chunked scan: row t = kL
+    + j + 1 is row j of chunk k, L = ``_GARCH_SCAN_CHUNK``, and the chunks
+    sit side by side, so each step below is one contiguous update of all
+    chunks and paths.  With ``c_t = a eps_{t-1}^2 + b``, the products ``P_j
+    = c_{kL+1} ... c_{kL+j+1}`` and the offsets ``u_j = w + c_{kL+j+1}
+    u_{j-1}`` (``u_{-1} = 0``) take L steps; then ``v_{kL+j+1} = u_j + P_j
+    v_{kL}``, where ``v_{kL}`` takes one carry step per chunk.  Nothing is
+    divided by a partial product, so a tiny coefficient (b -> 0) or an
+    underflowing product only shrinks the carried term it scales.  Every
+    operation is elementwise along the trailing axes, so the bits of each
+    path do not depend on the others.
+    """
+    out[0] = v0
+    m = eps.shape[0] - 1
+    if m <= 0:
+        return
+    tail = eps.shape[1:]
+    chunk = _GARCH_SCAN_CHUNK
+    full, rest = divmod(m, chunk)
+    n_chunks = full + (rest > 0)
+
+    def rows(x):
+        return np.broadcast_to(x, (n_chunks,) + tail).copy()
+
+    # c as (L, chunks, ...); rows of the last chunk past m get c = b.
+    c = np.empty((chunk, n_chunks) + tail)
+    np.square(eps[: full * chunk].reshape((full, chunk) + tail).swapaxes(0, 1), out=c[:, :full])
+    if rest:
+        np.square(eps[full * chunk : m], out=c[:rest, full])
+        c[rest:, full] = 0.0
+    c *= rows(a)
+    c += rows(b)
+    drift = rows(w)
+    # Step j reads row j of c for the offsets, then overwrites it with the
+    # product P_j (a cumprod along this axis costs more than the loop).
+    off = np.empty_like(c)
+    off[0] = drift
+    for j in range(1, chunk):
+        np.multiply(off[j - 1], c[j], out=off[j])
+        off[j] += drift
+        c[j] *= c[j - 1]
+    prod = c
+    carry = np.empty(c.shape[1:])
+    carry[0] = v0
+    for k in range(1, n_chunks):
+        carry[k] = off[-1, k - 1] + prod[-1, k - 1] * carry[k - 1]
+    prod *= carry
+    prod += off
+    out[1 : 1 + full * chunk].reshape((full, chunk) + tail)[:] = prod[:, :full].swapaxes(0, 1)
+    if rest:
+        out[1 + full * chunk :] = prod[:rest, full]
+
+
 def _simulate_garch(theta, innovations, v_init=None, allow_explosive=False, *, mixed=False):
     """CCC-GARCH(1,1) paths driven by ``innovations`` (n, 2) or a stack (nb, n, 2).
 
@@ -715,11 +779,15 @@ def _simulate_garch(theta, innovations, v_init=None, allow_explosive=False, *, m
 
     - the standard form ``Y_t = D_t^{1/2} eps_t`` (default): the supplied
       innovations carry the (constant) cross-component correlation and the
-      recursion only scales each component;
+      recursion only scales each component.  Then ``Y_{t-1}^2 = v_{t-1}
+      eps_{t-1}^2``, so ``v_t = omega + (alpha eps_{t-1}^2 + beta) v_{t-1}``
+      is linear in v with known coefficients and runs as the chunked scan
+      of :func:`_variance_scan`;
     - with ``mixed``, ``Y_t = V_t^{1/2} eta_t`` with the symmetric PSD root
       of the full conditional covariance (``v_t,12 = rho sqrt(v_t,1 v_t,2)``),
       which mixes the innovation components through rho.  This is the
       generating form of the benchmark system in :mod:`tsindep.simlab`.
+      It is not linear in v and runs as a step loop.
     """
     e = np.asarray(innovations, dtype=float)
     _garch_check_theta(theta, allow_explosive)
@@ -733,21 +801,27 @@ def _simulate_garch(theta, innovations, v_init=None, allow_explosive=False, *, m
         raise DataError("ccc_garch innovations must be bivariate")
     if v_init is None:
         v_init = w / (1.0 - a - b)
-    # Time-major buffer with the path axis innermost, so every step is one
-    # (2, nb) update with the coefficients broadcast along contiguous rows.
     w, a, b = w[:, None], a[:, None], b[:, None]
+    v0 = np.broadcast_to(np.asarray(v_init, dtype=float)[:, None], (2, nb))
+    if not mixed:
+        out = np.empty((nb, n_out, 2))
+        if n_out:
+            # Time-major (n, 2, nb) views of the innovations and the output.
+            _variance_scan(w, a, b, e.transpose(1, 2, 0), v0, out.transpose(1, 2, 0))
+        np.sqrt(out, out=out)
+        out *= e
+        return out if batched else out[0]
+    # Time-major buffers with the path axis innermost, so every step is one
+    # (2, nb) update with the coefficients broadcast along contiguous rows.
     steps = np.ascontiguousarray(e.transpose(1, 2, 0))
     out = np.empty((n_out, 2, nb))
-    v = np.broadcast_to(np.asarray(v_init, dtype=float)[:, None], (2, nb))
+    v = v0
     for t in range(n_out):
         if t > 0:
             v = w + a * out[t - 1] ** 2 + b * v
-        if mixed:
-            s11, s22, s12 = _sqrt2x2(v[0], v[1], rho * np.sqrt(v[0] * v[1]))
-            out[t, 0] = s11 * steps[t, 0] + s12 * steps[t, 1]
-            out[t, 1] = s12 * steps[t, 0] + s22 * steps[t, 1]
-        else:
-            out[t] = np.sqrt(v) * steps[t]
+        s11, s22, s12 = _sqrt2x2(v[0], v[1], rho * np.sqrt(v[0] * v[1]))
+        out[t, 0] = s11 * steps[t, 0] + s12 * steps[t, 1]
+        out[t, 1] = s12 * steps[t, 0] + s22 * steps[t, 1]
     out = np.ascontiguousarray(out.transpose(2, 0, 1))
     return out if batched else out[0]
 

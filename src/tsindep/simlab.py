@@ -22,6 +22,7 @@ rejection frequencies.
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -320,8 +321,9 @@ def _fit_seed(master_seed: int, rep: int, series: int) -> int:
     return int(substream(master_seed, MONTE_CARLO, rep, 100 + series).integers(2**62))
 
 
-def _mc_replication(cfg: McConfig, rep: int) -> dict | None:
-    """One replication; returns {label: p_value} or None on failure."""
+def _mc_replication(cfg: McConfig, rep: int) -> dict | str:
+    """One replication; returns {label: p_value}, or on failure the class
+    name of the package error that ended it."""
     rng = substream(cfg.master_seed, MONTE_CARLO, rep, 0)
     innov = egp_innovations(cfg.egp, cfg.n + cfg.burn_in, rng)
     try:
@@ -363,8 +365,8 @@ def _mc_replication(cfg: McConfig, rep: int) -> dict | None:
                     y1, y2, h=_coerce_bandwidth(spec.bandwidth), variant=spec.variant
                 ).p_value
         return pvals
-    except TsindepError:
-        return None
+    except TsindepError as exc:
+        return type(exc).__name__
 
 
 def _coerce_bandwidth(band):
@@ -387,12 +389,16 @@ def run_monte_carlo(cfg: McConfig) -> McSummary:
     else:
         outcomes = [_mc_replication(cfg, r) for r in reps]
 
-    failures = sum(1 for o in outcomes if o is None)
+    failed = [(r, o) for r, o in enumerate(outcomes) if isinstance(o, str)]
+    failures = len(failed)
     if failures > int(0.02 * cfg.replications):
+        tally = Counter(name for _, name in failed).most_common()
+        causes = ", ".join(f"{name} x{count}" for name, count in tally)
         raise NumericalError(
-            f"{failures} of {cfg.replications} Monte Carlo replications failed"
+            f"{failures} of {cfg.replications} Monte Carlo replications failed (budget 2%): "
+            f"{causes} at replications {[r for r, _ in failed[:5]]}"
         )
-    good = [o for o in outcomes if o is not None]
+    good = [o for o in outcomes if not isinstance(o, str)]
     alphas = sorted(float(a) for a in cfg.bootstrap.alphas)
     rows = []
     for spec in cfg.tests:

@@ -19,6 +19,7 @@ from tsindep.models import (
     _garch_variances,
     _garch_xspace_derivs,
     _garch_xspace_scores_batch,
+    _GARCH_SCAN_CHUNK,
     _simulate_garch,
     _sqrt2x2,
     garch_loglik_terms,
@@ -126,6 +127,7 @@ class TestSimulateGarch:
             _simulate_garch(theta, np.zeros((10, 2)))
         out = _simulate_garch(theta, np.zeros((10, 2)), v_init=np.array([1.0, 1.0]), allow_explosive=True)
         assert out.shape == (10, 2)
+        assert (out == 0.0).all()
 
     def test_unconditional_variance_unit_innovations(self):
         # With unit-variance innovations, E v = omega / (1 - alpha - beta).
@@ -209,17 +211,43 @@ def residuals_batch_loop(theta_b, y, v_init):
     return eta, valid
 
 
+def scan_gap(got, ref):
+    """Largest ``|got - ref|`` in units of the rounding bound of row t,
+    ``4 (t + 1) eps |ref_t|``, for standard-form paths (..., n, 2).
+
+    Every term of ``v_t = omega + (alpha eps_{t-1}^2 + beta) v_{t-1}`` is
+    positive, so the term scale of a row is |value| itself, and an error in
+    ``v_{t-1}`` reaches ``v_t`` scaled by ``c_t v_{t-1} / v_t <= 1``: the
+    relative error of v grows by at most the roundings of one step.  The
+    step loop rounds about 8 times a step (root, scale, square, two
+    products, two sums), in units u = eps / 2; the scan about 5 times a row
+    (square, product, sum for c_t; product and sum for the offset) plus 2
+    per carry and per final row.  ``Y_t = sqrt(v_t) eps_t`` halves those
+    relative errors and adds 2u, so the two agree within (6.5 t + t / L +
+    5) u, which is below 8 (t + 1) u = 4 (t + 1) eps.
+    """
+    t = np.arange(ref.shape[-2])[:, None]
+    bound = 4.0 * (t + 1) * np.finfo(float).eps * np.abs(ref)
+    over = np.abs(got - ref)
+    assert (over[bound == 0] == 0).all()
+    return float((over / np.where(bound > 0, bound, 1.0)).max(initial=0.0))
+
+
 class TestStepLoopsBitIdentical:
     @pytest.mark.parametrize("nb", [1, 7, 64])
     def test_simulate_matches_component_loop(self, nb):
+        # The standard form runs as a chunked scan, whose rounding differs
+        # from the step loop's: it matches within scan_gap's bound (the
+        # largest gap seen is about 1e-15 relative).  The other checks in
+        # this class stay exact.
         rng = np.random.default_rng(50 + nb)
         theta = np.array([0.05, 0.13, 0.81, 0.3, 0.07, 0.6, 0.4])
         e = rng.normal(size=(nb, 300, 2))
         for v_init in (None, np.array([0.7, 1.9])):
-            assert (_simulate_garch(theta, e, v_init) == simulate_garch_loop(theta, e, v_init)).all()
+            assert scan_gap(_simulate_garch(theta, e, v_init), simulate_garch_loop(theta, e, v_init)) <= 1.0
         single = _simulate_garch(theta, e[0])
         assert single.shape == (300, 2)
-        assert (single == simulate_garch_loop(theta, e[0])).all()
+        assert scan_gap(single, simulate_garch_loop(theta, e[0])) <= 1.0
 
     @pytest.mark.parametrize("nb", [1, 7, 64])
     def test_mixed_form_matches_mixed_loop(self, nb):
@@ -261,6 +289,60 @@ class TestStepLoopsBitIdentical:
             assert want_valid.all()
             assert (valid == want_valid).all()
             assert (eta == want_eta).all()
+
+
+class TestGarchScan:
+    THETA = np.array([0.05, 0.13, 0.81, 0.3, 0.07, 0.6, 0.4])
+
+    def test_path_bits_do_not_depend_on_block(self):
+        rng = np.random.default_rng(90)
+        e = rng.normal(size=(64, 700, 2))
+        block64 = _simulate_garch(self.THETA, e)
+        block7 = _simulate_garch(self.THETA, e[:7])
+        for i in range(64):
+            alone = _simulate_garch(self.THETA, e[i])
+            assert np.array_equal(alone, block64[i])
+            if i < 7:
+                assert np.array_equal(alone, block7[i])
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, 2, _GARCH_SCAN_CHUNK, _GARCH_SCAN_CHUNK + 1, _GARCH_SCAN_CHUNK + 2, 700]
+    )
+    def test_chunk_edges(self, n):
+        # n rows make n - 1 scan steps: n = L + 1 fills one chunk exactly.
+        rng = np.random.default_rng(91 + n)
+        for nb in (1, 7):
+            e = rng.normal(size=(nb, n, 2))
+            for v_init in (None, np.array([3.0, 0.01])):
+                got = _simulate_garch(self.THETA, e, v_init)
+                ref = simulate_garch_loop(self.THETA, e, v_init)
+                assert got.shape == ref.shape == (nb, n, 2)
+                assert scan_gap(got, ref) <= 1.0
+                assert np.array_equal(got[:, :1], ref[:, :1])
+
+    def test_tiny_beta_and_large_innovations(self):
+        # Coefficients near 1e-12 on ordinary rows and near 1 on spikes of
+        # 1e6, so chunk products swing over hundreds of decades; the second
+        # component's products of 1e-20 underflow to zero within a chunk.
+        rng = np.random.default_rng(92)
+        e = rng.normal(size=(7, 700, 2))
+        e[:, ::37] *= 1e6
+        theta = np.array([0.5, 1e-12, 1e-12, 0.2, 0.0, 1e-20, 0.3])
+        with np.errstate(all="raise", under="ignore"):
+            got = _simulate_garch(theta, e)
+        ref = simulate_garch_loop(theta, e)
+        assert np.isfinite(got).all()
+        assert scan_gap(got, ref) <= 1.0
+        assert np.array_equal(got[..., 1], ref[..., 1])
+
+    def test_explosive_paths_match_the_loop(self):
+        rng = np.random.default_rng(93)
+        theta = np.array([0.2, 0.5, 0.5, 0.1, 0.3, 0.69, 0.0])
+        e = rng.normal(size=(3, 300, 2))
+        v_init = np.array([1.0, 1.0])
+        got = _simulate_garch(theta, e, v_init=v_init, allow_explosive=True)
+        ref = simulate_garch_loop(theta, e, v_init)
+        assert scan_gap(got, ref) <= 1.0
 
 
 class TestSimulateResidualRoundtrip:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -201,3 +203,71 @@ class TestRunMonteCarlo:
     def test_infeasible_lag_rejected(self):
         with pytest.raises(ValueError):
             small_config(tests=(TestSpec("hsic_single", 1, 59),))
+
+
+class TestMonteCarloFailureCauses:
+    """A replication that fails reports the class of its error, and an
+    aborted run names the causes and the first replications they hit."""
+
+    @staticmethod
+    def failing_fit(monkeypatch, errors):
+        # Each replication fits its two series in order, so call k belongs
+        # to replication k // 2 when the replications run in one process.
+        # Only the second fit fails, so every replication makes both calls.
+        import tsindep.simlab as simlab
+
+        calls = itertools.count()
+        real = simlab.fit_var
+
+        def fit(y, p=1):
+            rep, series = divmod(next(calls), 2)
+            if series == 1 and rep in errors:
+                raise errors[rep]("forced failure")
+            return real(y, p=p)
+
+        monkeypatch.setattr(simlab, "fit_var", fit)
+
+    def config(self, replications):
+        return small_config(replications=replications, tests=(TestSpec("g", lag=2),))
+
+    def test_abort_names_causes_and_first_replications(self, monkeypatch):
+        from tsindep import BoundaryError, NumericalError, SingularityError
+
+        errors = {r: BoundaryError for r in (3, 18, 20, 41, 44, 47)}
+        errors[9] = SingularityError
+        self.failing_fit(monkeypatch, errors)
+        with pytest.raises(NumericalError) as info:
+            run_monte_carlo(self.config(50))
+        assert str(info.value) == (
+            "7 of 50 Monte Carlo replications failed (budget 2%): "
+            "BoundaryError x6, SingularityError x1 at replications [3, 9, 18, 20, 41]"
+        )
+
+    def test_replication_returns_the_error_class(self, monkeypatch):
+        from tsindep import BoundaryError
+        from tsindep.simlab import _mc_replication
+
+        self.failing_fit(monkeypatch, {0: BoundaryError})
+        assert _mc_replication(self.config(1), 0) == "BoundaryError"
+
+    def test_failures_within_budget_are_dropped(self, monkeypatch):
+        from tsindep import BoundaryError
+
+        self.failing_fit(monkeypatch, {4: BoundaryError, 60: BoundaryError})
+        summary = run_monte_carlo(self.config(100))
+        assert summary.failures == 2
+        assert all(row.n_effective == 98 for row in summary.rows)
+
+    def test_cli_exits_3_and_names_the_causes(self, monkeypatch, tmp_path, capsys):
+        from tsindep import BoundaryError
+        from tsindep.cli import main
+
+        self.failing_fit(monkeypatch, {1: BoundaryError})
+        argv = ["simulate", "--dgp", "var", "--egp", "1", "-n", "60", "--replications", "2",
+                "--tests", "G1:2", "--output", str(tmp_path / "s.json")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: 1 of 2 Monte Carlo replications failed (budget 2%): "
+            "BoundaryError x1 at replications [1]\n"
+        )
+        assert not (tmp_path / "s.json").exists()
