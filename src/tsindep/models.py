@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 from scipy.special import expit
 
 from ._streams import FIT, substream
@@ -344,46 +345,81 @@ def _garch_check_theta(theta, allow_explosive: bool = False) -> None:
         raise DataError("explosive parameters (alpha + beta >= 1); pass allow_explosive")
 
 
-def _garch_component_path(omega: float, alpha: float, beta: float, y2: np.ndarray, v0):
-    """Variance recursion v_t = omega + alpha y_{t-1}^2 + beta v_{t-1}, v_1 = v0.
+def _first_order_recursion(x: np.ndarray, c) -> None:
+    """Run ``x_t <- x_t + c x_{t-1}``, t = 1..n-1, in place along the last axis.
 
-    Runs along the last axis of ``y2``; ``v0`` is a scalar or broadcasts
-    against the leading axes.
+    ``x`` is a C-contiguous float array (..., n); ``c`` is one coefficient
+    for every row, or one per row (broadcast against ``x.shape[:-1]``).
+    The recursion is the unit lower-bidiagonal solve with ``-c`` below the
+    diagonal, done by one LAPACK ``dtbtrs`` call: a shared ``c`` makes the
+    rows the right-hand sides of one system, per-row coefficients stack the
+    rows into one system with a zero coupling at each row start.  The BLAS
+    applies each step as one multiply-add, rounded once where it fuses them
+    (OpenBLAS on x86-64 does).  Since inf * 0 is NaN, a row that ends
+    non-finite would spoil the start of the next stacked row; any row whose
+    start does not keep its bits is solved again alone.  So the bits of a
+    row never depend on the other rows, and both forms agree.
     """
-    # Imported here: scipy.signal loads scipy.stats and more, which no VAR run needs.
-    from scipy.signal import lfilter
+    n = x.shape[-1]
+    if n < 2 or x.size == 0:
+        return
+    if not (x.flags.c_contiguous and x.dtype == np.float64):
+        raise ValueError("x must be a C-contiguous float64 array")
+    rows = x.reshape(-1, n)
+    c = np.asarray(c, dtype=float)
+    # The band (2, length) is built in Fortran order, as the transpose of a
+    # (length, 2) array, so that the wrapper does not copy it.
+    if c.ndim == 0:
+        band = np.empty((n, 2))
+        band[:, 0] = 1.0
+        band[:, 1] = -c
+        dtbtrs(band.T, rows.T, uplo="L", diag="U", overwrite_b=1)
+        return
+    coef = np.broadcast_to(c, x.shape[:-1]).reshape(-1)
+    band = np.empty(rows.shape + (2,))
+    band[..., 0] = 1.0
+    np.negative(coef[:, None], out=band[..., 1])
+    band[:, -1, 1] = 0.0
+    original = rows.copy()
+    dtbtrs(band.reshape(-1, 2).T, rows.reshape(-1, 1), uplo="L", diag="U", overwrite_b=1)
+    for r in np.flatnonzero(rows[:, 0].view(np.uint64) != original[:, 0].view(np.uint64)):
+        rows[r] = original[r]
+        _first_order_recursion(rows[r], coef[r])
 
-    v = np.empty(y2.shape)
-    v[..., 0] = v0
-    if y2.shape[-1] > 1:
-        drive = omega + alpha * y2[..., :-1]
-        zi = np.broadcast_to(beta * np.asarray(v0, dtype=float), y2.shape[:-1])[..., None]
-        v[..., 1:] = lfilter([1.0], [1.0, -beta], drive, axis=-1, zi=zi)[0]
-    return v
+
+def _beta_filter(drives, beta: float) -> np.ndarray:
+    """Stack of ``x_t = drive_{t-1} + beta x_{t-1}`` from ``x_1 = 0``, one
+    row block per array of ``drives`` (all of one shape, time last)."""
+    x = np.empty((len(drives),) + drives[0].shape)
+    x[..., 0] = 0.0
+    for row, drive in zip(x, drives):
+        row[..., 1:] = drive[..., :-1]
+    _first_order_recursion(x, beta)
+    return x
 
 
 def _garch_variances(theta, y2: np.ndarray, v_init) -> np.ndarray:
     """Variances (2, ..., n), component first, of squared data ``y2`` (..., n, 2)
     from ``v_init`` (..., 2), for a shared (7,) or per-path (nb, 7) theta.
 
-    A shared theta runs :func:`_garch_component_path`; per-path parameters
-    run the recursion time-major, one (2, nb) update per row along
-    contiguous rows.  Both routes give the same bits.
+    Each component row gets the drive ``omega + alpha y_{t-1}^2``; then one
+    stacked solve of :func:`_first_order_recursion` over all component rows
+    adds ``beta v_{t-1}``, for a shared and a per-path theta alike.  Each
+    step is one multiply-add, rounded once where the BLAS fuses it (a step
+    loop rounds the product and the sum apart, see the tests' oracle), and
+    a path's bits depend neither on the other paths nor on whether its
+    theta was shared.
     """
     th = np.asarray(theta, dtype=float)
-    v_init = np.asarray(v_init, dtype=float)
-    if th.ndim == 1:
-        return np.stack(
-            [_garch_component_path(*th[3 * i : 3 * i + 3], y2[..., i], v_init[..., i]) for i in range(2)]
-        )
-    nb, n = y2.shape[:2]
-    steps = np.ascontiguousarray(y2.transpose(1, 2, 0))
-    w, a, b = th[:, :6].T.reshape(2, 3, nb).transpose(1, 0, 2)
-    v = np.empty(steps.shape)
-    v[0] = v_init.T
-    for t in range(1, n):
-        v[t] = w + a * steps[t - 1] + b * v[t - 1]
-    return v.transpose(1, 2, 0)
+    # omega, alpha, beta component first, (2, <paths of theta>), with unit
+    # axes for the path axes theta lacks and for time.
+    lead = (1,) * (y2.ndim - th.ndim)
+    w, a, b = (np.moveaxis(th[..., k:6:3], -1, 0) for k in range(3))
+    v = np.empty((2,) + y2.shape[:-1])
+    v[..., 0] = np.moveaxis(np.asarray(v_init, dtype=float), -1, 0)
+    v[..., 1:] = w.reshape(w.shape + lead) + a.reshape(a.shape + lead) * np.moveaxis(y2[..., :-1, :], -1, 0)
+    _first_order_recursion(v, b.reshape(b.shape + lead[1:]))
+    return v
 
 
 def garch_loglik_terms(theta, data, v_init=None) -> np.ndarray:
@@ -412,6 +448,10 @@ def _garch_terms(theta, y: np.ndarray, v_init, grad: bool = False, hess: bool = 
     ``(dv_{t-1}/domega, dv_{t-1}/dalpha, 2 dv_{t-1}/dbeta)`` for the
     (omega, beta), (alpha, beta) and (beta, beta) second derivatives of
     ``v_t``; the other second derivatives vanish.
+
+    All these filters, like the variances, run through
+    :func:`_first_order_recursion`, one solve per component and order with
+    the derivative coordinates stacked as rows.
     """
     th = np.asarray(theta, dtype=float)
     y2 = y**2
@@ -431,8 +471,7 @@ def _garch_terms(theta, y: np.ndarray, v_init, grad: bool = False, hess: bool = 
     dvs, dll_dvs = [], []
     for i, z in enumerate((z1, z2)):
         dll_dv = -(1.0 - (z * z - rho * cross) / one_m) / (2.0 * v[i])
-        drive = np.stack([np.ones_like(v[i]), y2[..., i], v[i]])
-        dv = _garch_component_path(0.0, 1.0, th[3 * i + 2], drive, 0.0)
+        dv = _beta_filter((np.ones_like(v[i]), y2[..., i], v[i]), th[3 * i + 2])
         scores[..., 3 * i : 3 * i + 3] = np.moveaxis(dv * dll_dv, 0, -1)
         dvs.append(dv)
         dll_dvs.append(dll_dv)
@@ -455,7 +494,7 @@ def _garch_terms(theta, y: np.ndarray, v_init, grad: bool = False, hess: bool = 
             d2_vv = (1.0 - (2.0 * sq[i] - 1.5 * rho * cross) / one_m) / (2.0 * v[i] ** 2)
             d2_vr = (2.0 * rho * sq[i] - one_p * cross) / (2.0 * v[i] * one_m**2)
             # The filter is linear, so 2 dv/dbeta is applied as a final factor 2.
-            d2v = _garch_component_path(0.0, 1.0, th[3 * i + 2], dv, 0.0)
+            d2v = _beta_filter(dv, th[3 * i + 2])
             curv = np.einsum("a...t,...t->...a", d2v, dll_dvs[i])  # (wb, ab, bb / 2)
             h = np.einsum("a...t,b...t->...ab", dv * d2_vv, dv)
             h[..., :2, 2] += curv[..., :2]

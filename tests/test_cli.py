@@ -10,7 +10,7 @@ import pytest
 import tsindep
 from tsindep import write_csv
 from tsindep.cli import main
-from tsindep.models import _simulate_var
+from tsindep.models import _simulate_garch, _simulate_var
 
 
 @pytest.fixture()
@@ -177,6 +177,22 @@ class TestReportDeterminism:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
 
+    @staticmethod
+    def reports_by_blas_threads(tmp_path, argv):
+        """The report bytes of ``argv`` run in a fresh interpreter with the
+        BLAS pool at 1 and then 2 threads."""
+        src = str(Path(tsindep.__file__).resolve().parents[1])
+        blobs = []
+        for blas_threads in ("1", "2"):
+            out = tmp_path / f"blas{blas_threads}.json"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, PYTHONPATH=src)
+            subprocess.run(
+                [sys.executable, "-m", "tsindep.cli", *argv, "--output", str(out)],
+                env=env, check=True, timeout=120,
+            )
+            blobs.append(out.read_bytes())
+        return blobs
+
     def test_byte_identical_across_blas_threads(self, tmp_path):
         # The HSIC cross terms are BLAS dot products, so the report must not
         # depend on how many threads the BLAS library may use.
@@ -187,18 +203,29 @@ class TestReportDeterminism:
             path = tmp_path / name
             write_csv(path, _simulate_var(coef, 1, False, rng.normal(size=(320, 2))))
             paths.append(str(path))
-        src = str(Path(tsindep.__file__).resolve().parents[1])
-        blobs = []
-        for blas_threads in ("1", "2"):
-            out = tmp_path / f"blas{blas_threads}.json"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, PYTHONPATH=src)
-            subprocess.run(
-                [sys.executable, "-m", "tsindep.cli", "test", "--series1", paths[0],
-                 "--series2", paths[1], "-B", "19", "--lag", "0", "--lag", "3",
-                 "--max-lag", "5", "--direction", "both", "--seed", "4", "--output", str(out)],
-                env=env, check=True, timeout=120,
-            )
-            blobs.append(out.read_bytes())
+        blobs = self.reports_by_blas_threads(
+            tmp_path,
+            ["test", "--series1", paths[0], "--series2", paths[1], "-B", "19", "--lag", "0",
+             "--lag", "3", "--max-lag", "5", "--direction", "both", "--seed", "4"],
+        )
+        assert blobs[0] == blobs[1]
+
+    def test_garch_byte_identical_across_blas_threads(self, tmp_path):
+        # GARCH fits and one-step replicates run their variance recursions
+        # as LAPACK banded solves, on top of the HSIC dot products.
+        rng = np.random.default_rng(12)
+        theta = np.array([0.2, 0.1, 0.5, 0.2, 0.1, 0.5, 0.4])
+        paths = []
+        for name in ("g1.csv", "g2.csv"):
+            path = tmp_path / name
+            write_csv(path, _simulate_garch(theta, rng.normal(size=(700, 2)))[500:])
+            paths.append(str(path))
+        blobs = self.reports_by_blas_threads(
+            tmp_path,
+            ["test", "--series1", paths[0], "--series2", paths[1], "--model1", "ccc-garch",
+             "--model2", "ccc-garch", "--estimator-mode", "one-step", "-B", "19", "--lag", "0",
+             "--lag", "3", "--max-lag", "5", "--direction", "both", "--seed", "4"],
+        )
         assert blobs[0] == blobs[1]
 
     def test_repeat_identical(self, series_files, tmp_path):

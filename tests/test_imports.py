@@ -1,9 +1,11 @@
-"""Imports: VAR commands must not load scipy.signal or scipy.stats, and
-every module-level import of the library is used.
+"""Imports: no command, VAR or CCC-GARCH, loads scipy.signal or
+scipy.stats, and every module-level import of the library is used.
 
-``scipy.signal`` (which pulls in ``scipy.stats``) serves only the GARCH
-variance filter, so it loads at the first GARCH fit.  Each check runs in a
-fresh interpreter, since the test process has long since imported both.
+The GARCH variance recursions run as LAPACK banded solves
+(``scipy.linalg.lapack``, which ``scipy.spatial`` loads at import), so
+nothing needs ``scipy.signal`` or the ``scipy.stats`` it would pull in.
+Each check runs in a fresh interpreter, since the test process has long
+since imported both.
 """
 
 import ast
@@ -22,7 +24,7 @@ from tsindep.models import _simulate_garch, _simulate_var
 
 SRC = str(Path(tsindep.__file__).resolve().parents[1])
 
-VAR_RUN = """
+RUN = """
 import json, sys
 import tsindep
 from tsindep.cli import main
@@ -42,6 +44,24 @@ def fresh_python(args, cwd):
     )
 
 
+def modules_loaded_by(runs, cwd):
+    """The scipy.signal/scipy.stats modules loaded after import and after
+    each CLI run of ``runs``, in one fresh interpreter."""
+    proc = fresh_python(["-c", RUN, json.dumps(runs)], cwd)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+GARCH_THETA = np.array([0.2, 0.1, 0.5, 0.2, 0.1, 0.5, 0.4])
+
+
+def write_garch_pair(tmp_path):
+    rng = np.random.default_rng(5)
+    for name in ("g1.csv", "g2.csv"):
+        write_csv(tmp_path / name, _simulate_garch(GARCH_THETA, rng.normal(size=(1000, 2)))[500:])
+    return ["--series1", "g1.csv", "--series2", "g2.csv", "--model1", "ccc-garch", "--model2", "ccc-garch"]
+
+
 def test_var_commands_leave_scipy_signal_unloaded(tmp_path):
     rng = np.random.default_rng(0)
     coef = np.array([[0.3, 0.0], [0.1, 0.2]])
@@ -57,19 +77,25 @@ def test_var_commands_leave_scipy_signal_unloaded(tmp_path):
         ["simulate", "--dgp", "var", "--egp", "1", "-n", "40", "--replications", "1",
          "--tests", "S1:0", "-B", "9", "--output", "s.json"],
     ]
-    proc = fresh_python(["-c", VAR_RUN, json.dumps(runs)], tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
+    loaded = modules_loaded_by(runs, tmp_path)
     assert loaded == {"import": [], "test": [], "fit": [], "lagscan": [], "simulate": []}
 
 
+def test_garch_commands_leave_scipy_signal_unloaded(tmp_path):
+    pair = write_garch_pair(tmp_path)
+    runs = [
+        ["fit", *pair, "--output", "f.json"],
+        ["test", *pair, "-B", "9", "--output", "t.json"],
+        ["lagscan", *pair, "--max-lag", "1", "-B", "9", "--output", "l.json"],
+        ["simulate", "--dgp", "ccc-garch", "--egp", "1", "-n", "200", "--replications", "1",
+         "--tests", "S1:0", "-B", "9", "--output", "s.json"],
+    ]
+    loaded = modules_loaded_by(runs, tmp_path)
+    assert loaded == {"import": [], "fit": [], "test": [], "lagscan": [], "simulate": []}
+
+
 def test_garch_fit_in_fresh_process_matches_in_process(tmp_path, monkeypatch):
-    rng = np.random.default_rng(5)
-    theta = np.array([0.2, 0.1, 0.5, 0.2, 0.1, 0.5, 0.4])
-    for name in ("g1.csv", "g2.csv"):
-        write_csv(tmp_path / name, _simulate_garch(theta, rng.normal(size=(1000, 2)))[500:])
-    argv = ["fit", "--series1", "g1.csv", "--series2", "g2.csv",
-            "--model1", "ccc-garch", "--model2", "ccc-garch"]
+    argv = ["fit", *write_garch_pair(tmp_path)]
     proc = fresh_python(["-m", "tsindep.cli", *argv, "--output", "fresh.json"], tmp_path)
     assert proc.returncode == 0, proc.stderr
     monkeypatch.chdir(tmp_path)

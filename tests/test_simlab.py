@@ -271,3 +271,17 @@ class TestMonteCarloFailureCauses:
             "BoundaryError x1 at replications [1]\n"
         )
         assert not (tmp_path / "s.json").exists()
+
+    def test_garch_cell_at_n100_aborts_on_boundary_fits(self, tmp_path, capsys):
+        # At n = 100 the Gaussian QMLE reaches the persistence boundary
+        # often enough that a GARCH cell exceeds the 2% budget.
+        from tsindep.cli import main
+
+        argv = ["simulate", "--dgp", "ccc-garch", "--egp", "2", "-n", "100", "--replications", "6",
+                "-B", "19", "--seed", "0", "--output", str(tmp_path / "s.json")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: 2 of 6 Monte Carlo replications failed (budget 2%): "
+            "BoundaryError x2 at replications [2, 5]\n"
+        )
+        assert not (tmp_path / "s.json").exists()
