@@ -22,8 +22,8 @@ pool.  A block draws, simulates and re-estimates all of its paths of
 both series at once (:func:`_series_block`).  Its valid replicates then
 go through the Gram matrices and the multi-lag HSIC pass in stacks: one
 :func:`~tsindep.kernels.gram_matrix` call per series and one
-:func:`~tsindep.hsic.stat_from_grams` call per statistic serve a whole
-stack, whose Grams take at most ``_STACK_BYTES`` per series (6
+:func:`~tsindep.hsic.stat_from_grams` call for all statistics serve a
+whole stack, whose Grams take at most ``_STACK_BYTES`` per series (6
 replicates at n = 100, 2 at n = 150, and one from n = 182 on).  Each
 replicate's statistics have the bits they have when computed alone.
 """
@@ -261,26 +261,6 @@ def _series_block(fit: FitResult, pool: np.ndarray, cfg: BootstrapConfig, b0: in
     return resid, valid
 
 
-def _scaled_stats(g1, g2, lag_cfgs, n_scale) -> np.ndarray:
-    """``n_scale * stat`` for every config on one pair of Grams or stacks.
-
-    Returns (n_cfgs,) values for two n x n Grams and (nb, n_cfgs) for two
-    (nb, n, n) stacks.  Joint configs are evaluated first, direction 1
-    before direction 2: each computes its missing lags in one multi-lag
-    pass, a direction-2 joint finds the lag 0 both directions share
-    already computed, and the single-lag configs then read their lags
-    from the shared dict.  The values do not depend on the order.
-    """
-    singles = {}
-    out = np.empty(g1.shape[:-2] + (len(lag_cfgs),))
-    order = sorted(
-        range(len(lag_cfgs)), key=lambda c: (not lag_cfgs[c].is_joint, lag_cfgs[c].direction)
-    )
-    for c in order:
-        out[..., c] = n_scale * stat_from_grams(g1, g2, lag_cfgs[c], singles)
-    return out
-
-
 def _stats_block(
     fit1, fit2, pool1, pool2, lag_cfgs, kernel_k, kernel_l, cfg, n_scale, b0, nb
 ):
@@ -302,7 +282,7 @@ def _stats_block(
         items = todo[s0 : s0 + depth]
         g1 = gram_matrix(kernel_k, e1[items], out=buf1[: items.size]).values
         g2 = gram_matrix(kernel_l, e2[items], out=buf2[: items.size]).values
-        stats[items] = _scaled_stats(g1, g2, lag_cfgs, n_scale)
+        stats[items] = n_scale * stat_from_grams(g1, g2, lag_cfgs)
     valid &= np.isfinite(stats).all(axis=1)
     return stats, valid
 
@@ -342,7 +322,7 @@ def bootstrap_run(
 
     g1 = gram_matrix(kernel_k, pair.eta1).values
     g2 = gram_matrix(kernel_l, pair.eta2).values
-    observed = _scaled_stats(g1, g2, lag_cfgs, n_scale)
+    observed = n_scale * stat_from_grams(g1, g2, lag_cfgs)
 
     pool1 = standardize_residuals(fit1.effective_residuals, cfg.standardize)
     pool2 = standardize_residuals(fit2.effective_residuals, cfg.standardize)

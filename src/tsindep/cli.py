@@ -328,10 +328,10 @@ def _fit_summary(fit) -> dict:
     return out
 
 
-def _bootstrap_config(args, threads: int, alphas=None) -> BootstrapConfig:
-    """The bootstrap flags; ``alphas`` replaces the ``--alpha`` levels."""
-    if alphas is None:
-        alphas = tuple(sorted(args.alpha)) if args.alpha else _ALPHAS
+def _bootstrap_config(args, threads: int, required=()) -> BootstrapConfig:
+    """The bootstrap flags.  The levels are the distinct ``--alpha`` values
+    (default ``_ALPHAS``) plus ``required``, in ascending order."""
+    alphas = tuple(sorted(set(args.alpha or _ALPHAS) | set(required)))
     mode = {"auto": "auto", "refit": "full_refit", "one-step": "one_step"}[args.estimator_mode]
     try:
         return BootstrapConfig(
@@ -509,8 +509,7 @@ def _cmd_lagscan(args) -> int:
         if args.max_lag < 0:
             raise UsageError("--max-lag must be nonnegative")
         # The scan's bound is the 95% critical value, so 0.05 is always a level.
-        alphas = tuple(sorted(set(args.alpha or _ALPHAS) | {0.05}))
-        return kernel, _bootstrap_config(args, threads, alphas)
+        return kernel, _bootstrap_config(args, threads, required=(0.05,))
 
     _, fits, (kernel, cfg) = _fitted_pair(args, flags)
     pair = paired_residuals(*fits)

@@ -210,6 +210,11 @@ def _all_lag_quadratics(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
     return np.concatenate([quad_neg[1:][::-1], quad_pos])  # lags 1-n .. n-1
 
 
+def _prewhitening_order(n: int) -> int:
+    """VAR order :func:`w_test` prewhitens n rows with by default."""
+    return 3 if n <= 150 else 6
+
+
 def w_test(
     raw_data1,
     raw_data2,
@@ -231,7 +236,7 @@ def w_test(
     if y1.shape[0] != y2.shape[0]:
         raise DataError("series must have equal length")
     if p is None:
-        p = 3 if y1.shape[0] <= 150 else 6
+        p = _prewhitening_order(y1.shape[0])
     fit1 = fit_var(y1, p=p, intercept=True)
     fit2 = fit_var(y2, p=p, intercept=True)
     e1 = fit1.effective_residuals

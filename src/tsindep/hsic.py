@@ -20,7 +20,9 @@ and the cross term reads the upper triangle of both windows in blocks of
 ``_CROSS_BLOCK`` rows.  Gram matrices must therefore be exactly
 symmetric, as :func:`~tsindep.kernels.gram_matrix` makes them.  The
 multi-lag pass shares one top-down and one bottom-up accumulation across
-all lags and reproduces these bits exactly.
+all lags and reproduces these bits exactly.  :func:`stat_from_grams`
+takes one config or a sequence of them, and evaluates every lag the
+sequence needs in one such pass per direction.
 """
 
 from __future__ import annotations
@@ -378,10 +380,8 @@ def _lag_terms(g1: np.ndarray, g2: np.ndarray, direction: int, lags) -> dict:
     return terms
 
 
-def stat_from_grams(
-    g1: np.ndarray, g2: np.ndarray, cfg: LagConfig, singles: dict | None = None
-) -> float | np.ndarray:
-    """Raw single or joint statistic from full Gram matrices (see above).
+def stat_from_grams(g1: np.ndarray, g2: np.ndarray, cfg) -> float | np.ndarray:
+    """Raw single or joint statistics from full Gram matrices (see above).
 
     ``g1`` and ``g2`` are two exactly symmetric n x n matrices, which give
     a float, or two (nb, n, n) stacks of them, which give the (nb,)
@@ -390,36 +390,35 @@ def stat_from_grams(
     :func:`~tsindep.kernels.gram_matrix` guarantees it, and on other
     input the result is silently wrong.
 
-    ``singles`` optionally maps ``(direction, m)`` to the value of
-    :func:`single_from_grams` at that lag; missing entries are computed
-    and added.  Several configs evaluated on the same ``g1, g2`` then
-    compute each distinct single once.  The dict belongs to that one pair
-    of Grams (or stacks): pass a fresh one for every new pair.  At m = 0
-    both directions take direction 1's order (see
-    :func:`single_from_grams`), so they share the key ``(1, 0)``.  The
-    missing lags of one config are computed in one pass
-    (:func:`_lag_terms`), except that lag 0 of a direction-2 config gets
-    a pass of its own, and joint sums still add the singles in ascending
-    m, so every config gets the same bits with or without the dict.
+    ``cfg`` is one :class:`LagConfig` or a sequence of them.  A sequence
+    adds a trailing axis with one value per config: (n_cfgs,) values for
+    two matrices, (nb, n_cfgs) for two stacks.  Every distinct single the
+    configs need is computed once, through :func:`single_from_grams`, and
+    each direction's lags come from one :func:`_lag_terms` pass; lag 0
+    belongs to direction 1.  Joint sums add their singles in ascending m,
+    so each value has the bits it has when its config is passed alone.
     """
-    if singles is None:
-        singles = {}
+    cfgs = (cfg,) if isinstance(cfg, LagConfig) else tuple(cfg)
     # Row-major layout, so that every window's column sums add the rows in
     # the order hsic_v adds them.
     g1, g2 = np.ascontiguousarray(g1, dtype=float), np.ascontiguousarray(g2, dtype=float)
-    lags = range(cfg.max_lag + 1) if cfg.is_joint else [cfg.m]
-    keys = {m: (cfg.direction if m else 1, m) for m in lags}
-    missing = [m for m in lags if keys[m] not in singles]
-    # Infeasible lags get no terms, so single_from_grams reports them.
-    feasible = [m for m in missing if g1.shape[-1] - m >= 2]
-    terms = {}
+    # The (direction, m) of the singles each config sums, in ascending m;
+    # lag 0 is direction 1's (see single_from_grams).
+    keys = [
+        [(c.direction if m else 1, m) for m in (range(c.max_lag + 1) if c.is_joint else (c.m,))]
+        for c in cfgs
+    ]
+    singles = dict.fromkeys(sorted({key for ks in keys for key in ks}))
     for direction in (1, 2):
-        mine = [m for m in feasible if keys[m][0] == direction]
-        if mine:
-            terms.update(_lag_terms(g1, g2, direction, mine))
-    for m in missing:
-        singles[keys[m]] = single_from_grams(g1, g2, m, keys[m][0], terms.get(m))
-    if not cfg.is_joint:
-        return singles[keys[cfg.m]]
-    total = sum(singles[keys[m]] for m in lags)
-    return total if g1.ndim == 3 else float(total)
+        lags = [m for d, m in singles if d == direction]
+        # Infeasible lags get no terms, so single_from_grams reports them.
+        feasible = [m for m in lags if g1.shape[-1] - m >= 2]
+        terms = _lag_terms(g1, g2, direction, feasible) if feasible else {}
+        for m in lags:
+            singles[direction, m] = single_from_grams(g1, g2, m, direction, terms.get(m))
+    out = np.empty(g1.shape[:-2] + (len(cfgs),))
+    for i, (c, ks) in enumerate(zip(cfgs, keys)):
+        out[..., i] = sum(singles[key] for key in ks) if c.is_joint else singles[ks[0]]
+    if isinstance(cfg, LagConfig):
+        return out[..., 0] if g1.ndim == 3 else float(out[0])
+    return out

@@ -664,6 +664,8 @@ def _garch_newton(objective, x: np.ndarray, gtol: float, maxiter: int):
 
 # Starting points, Newton steps per start and the gradient stopping rule of the fit.
 _N_STARTS, _MAXITER, _GTOL = 3, 500, 1e-7
+# Fewest rows the GARCH fit accepts.
+_GARCH_MIN_ROWS = 50
 
 
 def fit_ccc_garch(data, seed: int = 0) -> FitResult:
@@ -678,7 +680,7 @@ def fit_ccc_garch(data, seed: int = 0) -> FitResult:
     solutions (alpha + beta within 1e-6 of 1) raise :class:`BoundaryError`;
     non-convergence of all starts raises :class:`FitError`.
     """
-    y = as_points(data, min_rows=50)
+    y = as_points(data, min_rows=_GARCH_MIN_ROWS)
     n, d = y.shape
     if d != 2:
         raise DataError("ccc_garch requires a bivariate series")

@@ -30,11 +30,12 @@ import numpy as np
 
 from ._streams import MONTE_CARLO, substream
 from .bootstrap import BootstrapConfig, bootstrap_run
-from .crosscorr import g_test, l_test, t_test, w_test
+from .crosscorr import _prewhitening_order, g_test, l_test, t_test, w_test
 from .exceptions import DataError, NumericalError, TsindepError
 from .hsic import LagConfig
 from .kernels import KernelSpec
 from .models import (
+    _GARCH_MIN_ROWS,
     _simulate_garch,
     _simulate_var,
     fit_ccc_garch,
@@ -243,6 +244,8 @@ class McConfig:
             raise ValueError("need at least one replication")
         if self.n < 20:
             raise ValueError("sample size too small for the working models")
+        if self.dgp == "ccc_garch" and self.n < _GARCH_MIN_ROWS:
+            raise ValueError(f"the ccc_garch fit needs n >= {_GARCH_MIN_ROWS}, got n={self.n}")
         if self.burn_in < 0:
             raise ValueError("burn_in must be nonnegative")
         if not self.tests:
@@ -255,8 +258,13 @@ class McConfig:
                     h = float(spec.bandwidth)
                 except ValueError:
                     raise ValueError(f"test {spec.label}: bandwidth must be h1, h2, h3 or a number") from None
-                if not 1.0 <= h < self.n:
-                    raise ValueError(f"test {spec.label}: bandwidth must lie in [1, n={self.n})")
+                # The W test sees the n - p residual rows of its VAR(p) prewhitening.
+                rows = self.n - _prewhitening_order(self.n)
+                if not 1.0 <= h < rows:
+                    raise ValueError(
+                        f"test {spec.label}: bandwidth must lie in [1, {rows}) "
+                        f"for the {rows} prewhitened residual rows of n={self.n}"
+                    )
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from tsindep import (
     residuals,
     single_stat,
     standardize_residuals,
+    stat_from_grams,
 )
 from tsindep._streams import BOOTSTRAP, substream
 from tsindep.models import _simulate_garch, _simulate_var
@@ -373,7 +374,7 @@ class TestStackedBlock:
         for i in np.flatnonzero(ok1 & ok2):
             g1 = gram_matrix(self.KERNEL, res1[i]).values
             g2 = gram_matrix(self.KERNEL, res2[i]).values
-            out[i] = bootstrap_module._scaled_stats(g1, g2, self.CFGS, n_scale)
+            out[i] = [n_scale * stat_from_grams(g1, g2, cfg) for cfg in self.CFGS]
         return out
 
     @staticmethod
@@ -409,8 +410,9 @@ class TestStackedBlock:
 
     def test_one_traced_call_per_stack(self, monkeypatch):
         # The benchmark's tracer times bootstrap.gram_matrix and
-        # bootstrap.stat_from_grams; each call is one stack.  A 100 x 100
-        # Gram is 80 000 bytes, so a 512 KiB stack holds 6 of them.
+        # bootstrap.stat_from_grams; each call is one stack, and one
+        # stat_from_grams call serves every config.  A 100 x 100 Gram is
+        # 80 000 bytes, so a 512 KiB stack holds 6 of them.
         block, _ = self.prepare(monkeypatch, 101, 64)
         calls = self.count_calls(monkeypatch)
         block()
@@ -418,9 +420,7 @@ class TestStackedBlock:
         depths = [6] * 10 + [4]
         assert [shape[0] for shape in calls["gram_matrix"]] == [d for d in depths for _ in (1, 2)]
         assert calls["gram_matrix"][0] == (6, 100, 2)
-        assert [shape[0] for shape in calls["stat_from_grams"]] == [
-            d for d in depths for _ in self.CFGS
-        ]
+        assert [shape[0] for shape in calls["stat_from_grams"]] == depths
 
     @staticmethod
     def peak_bytes(fn):

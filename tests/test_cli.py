@@ -90,6 +90,9 @@ class TestExitCodes:
             ["simulate", "--burn-in", "-5", "--replications", "2", "-B", "9", "-n", "50"],
             ["simulate", "--dgp", "var", "-n", "30", "--replications", "2", "-B", "9", "--tests", "W1:0.5"],
             ["simulate", "--dgp", "var", "-n", "30", "--replications", "2", "-B", "9", "--tests", "W1:40"],
+            # VAR(3) prewhitening leaves 27 of the 30 rows, so h = 27 is too wide.
+            ["simulate", "--dgp", "var", "-n", "30", "--replications", "2", "-B", "9", "--tests", "W1:27"],
+            ["simulate", "--dgp", "ccc-garch", "-n", "30", "--replications", "2", "-B", "9"],
             ["simulate", "--dgp", "var", "-n", "30", "--replications", "2", "-B", "9", "--tests", "W1:abc"],
         ],
         ids="_".join,
@@ -165,17 +168,19 @@ class TestExitCodes:
 
 class TestReportDeterminism:
     def test_byte_identical_across_threads(self, series_files, tmp_path):
-        blobs = []
-        for threads in ("1", "4", "8"):
-            out = tmp_path / f"r{threads}.json"
-            code = run_cli(
-                ["test", "--series1", series_files[0], "--series2", series_files[1],
-                 "-B", "29", "--lag", "0", "--lag", "2", "--max-lag", "2",
-                 "--seed", "7", "--threads", threads, "--output", str(out)]
-            )
-            assert code == 0
-            blobs.append(out.read_bytes())
-        assert blobs[0] == blobs[1] == blobs[2]
+        # Blocks of 64 replicates are the unit of work the worker threads
+        # share, so B = 129 gives them three.
+        pair = ["--series1", series_files[0], "--series2", series_files[1], "--seed", "7"]
+        for argv in (
+            ["test", *pair, "-B", "129", "--lag", "0", "--lag", "2", "--max-lag", "2"],
+            ["lagscan", *pair, "-B", "129", "--max-lag", "4"],
+        ):
+            blobs = []
+            for threads in ("1", "4", "8"):
+                out = tmp_path / f"{argv[0]}{threads}.json"
+                assert run_cli([*argv, "--threads", threads, "--output", str(out)]) == 0
+                blobs.append(out.read_bytes())
+            assert blobs[0] == blobs[1] == blobs[2]
 
     @staticmethod
     def reports_by_blas_threads(tmp_path, argv):
@@ -488,6 +493,26 @@ class TestLagscanCommand:
         l_rows = [r for r in report["scan"] if r["test_name"] == "L1"]
         assert all(abs(r["bound_95"] - 3.841459) < 1e-4 for r in l_rows)
 
+    def test_statistics_equal_single_stat(self, series_files, tmp_path):
+        out = tmp_path / "scan.json"
+        code = run_cli(
+            ["lagscan", "--series1", series_files[0], "--series2", series_files[1],
+             "--max-lag", "10", "-B", "19", "--output", str(out)]
+        )
+        assert code == 0
+        fits = [
+            tsindep.fit_var(tsindep.read_csv(path), p=1, intercept=True) for path in series_files
+        ]
+        pair = tsindep.paired_residuals(*fits)
+        gauss = tsindep.KernelSpec.gaussian(1.0)
+        rows = json.loads(out.read_text())["scan"]
+        assert [(r["lag"], r["direction"]) for r in rows] == [
+            (m, d) for d in (1, 2) for m in range(11)
+        ]
+        for r in rows:
+            want = pair.n * tsindep.single_stat(pair, r["lag"], r["direction"], gauss, gauss)
+            assert r["statistic"] == want
+
     @pytest.mark.parametrize("max_lag", ["57", "80"])
     def test_max_lag_beyond_data_names_the_flag(self, short_files, capsys, max_lag):
         code = run_cli(
@@ -525,6 +550,33 @@ class TestSimulateCommand:
             )
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestRepeatedAlpha:
+    """A level given twice is one level, in every command's report."""
+
+    def test_test_command_has_one_column_per_level(self, series_files, tmp_path):
+        out = tmp_path / "r.csv"
+        code = run_cli(
+            ["test", "--series1", series_files[0], "--series2", series_files[1], "-B", "19",
+             "--alpha", "0.05", "--alpha", "0.01", "--alpha", "0.05", "--format", "csv",
+             "--output", str(out)]
+        )
+        assert code == 0
+        header = out.read_text().splitlines()[0].split(",")
+        assert [h for h in header if h.startswith("crit_")] == ["crit_0.01", "crit_0.05"]
+
+    def test_simulate_has_one_row_per_test_and_level(self, tmp_path):
+        out = tmp_path / "mc.json"
+        code = run_cli(
+            ["simulate", "--dgp", "var", "-n", "60", "--replications", "1", "-B", "19",
+             "--tests", "S1:0,G1:2", "--alpha", "0.05", "--alpha", "0.05", "--output", str(out)]
+        )
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["provenance"]["config"]["alphas"] == [0.05]
+        rows = [(r["test"], r["alpha"]) for r in report["summary"]["rows"]]
+        assert rows == [("S1(0)", 0.05), ("G1(2)", 0.05)]
 
 
 class TestEnvThreads:

@@ -229,18 +229,42 @@ class TestGramSlicing:
         real = hsic_module.single_from_grams
 
         def counting(*args):
-            calls.append(args[2:])
+            calls.append(args[2:4])
             return real(*args)
 
         monkeypatch.setattr(hsic_module, "single_from_grams", counting)
-        singles = {}
-        shared = [stat_from_grams(g1, g2, cfg, singles) for cfg in cfgs]
-        assert shared == separate
+        shared = stat_from_grams(g1, g2, cfgs)
+        assert shared.shape == (5,)
+        assert shared.tolist() == separate
+        # Lags 0..5 of direction 1 and 1..5 of direction 2, once each.
+        assert sorted(calls) == sorted({(m, 1 if m == 0 else d) for m in range(6) for d in (1, 2)})
+        # S2(0) is served by the single S1(0) needs, with no new one.
+        calls.clear()
+        with_s20 = stat_from_grams(g1, g2, cfgs + [LagConfig(direction=2, m=0)])
         assert len(calls) == 11
-        # S2(0) is served by the entry S1(0) made, with no new single.
-        s20 = stat_from_grams(g1, g2, LagConfig(direction=2, m=0), singles)
-        assert len(calls) == 11
-        assert s20 == separate[0]
+        assert with_s20.tolist() == separate + [separate[0]]
+
+    def test_lagscan_configs_take_one_pass_per_direction(self, monkeypatch):
+        # The configs of `tsindep lagscan --max-lag 10`, on one matrix
+        # pair and on a stack.
+        cfgs = [LagConfig(direction=d, m=m) for d in (1, 2) for m in range(11)]
+        g1, g2 = random_grams(np.random.default_rng(20), 60)
+        separate = [stat_from_grams(g1, g2, cfg) for cfg in cfgs]
+        passes = []
+        real = hsic_module._lag_terms
+
+        def counting(g1, g2, direction, lags):
+            passes.append((g1.ndim, direction, sorted(lags)))
+            return real(g1, g2, direction, lags)
+
+        monkeypatch.setattr(hsic_module, "_lag_terms", counting)
+        assert stat_from_grams(g1, g2, cfgs).tolist() == separate
+        stack1, stack2 = np.stack([g1, g2]), np.stack([g2, g1])
+        stacked = stat_from_grams(stack1, stack2, cfgs)
+        assert stacked.shape == (2, 22)
+        assert stacked[0].tolist() == separate
+        lags = {1: list(range(11)), 2: list(range(1, 11))}
+        assert passes == [(ndim, d, lags[d]) for ndim in (2, 3) for d in (1, 2)]
 
 
 FAMILIES = [
@@ -323,15 +347,15 @@ class TestMultiLagPass:
         g1, g2 = random_grams(np.random.default_rng(15), 301)
         self.check_pass(g1, g2, lags)
 
-    def test_joint_pass_fills_the_dict(self):
+    def test_joint_is_the_sum_of_its_singles(self):
         g1, g2 = random_grams(np.random.default_rng(16), 130)
         for direction in (1, 2):
-            singles = {}
-            joint = stat_from_grams(g1, g2, LagConfig(direction, max_lag=7), singles)
+            joint = stat_from_grams(g1, g2, LagConfig(direction, max_lag=7))
+            singles = stat_from_grams(g1, g2, [LagConfig(direction, m=m) for m in range(8)])
             parts = [
                 hsic_module.single_from_grams(g1, g2, m, direction) for m in range(8)
             ]
-            assert [singles[(direction if m else 1, m)] for m in range(8)] == parts
+            assert singles.tolist() == parts
             assert joint == float(sum(parts))
 
     @pytest.mark.parametrize("n", [9, 301])
@@ -340,9 +364,9 @@ class TestMultiLagPass:
         const = np.full((n, n), 0.7)
         for g1, g2 in ((k, const), (const, k)):
             for direction in (1, 2):
-                singles = {}
-                assert stat_from_grams(g1, g2, LagConfig(direction, max_lag=7), singles) == 0.0
-                assert set(singles.values()) == {0.0}
+                assert stat_from_grams(g1, g2, LagConfig(direction, max_lag=7)) == 0.0
+                singles = stat_from_grams(g1, g2, [LagConfig(direction, m=m) for m in range(8)])
+                assert set(singles.tolist()) == {0.0}
 
     def test_transposed_grams_give_the_same_bits(self):
         # Column-major input is copied to row-major, so the top-down
@@ -400,11 +424,11 @@ class TestAboveTheBlockSize:
         # N * eps * scale bounds the rounding of sums of N terms.
         assert abs(hsic_v(g1, g2) - value) <= n * self.EPS * scale
         for direction in (1, 2):
-            singles = {}
-            joint = stat_from_grams(g1, g2, LagConfig(direction, max_lag=10), singles)
+            joint = stat_from_grams(g1, g2, LagConfig(direction, max_lag=10))
+            singles = stat_from_grams(g1, g2, [LagConfig(direction, m=m) for m in range(11)])
             oracle = [centred_oracle(*lag_windows(g1, g2, m, direction)) for m in range(11)]
             for m, (value, scale) in enumerate(oracle):
-                assert abs(singles[(direction if m else 1, m)] - value) <= n * self.EPS * scale
+                assert abs(singles[m] - value) <= n * self.EPS * scale
             values, scales = zip(*oracle)
             assert abs(joint - sum(values)) <= n * self.EPS * sum(scales)
 
@@ -426,14 +450,20 @@ class TestStackedPass:
         return gram_matrix(spec, pts1).values, gram_matrix(spec, pts2).values
 
     def check_items(self, g1, g2, cfgs):
-        singles = {}
-        stacked = [stat_from_grams(g1, g2, cfg, singles) for cfg in cfgs]
-        for i in range(g1.shape[0]):
-            alone = {}
-            for cfg, values in zip(cfgs, stacked):
-                assert values.shape == (g1.shape[0],)
-                assert values[i] == stat_from_grams(g1[i], g2[i], cfg, alone)
-            assert {key: v[i] for key, v in singles.items()} == alone
+        nb, k = g1.shape[0], len(cfgs)
+        # Every single the joints sum is also read through a config of its own.
+        cfgs = cfgs + [
+            LagConfig(c.direction, m=m) for c in cfgs if c.is_joint for m in range(c.lag + 1)
+        ]
+        stacked = stat_from_grams(g1, g2, cfgs)
+        assert stacked.shape == (nb, len(cfgs))
+        one_by_one = [stat_from_grams(g1, g2, cfg) for cfg in cfgs[:k]]
+        assert all(values.shape == (nb,) for values in one_by_one)
+        for i in range(nb):
+            alone = stat_from_grams(g1[i], g2[i], cfgs).tolist()
+            assert stacked[i].tolist() == alone
+            assert [values[i] for values in one_by_one] == alone[:k]
+            assert [stat_from_grams(g1[i], g2[i], cfg) for cfg in cfgs[:k]] == alone[:k]
 
     @pytest.mark.parametrize("tile_bytes", [None, 5000], ids=["default_tile", "small_tile"])
     @pytest.mark.parametrize("nb", [1, 2, 5])

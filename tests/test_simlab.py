@@ -204,6 +204,20 @@ class TestRunMonteCarlo:
         with pytest.raises(ValueError):
             small_config(tests=(TestSpec("hsic_single", 1, 59),))
 
+    @pytest.mark.parametrize("n, rows", [(30, 27), (151, 145)])
+    def test_w_bandwidth_fits_the_prewhitened_rows(self, n, rows):
+        # VAR(3) prewhitening leaves n - 3 rows up to n = 150, VAR(6) n - 6 above.
+        widest = (TestSpec("w", bandwidth=str(rows - 1)),)
+        summary = run_monte_carlo(small_config(n=n, replications=1, tests=widest))
+        assert summary.failures == 0
+        with pytest.raises(ValueError, match=f"must lie in \\[1, {rows}\\)"):
+            small_config(n=n, tests=(TestSpec("w", bandwidth=str(rows)),))
+
+    def test_garch_needs_the_rows_its_fit_needs(self):
+        small_config(dgp="ccc_garch", n=50)
+        with pytest.raises(ValueError, match="needs n >= 50"):
+            small_config(dgp="ccc_garch", n=49)
+
 
 class TestMonteCarloFailureCauses:
     """A replication that fails reports the class of its error, and an
