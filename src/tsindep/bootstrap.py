@@ -24,8 +24,13 @@ go through the Gram matrices and the multi-lag HSIC pass in stacks: one
 :func:`~tsindep.kernels.gram_matrix` call per series and one
 :func:`~tsindep.hsic.stat_from_grams` call for all statistics serve a
 whole stack, whose Grams take at most ``_STACK_BYTES`` per series (6
-replicates at n = 100, 2 at n = 150, and one from n = 182 on).  Each
-replicate's statistics have the bits they have when computed alone.
+replicates at n = 100, 2 at n = 150, and one from n = 182 on).  One pair
+of Gram buffers serves every stack of a block, and the pass's matmul call
+lists on them (:func:`~tsindep.hsic._pass_calls`) are built once per
+stack depth per block: at most twice, since only a block's last stack
+can be shallower.  A block owns its lists, so no two threads share one,
+and they go with the block.  Each replicate's statistics have the bits
+they have when computed alone.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import numpy as np
 
 from ._streams import BOOTSTRAP, path_keys, substream
 from .exceptions import BootstrapError, DataError, FitError, SingularityError
-from .hsic import LagConfig, stat_from_grams
+from .hsic import LagConfig, _pass_calls, stat_from_grams
 from .kernels import KernelSpec, as_points, gram_matrix
 from .models import (
     FitResult,
@@ -81,7 +86,8 @@ class BootstrapConfig:
     ``standardize`` controls the treatment of the residual pool before
     resampling: ``'center'`` subtracts column means (the default),
     ``'whiten'`` additionally rescales to identity sample covariance,
-    ``'none'`` resamples the raw residuals.
+    ``'none'`` resamples the raw residuals.  ``alphas`` are stored as
+    distinct floats in ascending order, so a level given twice is one level.
     """
 
     n_replicates: int = 199
@@ -96,6 +102,7 @@ class BootstrapConfig:
             raise ValueError("need at least one bootstrap replicate")
         if not self.alphas or any(not 0.0 < a < 1.0 for a in self.alphas):
             raise ValueError("significance levels must lie in (0, 1)")
+        object.__setattr__(self, "alphas", tuple(sorted({float(a) for a in self.alphas})))
         if self.estimator_mode not in ESTIMATOR_MODES:
             raise ValueError(f"estimator_mode must be one of {ESTIMATOR_MODES}")
         if self.standardize not in STANDARDIZE_MODES:
@@ -273,16 +280,21 @@ def _stats_block(
     # most _STACK_BYTES per Gram stack, and at least one replicate.  One
     # pair of buffers serves every stack of the block: fresh stack-sized
     # arrays would go back to the system when freed and fault their pages
-    # in again for the next stack.
+    # in again for the next stack.  The pass's call lists are bound to
+    # these buffers, so one list per stack depth serves the whole block
+    # and dies with it.
     n_res = e1.shape[1]
     depth = max(1, _STACK_BYTES // (8 * n_res**2))
     todo = np.flatnonzero(valid)
     buf1, buf2 = np.empty((2, min(depth, todo.size), n_res, n_res))
+    calls = {}
     for s0 in range(0, todo.size, depth):
         items = todo[s0 : s0 + depth]
         g1 = gram_matrix(kernel_k, e1[items], out=buf1[: items.size]).values
         g2 = gram_matrix(kernel_l, e2[items], out=buf2[: items.size]).values
-        stats[items] = n_scale * stat_from_grams(g1, g2, lag_cfgs)
+        if items.size not in calls:
+            calls[items.size] = _pass_calls(g1, g2, lag_cfgs)
+        stats[items] = n_scale * stat_from_grams(g1, g2, lag_cfgs, calls=calls[items.size])
     valid &= np.isfinite(stats).all(axis=1)
     return stats, valid
 
@@ -358,7 +370,7 @@ def bootstrap_run(
     for c, lag_cfg in enumerate(lag_cfgs):
         col = stats[:, c]
         ordered = np.sort(col)
-        crit = {float(a): _critical_value(ordered, float(a)) for a in cfg.alphas}
+        crit = {a: _critical_value(ordered, a) for a in cfg.alphas}
         p_val = (1.0 + float((col >= observed[c]).sum())) / (b_eff + 1.0)
         results.append(
             BootstrapResult(

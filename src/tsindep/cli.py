@@ -329,9 +329,10 @@ def _fit_summary(fit) -> dict:
 
 
 def _bootstrap_config(args, threads: int, required=()) -> BootstrapConfig:
-    """The bootstrap flags.  The levels are the distinct ``--alpha`` values
-    (default ``_ALPHAS``) plus ``required``, in ascending order."""
-    alphas = tuple(sorted(set(args.alpha or _ALPHAS) | set(required)))
+    """The bootstrap flags.  The levels are the ``--alpha`` values (default
+    ``_ALPHAS``) plus ``required``; :class:`BootstrapConfig` keeps the
+    distinct ones in ascending order."""
+    alphas = (*(args.alpha or _ALPHAS), *required)
     mode = {"auto": "auto", "refit": "full_refit", "one-step": "one_step"}[args.estimator_mode]
     try:
         return BootstrapConfig(

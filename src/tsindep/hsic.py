@@ -23,6 +23,20 @@ multi-lag pass shares one top-down and one bottom-up accumulation across
 all lags and reproduces these bits exactly.  :func:`stat_from_grams`
 takes one config or a sequence of them, and evaluates every lag the
 sequence needs in one such pass per direction.
+
+The Python cost of a pass does not grow with its lags and row tiles:
+
+- each direction's values are assembled once over the lag axis, from
+  four reductions per lag (:func:`_lag_stats`);
+- a direction's lead windows are nested, and so are its trailing
+  windows, so one column-sum test on the largest lag's windows rules out
+  a constant window at every lag, and the per-lag check runs only when
+  it cannot;
+- the row dots run as a list of matmul calls on views of the two Gram
+  buffers (:func:`_tile_calls`).  A caller that refills one pair of
+  buffers builds the lists once with :func:`_pass_calls` and passes them
+  with each refill; :mod:`tsindep.bootstrap` keeps one per stack depth
+  of a replicate block.  Other callers' passes make their own calls.
 """
 
 from __future__ import annotations
@@ -159,8 +173,7 @@ def hsic_v(K, L) -> float | np.ndarray:
             raise DataError("Gram matrix is not exactly symmetric")
     # Rows must be contiguous for the column sums to add them in order.
     k, l = (g if g.strides[-1] == g.itemsize else np.ascontiguousarray(g) for g in (k, l))
-    stat = _hsic_from_terms(k, l, _lag_terms(k, l, 1, [0])[0])
-    return stat if k.ndim == 3 else float(stat)
+    return single_from_grams(k, l, 0, 1)
 
 
 def _row_dots(k: np.ndarray, l: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -169,46 +182,6 @@ def _row_dots(k: np.ndarray, l: np.ndarray, out: np.ndarray | None = None) -> np
         out = np.empty(k.shape[:-1])
     np.matmul(k[..., None, :], l[..., :, None], out=out[..., None, None])
     return out
-
-
-def _cross_dots(k: np.ndarray, l: np.ndarray, r0: int, r1: int, out: np.ndarray) -> None:
-    """Rows ``[r0, r1)`` of :func:`hsic_v`'s split cross term into ``out``.
-
-    ``k`` and ``l`` are the two N x N windows (or stacks of them); each
-    row's value depends only on the row and the windows, not on r0, r1.
-    """
-    n = k.shape[-1]
-    for b0 in range(r0 - r0 % _CROSS_BLOCK, r1, _CROSS_BLOCK):
-        b1 = min(b0 + _CROSS_BLOCK, n)
-        a, e = max(r0, b0), min(r1, b1)
-        part = out[..., a - r0 : e - r0]
-        _row_dots(k[..., a:e, b0:b1], l[..., a:e, b0:b1], part)
-        if b1 < n:
-            upper = _row_dots(k[..., a:e, b1:], l[..., a:e, b1:])
-            upper *= 2.0
-            part += upper
-
-
-def _hsic_from_terms(k: np.ndarray, l: np.ndarray, terms):
-    """:func:`hsic_v` from its column sums and row dots ``(c_k, c_l, dots)``.
-
-    Each term carries the stack axes of ``k`` and ``l``, if any, first,
-    and so does the result.
-    """
-    c_k, c_l, dots = terms
-    n = k.shape[-1]
-    stat = (
-        dots.sum(axis=-1) / n**2
-        + c_k.sum(axis=-1) * c_l.sum(axis=-1) / n**4
-        - 2.0 * _row_dots(c_k, c_l) / n**3
-    )
-    for g, c in ((k, c_k), (l, c_l)):
-        # Equal column sums are necessary for a constant matrix and cost
-        # O(N) to test; only then is the full O(N^2) comparison made.
-        maybe = (c == c[..., :1]).all(axis=-1)
-        if maybe.any():
-            stat = np.where(maybe & (g == g[..., :1, :1]).all(axis=(-2, -1)), 0.0, stat)
-    return stat
 
 
 def hsic_v_reference(K, L) -> float:
@@ -303,26 +276,80 @@ def single_from_grams(
     direction 2 swaps the roles of ``g1`` and ``g2``.  At m = 0 both
     directions take direction 1's order, so they agree bit for bit.
     Entry-identical to :func:`single_stat` on the same residuals.
+
+    This is the one-lag case of the pass of :func:`stat_from_grams`, and
+    its value is assembled by the same code (see :func:`_lag_stats`).
     ``terms`` optionally holds the windows' ``(c_k, c_l, dots)`` as
     :func:`_lag_terms` computes them (in direction 1 at m = 0), which
     gives the same bits as computing them here.  Two (nb, n, n) stacks
     give (nb,) values, as in :func:`hsic_v`.
     """
     n = g1.shape[-1]
-    big = n - m
-    if big < 2:
+    if n - m < 2:
         raise DataError(f"lag m={m} leaves fewer than 2 pairs (n={n})")
     if m == 0:
         direction = 1
     if terms is None:
         terms = _lag_terms(g1, g2, direction, [m])[m]
-    ko, lo = _window_offsets(m, direction)
-    k, l = g1[..., ko : ko + big, ko : ko + big], g2[..., lo : lo + big, lo : lo + big]
-    stat = _hsic_from_terms(k, l, terms)
+    stat = _lag_stats(g1, g2, direction, [m], {m: terms})[..., 0]
     return stat if g1.ndim == 3 else float(stat)
 
 
-def _lag_terms(g1: np.ndarray, g2: np.ndarray, direction: int, lags) -> dict:
+def _source(g1: np.ndarray, g2: np.ndarray, direction: int, lags) -> tuple:
+    """The buffers, layout, direction and lags that a call list serves."""
+    layout = (g1.shape, g1.strides, g2.strides)
+    return (g1.ctypes.data, g2.ctypes.data, layout, direction, tuple(lags))
+
+
+def _tile_calls(g1: np.ndarray, g2: np.ndarray, direction: int, lags, dots: np.ndarray):
+    """The matmul calls that make :func:`_lag_terms`' row dots, in sweep order.
+
+    ``dots`` is a (..., len(lags), n) buffer whose row j receives the
+    n - m row dots of lag ``lags[j]`` in its first n - m entries.  Each
+    call is ``(a, b, out, part)``, in sweep order: row tiles of
+    ``_TILE_BYTES`` across the whole stack, the lags within a tile, and
+    the tile's rows of each ``_CROSS_BLOCK`` block within a lag, so each
+    tile of both stacks stays in cache across the lags.
+    ``np.matmul(a, b, out=out)`` takes one BLAS dot per row: of a diagonal
+    block straight into ``dots`` (``part`` is None), or of the part right
+    of it into a scratch row, which is then doubled and added to
+    ``part``.  Row i of block b thus gets the split cross term that
+    :func:`hsic_v` defines, and only the upper triangle and the diagonal
+    blocks of each window are read.
+
+    The calls are views of ``g1``, ``g2``, ``dots`` and the scratch row,
+    so they read whatever ``g1`` and ``g2`` hold when they run.  A single
+    pass runs them as they are made; :func:`_pass_calls` keeps them in a
+    list for callers that refill the same buffers.
+    """
+    n = g1.shape[-1]
+    # A tile holds the same rows of every item, so its bytes grow with the
+    # stack.  Its rows are whole blocks or a power of two dividing one, so
+    # that no tile straddles a block edge and splits its dots into more calls.
+    rows = max(1, _TILE_BYTES // (8 * g1[..., 0, :].size))
+    if rows < n:
+        rows = rows - rows % _CROSS_BLOCK or 1 << (rows.bit_length() - 1)
+    upper = np.empty(g1.shape[:-2] + (min(rows, _CROSS_BLOCK, n), 1, 1))
+    for r0 in range(0, n, rows):
+        for j, m in enumerate(lags):
+            big = n - m
+            r1 = min(r0 + rows, big)
+            if r0 >= r1:
+                continue
+            ko, lo = _window_offsets(m, direction)
+            k = g1[..., ko : ko + big, ko : ko + big]
+            l = g2[..., lo : lo + big, lo : lo + big]
+            for b0 in range(r0 - r0 % _CROSS_BLOCK, r1, _CROSS_BLOCK):
+                b1 = min(b0 + _CROSS_BLOCK, big)
+                a, e = max(r0, b0), min(r1, b1)
+                part = dots[..., j, a:e, None, None]
+                yield k[..., a:e, None, b0:b1], l[..., a:e, b0:b1, None], part, None
+                if b1 < big:
+                    scratch = upper[..., : e - a, :, :]
+                    yield k[..., a:e, None, b1:], l[..., a:e, b1:, None], scratch, part
+
+
+def _lag_terms(g1: np.ndarray, g2: np.ndarray, direction: int, lags, *, calls=None) -> dict:
     """:func:`hsic_v`'s ``(c_k, c_l, dots)`` for every lag in one pass.
 
     ``g1`` and ``g2`` are two exactly symmetric n x n matrices or two
@@ -332,13 +359,18 @@ def _lag_terms(g1: np.ndarray, g2: np.ndarray, direction: int, lags) -> dict:
     trailing window ``G[m:, m:]``.  The leading windows' column sums are
     prefixes of one top-down accumulation over the rows, and the trailing
     windows' column sums are suffixes of one bottom-up accumulation, so
-    the sums of all lags cost one pass over each Gram.  The cross terms
-    of every lag are computed in one sweep over row tiles of
-    ``_TILE_BYTES`` across the whole stack, so each tile of both stacks
-    stays in cache across the lags; :func:`_cross_dots` reads the upper
-    triangle and the diagonal blocks of each window.  Every term of a
-    stack item has the bits :func:`hsic_v` gives on the lead and the
-    trailing window of that item alone, whatever the tile size.
+    the sums of all lags cost one pass over each Gram.  The row dots of
+    every lag come from one sweep over row tiles of the whole stack: the
+    matmul calls that :func:`_tile_calls` makes for these buffers and
+    lags.  Every term of a stack item has the bits :func:`hsic_v` gives
+    on the lead and the trailing window of that item alone, whatever the
+    tile size.
+
+    ``calls`` is internal plumbing: this direction's entry of
+    :func:`_pass_calls` on these same buffers and lags, whose kept call
+    list then runs instead of new calls made for this pass.  The
+    ``dots`` returned are views of its buffer, valid until it runs again.
+    A list built for other buffers or lags raises ValueError.
     """
     if g1.ndim not in (2, 3) or g1.shape != g2.shape or g1.shape[-1] != g1.shape[-2]:
         raise DataError(f"Gram size mismatch: {g1.shape} vs {g2.shape}")
@@ -356,31 +388,110 @@ def _lag_terms(g1: np.ndarray, g2: np.ndarray, direction: int, lags) -> dict:
             up += trail[..., r, :]
         top, bottom = n - m, m
         sums[m] = (down[..., :top].copy(), up[..., m:].copy())
-    dots = {m: np.empty(g1.shape[:-2] + (n - m,)) for m in lags}
-    # A tile holds the same rows of every item, so its bytes grow with the
-    # stack.  Its rows are whole blocks or a power of two dividing one, so
-    # that no tile straddles a block edge and splits its dots into more calls.
-    rows = max(1, _TILE_BYTES // (8 * g1[..., 0, :].size))
-    if rows < n:
-        rows = rows - rows % _CROSS_BLOCK or 1 << (rows.bit_length() - 1)
-    for r0 in range(0, n, rows):
-        for m in lags:
-            big = n - m
-            r1 = min(r0 + rows, big)
-            if r0 < r1:
-                ko, lo = _window_offsets(m, direction)
-                k = g1[..., ko : ko + big, ko : ko + big]
-                l = g2[..., lo : lo + big, lo : lo + big]
-                _cross_dots(k, l, r0, r1, dots[m][..., r0:r1])
+    if calls is None:
+        dots = np.empty(g1.shape[:-2] + (len(lags), n))
+        sweep = _tile_calls(g1, g2, direction, lags, dots)
+    elif calls[0] == _source(g1, g2, direction, lags):
+        _, dots, sweep = calls
+    else:
+        raise ValueError("the call list was built for other Gram buffers or lags")
+    for a, b, out, part in sweep:
+        np.matmul(a, b, out=out)
+        if part is not None:
+            out *= 2.0
+            part += out
     terms = {}
-    for m in lags:
+    for j, m in enumerate(lags):
         lead_sums, trail_sums = sums[m]
         c_k, c_l = (lead_sums, trail_sums) if direction == 1 else (trail_sums, lead_sums)
-        terms[m] = (c_k, c_l, dots[m])
+        terms[m] = (c_k, c_l, dots[..., j, : n - m])
     return terms
 
 
-def stat_from_grams(g1: np.ndarray, g2: np.ndarray, cfg) -> float | np.ndarray:
+def _lag_stats(g1: np.ndarray, g2: np.ndarray, direction: int, lags, terms: dict) -> np.ndarray:
+    """:func:`hsic_v` of every lag's two windows from their ``(c_k, c_l, dots)``.
+
+    The result carries the stack axes of ``g1`` and ``g2``, if any, then
+    one value per lag.  The four reductions that fix a value's bits are
+    made one call per lag, as :func:`hsic_v` defines them: the row dots,
+    c_K and c_L each summed pairwise over the window, and c_K . c_L as
+    one BLAS dot.  The arithmetic that combines them into
+    ``sum(dots) / N^2 + sum(c_K) sum(c_L) / N^4 - 2 c_K . c_L / N^3`` runs
+    once over the lag axis, with N^2, N^3 and N^4 the floats of exact
+    integers.
+
+    A pair with a constant window reads exactly 0.0.  A direction's lead
+    windows are nested, and so are its trailing windows, and a constant
+    window has equal column sums, as has every window inside it.  So when
+    neither window of the largest lag has equal column sums, no window of
+    any lag is constant, and the exact O(N^2) check runs only otherwise.
+    """
+    n = g1.shape[-1]
+    dot_sum, k_sum, l_sum, cross = np.empty((4,) + g1.shape[:-2] + (len(lags),))
+    for j, m in enumerate(lags):
+        c_k, c_l, dots = terms[m]
+        np.add.reduce(dots, axis=-1, out=dot_sum[..., j])
+        np.add.reduce(c_k, axis=-1, out=k_sum[..., j])
+        np.add.reduce(c_l, axis=-1, out=l_sum[..., j])
+        _row_dots(c_k, c_l, cross[..., j])
+    n2, n3, n4 = (np.array([float((n - m) ** p) for m in lags]) for p in (2, 3, 4))
+    stat = dot_sum / n2 + k_sum * l_sum / n4 - 2.0 * cross / n3
+    if not any((c == c[..., :1]).all(axis=-1).any() for c in terms[max(lags)][:2]):
+        return stat
+    for j, m in enumerate(lags):
+        big = n - m
+        ko, lo = _window_offsets(m, direction)
+        windows = g1[..., ko : ko + big, ko : ko + big], g2[..., lo : lo + big, lo : lo + big]
+        for g, c in zip(windows, terms[m]):
+            # Equal column sums are necessary for a constant matrix and cost
+            # O(N) to test; only then is the full O(N^2) comparison made.
+            maybe = (c == c[..., :1]).all(axis=-1)
+            if maybe.any():
+                constant = maybe & (g == g[..., :1, :1]).all(axis=(-2, -1))
+                stat[..., j] = np.where(constant, 0.0, stat[..., j])
+    return stat
+
+
+def _singles(cfg) -> tuple:
+    """``(cfgs, keys, lags)`` of the statistics of ``cfg``.
+
+    ``cfgs`` is the sequence of configs, ``keys`` the (direction, m) of
+    the singles each config sums, in ascending m, and ``lags`` maps each
+    direction to the lags it computes, in ascending order.  Lag 0 is
+    direction 1's (see :func:`single_from_grams`).
+    """
+    cfgs = (cfg,) if isinstance(cfg, LagConfig) else tuple(cfg)
+    keys = [
+        [(c.direction if m else 1, m) for m in (range(c.max_lag + 1) if c.is_joint else (c.m,))]
+        for c in cfgs
+    ]
+    lags = {}
+    for d, m in sorted({key for ks in keys for key in ks}):
+        lags.setdefault(d, []).append(m)
+    return cfgs, keys, lags
+
+
+def _pass_calls(g1: np.ndarray, g2: np.ndarray, cfg) -> dict:
+    """The call lists of ``stat_from_grams(g1, g2, cfg)``, one per direction.
+
+    Internal plumbing for callers that refill the same pair of C-contiguous
+    float Gram buffers and pass the result as ``calls=`` with each refill
+    (see :func:`stat_from_grams`).  Each direction maps to ``(source,
+    dots, calls)``: what the list serves (see :func:`_source`), the
+    (..., len(lags), n) buffer of its row dots, and the list of
+    :func:`_tile_calls` on these buffers, about half a kilobyte of views
+    per call.  A list keeps its buffers alive, and its runs overwrite
+    ``dots``, so it belongs to one caller and thread.
+    """
+    calls = {}
+    for direction, lags in _singles(cfg)[2].items():
+        dots = np.empty(g1.shape[:-2] + (len(lags), g1.shape[-1]))
+        sweep = list(_tile_calls(g1, g2, direction, lags, dots))
+        calls[direction] = _source(g1, g2, direction, lags), dots, sweep
+    return calls
+
+
+def stat_from_grams(g1: np.ndarray, g2: np.ndarray, cfg, *, calls=None) -> float | np.ndarray:
     """Raw single or joint statistics from full Gram matrices (see above).
 
     ``g1`` and ``g2`` are two exactly symmetric n x n matrices, which give
@@ -393,29 +504,32 @@ def stat_from_grams(g1: np.ndarray, g2: np.ndarray, cfg) -> float | np.ndarray:
     ``cfg`` is one :class:`LagConfig` or a sequence of them.  A sequence
     adds a trailing axis with one value per config: (n_cfgs,) values for
     two matrices, (nb, n_cfgs) for two stacks.  Every distinct single the
-    configs need is computed once, through :func:`single_from_grams`, and
-    each direction's lags come from one :func:`_lag_terms` pass; lag 0
-    belongs to direction 1.  Joint sums add their singles in ascending m,
-    so each value has the bits it has when its config is passed alone.
+    configs need is computed once: each direction's lags come from one
+    :func:`_lag_terms` pass and one assembly over the lag axis
+    (:func:`_lag_stats`), and lag 0 belongs to direction 1.  Joint sums
+    add their singles in ascending m, so each value has the bits it has
+    when its config is passed alone, and the bits of
+    :func:`single_from_grams` on each lag.
+
+    ``calls`` is internal plumbing: the call lists that :func:`_pass_calls`
+    built on these same buffers for this ``cfg``.  A caller that refills
+    one pair of Gram buffers passes them with every refill, and the pass
+    then runs its row dots without building the calls again.  Without
+    ``calls`` each pass builds its own.
     """
-    cfgs = (cfg,) if isinstance(cfg, LagConfig) else tuple(cfg)
+    cfgs, keys, lags = _singles(cfg)
     # Row-major layout, so that every window's column sums add the rows in
     # the order hsic_v adds them.
     g1, g2 = np.ascontiguousarray(g1, dtype=float), np.ascontiguousarray(g2, dtype=float)
-    # The (direction, m) of the singles each config sums, in ascending m;
-    # lag 0 is direction 1's (see single_from_grams).
-    keys = [
-        [(c.direction if m else 1, m) for m in (range(c.max_lag + 1) if c.is_joint else (c.m,))]
-        for c in cfgs
-    ]
-    singles = dict.fromkeys(sorted({key for ks in keys for key in ks}))
-    for direction in (1, 2):
-        lags = [m for d, m in singles if d == direction]
-        # Infeasible lags get no terms, so single_from_grams reports them.
-        feasible = [m for m in lags if g1.shape[-1] - m >= 2]
-        terms = _lag_terms(g1, g2, direction, feasible) if feasible else {}
-        for m in lags:
-            singles[direction, m] = single_from_grams(g1, g2, m, direction, terms.get(m))
+    n = g1.shape[-1]
+    singles = {}
+    for direction, ms in lags.items():
+        if n - ms[-1] < 2:
+            m = next(m for m in ms if n - m < 2)
+            raise DataError(f"lag m={m} leaves fewer than 2 pairs (n={n})")
+        terms = _lag_terms(g1, g2, direction, ms, calls=calls[direction] if calls else None)
+        values = _lag_stats(g1, g2, direction, ms, terms)
+        singles.update(((direction, m), values[..., j]) for j, m in enumerate(ms))
     out = np.empty(g1.shape[:-2] + (len(cfgs),))
     for i, (c, ks) in enumerate(zip(cfgs, keys)):
         out[..., i] = sum(singles[key] for key in ks) if c.is_joint else singles[ks[0]]

@@ -407,10 +407,9 @@ def run_monte_carlo(cfg: McConfig) -> McSummary:
             f"{causes} at replications {[r for r, _ in failed[:5]]}"
         )
     good = [o for o in outcomes if not isinstance(o, str)]
-    alphas = sorted(float(a) for a in cfg.bootstrap.alphas)
     rows = []
     for spec in cfg.tests:
-        for alpha in alphas:
+        for alpha in cfg.bootstrap.alphas:
             rejections = sum(1 for o in good if o[spec.label] <= alpha)
             rows.append(
                 McRow(

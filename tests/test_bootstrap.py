@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -223,6 +224,13 @@ class TestBootstrapRun:
                     f"incoherent at alpha={alpha}: p={res.p_value}, obs={res.observed}, c={crit}"
                 )
 
+    def test_repeated_levels_count_once(self):
+        fit1, fit2 = var_fit_pair(seed=14)
+        cfg = BootstrapConfig(n_replicates=19, alphas=(0.10, 0.05, 0.05), master_seed=6)
+        assert cfg.alphas == (0.05, 0.10)
+        res = bootstrap_test(fit1, fit2, LagConfig(direction=1, m=0), cfg=cfg)
+        assert list(res.critical_values) == [0.05, 0.10]
+
     def test_critical_values_monotone(self):
         fit1, fit2 = var_fit_pair(seed=14)
         cfg = BootstrapConfig(n_replicates=99, alphas=(0.01, 0.05, 0.10), master_seed=6)
@@ -390,12 +398,53 @@ class TestStackedBlock:
             monkeypatch.setattr(bootstrap_module, name, wrapper)
         return calls
 
-    @pytest.mark.parametrize("n, nb", [(101, 64), (41, 7), (151, 9), (501, 2)])
-    def test_equals_one_replicate_at_a_time(self, monkeypatch, n, nb):
-        block, oracle = self.prepare(monkeypatch, n, nb)
+    @pytest.mark.parametrize(
+        "n, nb, invalid",
+        [pytest.param(n, nb, (), id=f"{n}-{nb}") for n, nb in
+         [(101, 64), (41, 7), (151, 9), (501, 2), (301, 3), (700, 3)]]
+        + [pytest.param(101, 64, (1, 2, 40), id="101-64-three_invalid")],
+    )
+    def test_equals_one_replicate_at_a_time(self, monkeypatch, n, nb, invalid):
+        # From n = 301 on a stack is one replicate whose Grams the pass reads
+        # in several row tiles, and every stack of the block refills the
+        # same buffer pair.  With 61 valid replicates at n = 101 the stacks
+        # are ten of 6 and a last one of 1.
+        block, oracle = self.prepare(monkeypatch, n, nb, invalid)
+        want = oracle()
+        calls = self.count_calls(monkeypatch)
+        builds = []
+        real = bootstrap_module._pass_calls
+
+        def building(g1, g2, cfg):
+            builds.append(g1.shape[0])
+            return real(g1, g2, cfg)
+
+        monkeypatch.setattr(bootstrap_module, "_pass_calls", building)
         stats, valid = block()
-        assert valid.all()
-        assert np.array_equal(stats, oracle())
+        assert np.flatnonzero(~valid).tolist() == list(invalid)
+        assert np.array_equal(stats[valid], want[valid])
+        # One call list per stack depth of the block.
+        depths = [shape[0] for shape in calls["stat_from_grams"]]
+        assert builds == list(dict.fromkeys(depths))
+        if invalid:
+            assert depths == [6] * 10 + [1]
+
+    @pytest.mark.parametrize("n, nb", [(101, 64), (301, 3)])
+    def test_block_lets_go_of_its_buffers(self, monkeypatch, n, nb):
+        # The call lists hold views of the block's Gram buffers; they go
+        # with the block, and so do the buffers.
+        block, _ = self.prepare(monkeypatch, n, nb)
+        refs = []
+        real = bootstrap_module.gram_matrix
+
+        def recording(spec, points, out=None):
+            refs.append(weakref.ref(out.base))
+            return real(spec, points, out=out)
+
+        monkeypatch.setattr(bootstrap_module, "gram_matrix", recording)
+        stats, valid = block()
+        assert valid.all() and refs
+        assert all(ref() is None for ref in refs)
 
     def test_invalid_replicates_stay_out_of_the_stacks(self, monkeypatch):
         invalid = [0, 5, 6, 20, 63]

@@ -225,23 +225,24 @@ class TestGramSlicing:
         ]
         g1, g2 = random_grams(np.random.default_rng(14), 120)
         separate = [stat_from_grams(g1, g2, cfg) for cfg in cfgs]
-        calls = []
-        real = hsic_module.single_from_grams
+        passes = []
+        real = hsic_module._lag_terms
 
-        def counting(*args):
-            calls.append(args[2:4])
-            return real(*args)
+        def counting(g1, g2, direction, lags, **kwargs):
+            passes.append((direction, list(lags)))
+            return real(g1, g2, direction, lags, **kwargs)
 
-        monkeypatch.setattr(hsic_module, "single_from_grams", counting)
+        monkeypatch.setattr(hsic_module, "_lag_terms", counting)
         shared = stat_from_grams(g1, g2, cfgs)
         assert shared.shape == (5,)
         assert shared.tolist() == separate
         # Lags 0..5 of direction 1 and 1..5 of direction 2, once each.
-        assert sorted(calls) == sorted({(m, 1 if m == 0 else d) for m in range(6) for d in (1, 2)})
-        # S2(0) is served by the single S1(0) needs, with no new one.
-        calls.clear()
+        want = [(1, list(range(6))), (2, list(range(1, 6)))]
+        assert passes == want
+        # S2(0) is served by the single S1(0) needs, with no new lag.
+        passes.clear()
         with_s20 = stat_from_grams(g1, g2, cfgs + [LagConfig(direction=2, m=0)])
-        assert len(calls) == 11
+        assert passes == want
         assert with_s20.tolist() == separate + [separate[0]]
 
     def test_lagscan_configs_take_one_pass_per_direction(self, monkeypatch):
@@ -253,9 +254,9 @@ class TestGramSlicing:
         passes = []
         real = hsic_module._lag_terms
 
-        def counting(g1, g2, direction, lags):
+        def counting(g1, g2, direction, lags, **kwargs):
             passes.append((g1.ndim, direction, sorted(lags)))
-            return real(g1, g2, direction, lags)
+            return real(g1, g2, direction, lags, **kwargs)
 
         monkeypatch.setattr(hsic_module, "_lag_terms", counting)
         assert stat_from_grams(g1, g2, cfgs).tolist() == separate
@@ -516,6 +517,153 @@ class TestStackedPass:
             stat_from_grams(g1, g2[0], LagConfig(1, m=1))
 
 
+def lag_sets(n, joints=True):
+    """The configs the oracle checks below, with lags past n - 2 left out.
+
+    ``var_test``'s five (``test --lag 0 --lag 3 --max-lag 5 --direction
+    both``), the 22 singles of ``lagscan --max-lag 10``, and, with
+    ``joints``, J1(n - 2) with J2(n - 2).
+    """
+    top = n - 2
+    var_test = [
+        LagConfig(1, m=0), LagConfig(1, m=min(3, top)), LagConfig(2, m=min(3, top)),
+        LagConfig(1, max_lag=min(5, top)), LagConfig(2, max_lag=min(5, top)),
+    ]
+    lagscan = [LagConfig(d, m=m) for d in (1, 2) for m in range(min(10, top) + 1)]
+    return var_test + lagscan + [LagConfig(d, max_lag=top) for d in (1, 2) if joints]
+
+
+def per_lag_oracle(g1, g2, cfgs):
+    """The per-lag route: hsic_v on each lag's lead and trailing window.
+
+    Lag 0 is hsic_v(g1, g2) in both directions, and joints add their
+    singles in ascending m.
+    """
+    singles = {}
+
+    def single(direction, m):
+        if (direction, m) not in singles:
+            lead, trail = lag_windows(g1, g2, m, direction)[:: 1 if direction == 1 else -1]
+            singles[direction, m] = hsic_v(lead, trail) if m else hsic_v(g1, g2)
+        return singles[direction, m]
+
+    return [
+        sum(single(c.direction, m) for m in range(c.lag + 1))
+        if c.is_joint
+        else single(c.direction, c.m)
+        for c in cfgs
+    ]
+
+
+class TestPassAgainstPerLagOracle:
+    """stat_from_grams on every lag set against hsic_v on each lag's windows."""
+
+    _oracles = {}
+
+    @staticmethod
+    def item(spec, n, i):
+        """Item i of every stack of (spec, n): the same pair whatever the depth."""
+        rng = np.random.default_rng([n, i, FAMILIES.index(spec)])
+        return (
+            gram_matrix(spec, rng.normal(size=(n, 2))).values,
+            gram_matrix(spec, rng.normal(size=(n, 3))).values,
+        )
+
+    def oracle(self, spec, n, i, joints):
+        key = (spec.family, n, i, joints)
+        if key not in self._oracles:
+            self._oracles[key] = per_lag_oracle(*self.item(spec, n, i), lag_sets(n, joints))
+        return self._oracles[key]
+
+    @pytest.mark.parametrize("tile_bytes", [None, 5000], ids=["default_tile", "small_tile"])
+    @pytest.mark.parametrize("nb", [None, 1, 2, 6], ids=["no_stack", "1", "2", "6"])
+    @pytest.mark.parametrize("n", [2, 3, 9, 35, 130, 257, 301, 499, 700])
+    @pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: s.family)
+    def test_equals_per_lag_oracle(self, monkeypatch, spec, n, nb, tile_bytes):
+        if tile_bytes is not None:
+            monkeypatch.setattr(hsic_module, "_TILE_BYTES", tile_bytes)
+        # J(n - 2) costs the oracle n - 1 hsic_v calls per direction and
+        # item, and 5000-byte tiles give the pass (n / 2) x n calls or more.
+        # So above n = 130 the joints run on item 0 alone (no stack or a
+        # stack of one), and from n = 499 on, where 512 KiB tiles already
+        # cut a Gram into several tiles, with those tiles and one family.
+        joints = n <= 130 or nb in (None, 1) and (
+            n <= 301 or tile_bytes is None and spec is GAUSS
+        )
+        cfgs = lag_sets(n, joints)
+        if nb is None:
+            values = stat_from_grams(*self.item(spec, n, 0), cfgs)
+            assert values.tolist() == self.oracle(spec, n, 0, joints)
+            return
+        pairs = [self.item(spec, n, i) for i in range(nb)]
+        g1, g2 = (np.stack(side) for side in zip(*pairs))
+        values = stat_from_grams(g1, g2, cfgs)
+        assert values.shape == (nb, len(cfgs))
+        for i in range(nb):
+            assert values[i].tolist() == self.oracle(spec, n, i, joints)
+
+
+def nested_constant(g, n, where):
+    """``g`` made constant (0.7) on its leading or trailing (n - 3) x (n - 3) block."""
+    g = g.copy()
+    if where == "leading":
+        g[: n - 3, : n - 3] = 0.7
+    else:
+        g[3:, 3:] = 0.7
+    return g
+
+
+class TestNestedConstantWindows:
+    """A Gram constant on a principal block zeroes exactly the lags whose window
+    lies in the block, whichever lag the column-sum screen looks at."""
+
+    N = 40
+    CFGS = [LagConfig(d, m=m) for d in (1, 2) for m in range(11)] + [
+        LagConfig(d, max_lag=10) for d in (1, 2)
+    ]
+
+    @staticmethod
+    def constant_lags(where, role):
+        """Lags whose window of the special Gram is constant, in that role.
+
+        The leading block holds the lead windows G[:n-m, :n-m] from m = 3
+        on, and the trailing block the trailing windows G[m:, m:]; no
+        window of the other role lies in the block.
+        """
+        if (where, role) in (("leading", "lead"), ("trailing", "trail")):
+            return set(range(3, 11))
+        return set()
+
+    @pytest.mark.parametrize("where", ["leading", "trailing"])
+    @pytest.mark.parametrize("side", [1, 2])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["alone", "stack_item"])
+    def test_zero_exactly_where_a_window_is_constant(self, where, side, stacked):
+        n = self.N
+        g1, g2 = random_grams(np.random.default_rng([n, side]), n)
+        if side == 1:
+            g1 = nested_constant(g1, n, where)
+        else:
+            g2 = nested_constant(g2, n, where)
+        want = per_lag_oracle(g1, g2, self.CFGS)
+        if stacked:
+            others = [random_grams(np.random.default_rng([n, 9, i]), n) for i in range(4)]
+            pairs = others[:2] + [(g1, g2)] + others[2:]
+            values = stat_from_grams(
+                np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs]), self.CFGS
+            )
+            assert (np.delete(values, 2, axis=0) != 0.0).all()
+            values = values[2]
+        else:
+            values = stat_from_grams(g1, g2, self.CFGS)
+        assert values.tolist() == want
+        for direction in (1, 2):
+            # g1 leads in direction 1 and g2 in direction 2.
+            zero = self.constant_lags(where, "lead" if side == direction else "trail")
+            singles = values[(direction - 1) * 11 : direction * 11]
+            assert [v == 0.0 for v in singles] == [m in zero for m in range(11)]
+        assert (values[-2:] != 0.0).all()
+
+
 class TestNumpyReductionOrder:
     """The row order of numpy's axis -2 sums, which the bits of every HSIC
     value rest on: a numpy that reorders them fails here by name.
@@ -545,6 +693,23 @@ class TestNumpyReductionOrder:
             # The two orders differ, so the checks above can tell them apart.
             if width == 500:
                 assert not np.array_equal(top_down, bottom_up)
+
+    @pytest.mark.parametrize("n", [2, 9, 257, 500])
+    @pytest.mark.parametrize("stack", [(), (3,)], ids=["2d", "3d"])
+    def test_reduce_into_a_strided_slot_sums_as_sum(self, stack, n):
+        # The pass reduces each lag's row of a (..., lags, n) buffer, or a
+        # window of it, into one slot of a (..., lags) array; each value
+        # must have the bits of .sum(axis=-1) on a fresh contiguous copy.
+        big = np.random.default_rng(n).normal(size=stack + (4, n + 3))
+        slots = np.empty(stack + (4,))
+        for x in (big[..., 2, :n], big[..., 1, 3:], np.ascontiguousarray(big[..., 0, :n])):
+            np.add.reduce(x, axis=-1, out=slots[..., 1])
+            assert np.array_equal(slots[..., 1], np.ascontiguousarray(x).sum(axis=-1))
+        # Pairwise and sequential sums differ at this length, so the check
+        # above sees a change of order.
+        if n == 500:
+            x = big[..., 0, :n]
+            assert not np.array_equal(x.sum(axis=-1), self.sequential(x[..., None])[..., 0])
 
 
 class TestLagConfig:

@@ -200,6 +200,14 @@ class TestRunMonteCarlo:
         assert blob["replications"] == 4
         assert len(blob["rows"]) == 6
 
+    def test_repeated_level_is_one_row(self):
+        # BootstrapConfig keeps one copy of each level, so the library call
+        # writes one row per test and level, as the CLI does.
+        boot = BootstrapConfig(n_replicates=19, alphas=(0.05, 0.05), master_seed=0)
+        summary = run_monte_carlo(small_config(replications=1, bootstrap=boot))
+        rows = [(row.label, row.alpha) for row in summary.rows]
+        assert rows == [("S1(0)", 0.05), ("G1(2)", 0.05)]
+
     def test_infeasible_lag_rejected(self):
         with pytest.raises(ValueError):
             small_config(tests=(TestSpec("hsic_single", 1, 59),))
