@@ -20,17 +20,24 @@ count and do not depend on which statistics are requested.
 Replicates run in blocks of ``_BLOCK``, one block per task of the thread
 pool.  A block draws, simulates and re-estimates all of its paths of
 both series at once (:func:`_series_block`).  Its valid replicates then
-go through the Gram matrices and the multi-lag HSIC pass in stacks: one
-:func:`~tsindep.kernels.gram_matrix` call per series and one
-:func:`~tsindep.hsic.stat_from_grams` call for all statistics serve a
-whole stack, whose Grams take at most ``_STACK_BYTES`` per series (6
-replicates at n = 100, 2 at n = 150, and one from n = 182 on).  One pair
-of Gram buffers serves every stack of a block, and the pass's matmul call
-lists on them (:func:`~tsindep.hsic._pass_calls`) are built once per
-stack depth per block: at most twice, since only a block's last stack
-can be shallower.  A block owns its lists, so no two threads share one,
-and they go with the block.  Each replicate's statistics have the bits
-they have when computed alone.
+go through the Gram matrices and the multi-lag HSIC pass in stacks
+(:func:`_stack_stats`): one :func:`~tsindep.kernels.gram_matrix` call per
+series and one :func:`~tsindep.hsic.stat_from_grams` call for all
+statistics serve a whole stack, whose Grams take at most
+``_STACK_BYTES`` per series (6 replicates at n = 100, 2 at n = 150, and
+one from n = 182 on).  One pair of Gram buffers serves every stack of a
+block, and the pass's matmul call lists on them
+(:func:`~tsindep.hsic._pass_calls`) are built once per stack depth per
+block: at most twice, since only a block's last stack can be shallower.
+A block owns its buffers and lists, so no two threads share one, and
+they go with the block.  Each replicate's statistics have the bits they
+have when computed alone.
+
+The observed statistics take the same path, as a stack of one whose
+buffers are gone before the first block allocates its own.  A run thus
+holds at most one pair of n x n Gram buffers, 16 n^2 bytes, per worker
+thread that is running a block: about 64 MB at n = 2000 and 400 MB at
+n = 5000.
 """
 
 from __future__ import annotations
@@ -268,6 +275,34 @@ def _series_block(fit: FitResult, pool: np.ndarray, cfg: BootstrapConfig, b0: in
     return resid, valid
 
 
+def _stack_stats(e1, e2, items, lag_cfgs, kernel_k, kernel_l):
+    """Raw statistics of the point-set pairs ``e1[i], e2[i]`` for ``i`` in
+    ``items``, one row per item and one column per config.
+
+    The pairs go through the Grams and the pass in stacks of at most
+    ``_STACK_BYTES`` per Gram stack, and at least one pair.  One pair of
+    buffers serves every stack: fresh stack-sized arrays would go back to
+    the system when freed and fault their pages in again for the next
+    stack.  The pass's call lists are bound to these buffers, so one list
+    per stack depth serves every stack, and lists and buffers go when this
+    returns.  Each row has the bits of ``stat_from_grams`` on the Grams of
+    its pair alone.
+    """
+    n = e1.shape[1]
+    depth = max(1, _STACK_BYTES // (8 * n**2))
+    buf1, buf2 = np.empty((2, min(depth, len(items)), n, n))
+    calls = {}
+    stats = np.empty((len(items), len(lag_cfgs)))
+    for s0 in range(0, len(items), depth):
+        stack = items[s0 : s0 + depth]
+        g1 = gram_matrix(kernel_k, e1[stack], out=buf1[: len(stack)]).values
+        g2 = gram_matrix(kernel_l, e2[stack], out=buf2[: len(stack)]).values
+        if len(stack) not in calls:
+            calls[len(stack)] = _pass_calls(g1, g2, lag_cfgs)
+        stats[s0 : s0 + depth] = stat_from_grams(g1, g2, lag_cfgs, calls=calls[len(stack)])
+    return stats
+
+
 def _stats_block(
     fit1, fit2, pool1, pool2, lag_cfgs, kernel_k, kernel_l, cfg, n_scale, b0, nb
 ):
@@ -276,25 +311,8 @@ def _stats_block(
     e1, e2 = _align(res1, fit1.presample, res2, fit2.presample)
     stats = np.full((nb, len(lag_cfgs)), np.nan)
     valid = ok1 & ok2
-    # Valid replicates go through the Grams and the pass in stacks of at
-    # most _STACK_BYTES per Gram stack, and at least one replicate.  One
-    # pair of buffers serves every stack of the block: fresh stack-sized
-    # arrays would go back to the system when freed and fault their pages
-    # in again for the next stack.  The pass's call lists are bound to
-    # these buffers, so one list per stack depth serves the whole block
-    # and dies with it.
-    n_res = e1.shape[1]
-    depth = max(1, _STACK_BYTES // (8 * n_res**2))
     todo = np.flatnonzero(valid)
-    buf1, buf2 = np.empty((2, min(depth, todo.size), n_res, n_res))
-    calls = {}
-    for s0 in range(0, todo.size, depth):
-        items = todo[s0 : s0 + depth]
-        g1 = gram_matrix(kernel_k, e1[items], out=buf1[: items.size]).values
-        g2 = gram_matrix(kernel_l, e2[items], out=buf2[: items.size]).values
-        if items.size not in calls:
-            calls[items.size] = _pass_calls(g1, g2, lag_cfgs)
-        stats[items] = n_scale * stat_from_grams(g1, g2, lag_cfgs, calls=calls[items.size])
+    stats[todo] = n_scale * _stack_stats(e1, e2, todo, lag_cfgs, kernel_k, kernel_l)
     valid &= np.isfinite(stats).all(axis=1)
     return stats, valid
 
@@ -332,9 +350,11 @@ def bootstrap_run(
         if n_scale - lag_cfg.lag < 2:
             raise DataError(f"lag {lag_cfg.lag} infeasible for n={n_scale}")
 
-    g1 = gram_matrix(kernel_k, pair.eta1).values
-    g2 = gram_matrix(kernel_l, pair.eta2).values
-    observed = n_scale * stat_from_grams(g1, g2, lag_cfgs)
+    # The observed pair is a stack of one, whose Grams are gone before the
+    # first block builds its own.
+    observed = n_scale * _stack_stats(
+        pair.eta1[None], pair.eta2[None], [0], lag_cfgs, kernel_k, kernel_l
+    )[0]
 
     pool1 = standardize_residuals(fit1.effective_residuals, cfg.standardize)
     pool2 = standardize_residuals(fit2.effective_residuals, cfg.standardize)

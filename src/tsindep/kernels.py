@@ -187,29 +187,35 @@ def _pairwise_sq_dists(pts: np.ndarray, out: np.ndarray | None = None) -> np.nda
     return out
 
 
-def _apply_kernel(spec: KernelSpec, vals: np.ndarray, norms, r0: int = 0) -> None:
-    """Turn squared distances into kernel values, in place.
+def _apply_kernel(spec: KernelSpec, vals: np.ndarray, norms, r0: int = 0, out=None) -> None:
+    """Turn squared distances into kernel values.
 
     ``vals`` holds rows ``[r0, r0 + rows)`` and columns ``[r0, n)`` of a
     squared-distance matrix (or a stack of them); ``norms`` holds the
-    ||u||^2h of all n points for fbm and is ``None`` otherwise.
+    ||u||^2h of all n points for fbm and is ``None`` otherwise.  The steps
+    run in place on ``vals`` but the last, which writes the values into
+    ``out`` (an array of ``vals``' shape, by default ``vals`` itself).
+    That step is the same ufunc whatever ``out`` is, so the bits do not
+    depend on it.
     """
+    if out is None:
+        out = vals
     if spec.family == "gaussian":
         vals *= _exponent_scale(spec)
-        np.exp(vals, out=vals)
+        np.exp(vals, out=out)
     elif spec.family == "laplace":
         np.sqrt(vals, out=vals)
         vals *= _exponent_scale(spec)
-        np.exp(vals, out=vals)
+        np.exp(vals, out=out)
     elif spec.family == "inverse_multiquadric":
         np.sqrt(vals, out=vals)
         vals += spec.beta
-        vals **= -spec.alpha
+        np.power(vals, -spec.alpha, out=out)
     else:
         vals **= spec.hurst
         rows = norms[..., r0 : r0 + vals.shape[-2]]
         np.subtract(rows[..., :, None] + norms[..., None, r0:], vals, out=vals)
-        vals *= 0.5
+        np.multiply(vals, 0.5, out=out)
 
 
 def gram_matrix(spec: KernelSpec, points, out: np.ndarray | None = None) -> GramMatrix:
@@ -226,9 +232,10 @@ def gram_matrix(spec: KernelSpec, points, out: np.ndarray | None = None) -> Gram
     place, once over the whole squared-distance buffer of
     :func:`_pairwise_sq_dists`.  Larger items are built one at a time in
     tiles of ``_GRAM_TILE_ROWS`` rows: tile ``[r0, r1)`` computes the
-    distances and kernel values of its upper block ``[r0:r1, r0:]``
-    only, and the part right of its diagonal block is mirrored into the
-    lower triangle, which halves the distance and kernel work.  Each entry
+    distances of its upper block ``[r0:r1, r0:]`` only, into a scratch
+    tile whose kernel step writes the values straight into that block of
+    the Gram.  The part right of its diagonal block is then mirrored into
+    the lower triangle, which halves the distance and kernel work.  Each entry
     is the same elementwise function of a sum of ``(a - b)**2`` terms,
     and those sums are equal for (i, j) and (j, i), so both builds give
     the same bits and the Gram matrix is exactly symmetric.
@@ -260,9 +267,9 @@ def gram_matrix(spec: KernelSpec, points, out: np.ndarray | None = None) -> Gram
             r1 = min(r0 + _GRAM_TILE_ROWS, n)
             upper = tile[: (r1 - r0) * (n - r0)].reshape(r1 - r0, n - r0)
             cdist(item[r0:r1], item[r0:], "sqeuclidean", out=upper)
-            _apply_kernel(spec, upper, None if norms is None else norms[i], r0)
-            gram[r0:r1, r0:] = upper
-            gram[r1:, r0:r1] = upper[:, r1 - r0 :].T
+            values = gram[r0:r1, r0:]
+            _apply_kernel(spec, upper, None if norms is None else norms[i], r0, out=values)
+            gram[r1:, r0:r1] = values[:, r1 - r0 :].T
     return GramMatrix(values=out)
 
 

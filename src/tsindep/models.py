@@ -414,10 +414,12 @@ def _garch_variances(theta, y2: np.ndarray, v_init) -> np.ndarray:
     # omega, alpha, beta component first, (2, <paths of theta>), with unit
     # axes for the path axes theta lacks and for time.
     lead = (1,) * (y2.ndim - th.ndim)
-    w, a, b = (np.moveaxis(th[..., k:6:3], -1, 0) for k in range(3))
+    w, a, b = (th[..., k:6:3].transpose(-1, *range(th.ndim - 1)) for k in range(3))
     v = np.empty((2,) + y2.shape[:-1])
-    v[..., 0] = np.moveaxis(np.asarray(v_init, dtype=float), -1, 0)
-    v[..., 1:] = w.reshape(w.shape + lead) + a.reshape(a.shape + lead) * np.moveaxis(y2[..., :-1, :], -1, 0)
+    v_init = np.asarray(v_init, dtype=float)
+    v[..., 0] = v_init.transpose(-1, *range(v_init.ndim - 1))
+    y2_prev = y2[..., :-1, :].transpose(-1, *range(y2.ndim - 1))
+    v[..., 1:] = w.reshape(w.shape + lead) + a.reshape(a.shape + lead) * y2_prev
     _first_order_recursion(v, b.reshape(b.shape + lead[1:]))
     return v
 
@@ -472,7 +474,7 @@ def _garch_terms(theta, y: np.ndarray, v_init, grad: bool = False, hess: bool = 
     for i, z in enumerate((z1, z2)):
         dll_dv = -(1.0 - (z * z - rho * cross) / one_m) / (2.0 * v[i])
         dv = _beta_filter((np.ones_like(v[i]), y2[..., i], v[i]), th[3 * i + 2])
-        scores[..., 3 * i : 3 * i + 3] = np.moveaxis(dv * dll_dv, 0, -1)
+        scores[..., 3 * i : 3 * i + 3] = (dv * dll_dv).transpose(*range(1, dv.ndim), 0)
         dvs.append(dv)
         dll_dvs.append(dll_dv)
     scores[..., 6] = rho / one_m + (cross * (1.0 + rho * rho) - rho * (z1**2 + z2**2)) / one_m**2
@@ -885,7 +887,8 @@ def _garch_residuals_batch(theta, y: np.ndarray, v_init):
     one-step update) or a non-finite residual is flagged, not raised.
     """
     th = np.asarray(theta, dtype=float)
-    v = np.moveaxis(_garch_variances(th, y**2, v_init), 0, -1)
+    v = _garch_variances(th, y**2, v_init)
+    v = v.transpose(*range(1, v.ndim), 0)
     positive = v > 0
     valid = (np.abs(th[..., 6]) < 1.0) & positive.all(axis=(-2, -1))
     eta = y / np.sqrt(np.where(positive, v, 1.0))

@@ -31,6 +31,14 @@ from tsindep._streams import BOOTSTRAP, substream
 from tsindep.models import _simulate_garch, _simulate_var
 
 
+ALL_FAMILIES = [
+    KernelSpec.gaussian(1.0),
+    KernelSpec.laplace(1.5),
+    KernelSpec.inverse_multiquadric(1.0, 1.0),
+    KernelSpec.fbm(0.5),
+]
+
+
 def var_fit_pair(seed=0, n=80, phi=0.3):
     rng = np.random.default_rng(seed)
     coef = np.array([[phi, 0.0], [0.0, phi]])
@@ -338,11 +346,51 @@ class TestUnequalPresamples:
         assert outcome.n == pair.n
         assert outcome.n_failed == 0
         assert outcome.scaled == pair.n * single_stat(pair, 1, 1, self.KERNEL, self.KERNEL)
-        # Two observed Grams, then the replicate stacks of both series.
-        assert grams[:2] == [(pair.n, pair.n)] * 2
+        # Two observed Grams, a stack of one each, then the replicate stacks
+        # of both series.
+        assert grams[:2] == [(1, pair.n, pair.n)] * 2
         replicate = grams[2:]
         assert sum(shape[0] for shape in replicate) == 2 * 19
         assert {shape[1:] for shape in replicate} == {(pair.n, pair.n)}
+
+
+@pytest.fixture(scope="module")
+def observed_fits():
+    """VAR(1) and CCC-GARCH fit pairs with 101 and 301 paired residual rows."""
+    rng = np.random.default_rng(13)
+    coef = np.array([[0.3, 0.1], [0.0, 0.3]])
+    theta0 = np.array([0.2, 0.1, 0.5, 0.2, 0.1, 0.5, 0.4])
+    out = {}
+    for n in (101, 301):
+        var = [_simulate_var(coef, 1, False, rng.normal(size=(n + 101, 2)))[100:] for _ in "12"]
+        garch = [_simulate_garch(theta0, rng.normal(size=(n + 500, 2)))[500:] for _ in "12"]
+        out["var", n] = [fit_var(y, 1, False) for y in var]
+        out["garch", n] = [fit_ccc_garch(y, seed=0) for y in garch]
+    return out
+
+
+class TestObservedStatistics:
+    """The observed statistics go through the replicates' stack code as a
+    stack of one, and keep the bits of the Grams and the pass alone."""
+
+    CFGS = [
+        LagConfig(1, m=0), LagConfig(1, m=2), LagConfig(2, m=2),
+        LagConfig(1, max_lag=4), LagConfig(2, max_lag=4),
+    ]
+
+    @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
+    @pytest.mark.parametrize("n", [101, 301])
+    @pytest.mark.parametrize("model", ["var", "garch"])
+    def test_equal_to_the_pass_on_the_observed_grams(self, observed_fits, spec, n, model):
+        fit1, fit2 = observed_fits[model, n]
+        pair = paired_residuals(fit1, fit2)
+        assert pair.n == n
+        g1 = gram_matrix(spec, pair.eta1).values
+        g2 = gram_matrix(spec, pair.eta2).values
+        cfg = BootstrapConfig(n_replicates=1, master_seed=n)
+        results = bootstrap_run(fit1, fit2, self.CFGS, spec, spec, cfg)
+        for lag_cfg, res in zip(self.CFGS, results):
+            assert res.observed == n * stat_from_grams(g1, g2, lag_cfg)
 
 
 class TestStackedBlock:
@@ -498,3 +546,13 @@ class TestStackedBlock:
         assert max(shape[0] for shape in calls["gram_matrix"]) == depth
         # Two stacks of Grams live at once, and little else grows with them.
         assert 2 * depth * 80_000 <= peak <= 2 * bootstrap_module._STACK_BYTES + 256 * 1024
+
+    def test_run_holds_one_pair_of_grams(self):
+        # The observed Grams are a stack of one, gone before the first block
+        # builds its pair, so a run holds 2 * 8n^2 bytes of Grams at a time
+        # and not 4 * 8n^2.
+        fits = var_fit_pair(seed=12, n=1201)
+        n = paired_residuals(*fits).n
+        cfg = BootstrapConfig(n_replicates=9, master_seed=12, threads=1)
+        peak = self.peak_bytes(lambda: bootstrap_run(*fits, self.CFGS, cfg=cfg))
+        assert 2 * 8 * n**2 <= peak <= 3 * 8 * n**2

@@ -182,6 +182,26 @@ class TestReportDeterminism:
                 blobs.append(out.read_bytes())
             assert blobs[0] == blobs[1] == blobs[2]
 
+    def test_two_workers_match_one_on_stacks_of_one(self, tmp_path):
+        # From n = 182 on a stack is one replicate, and each worker holds
+        # its own pair of Gram buffers while the observed pair is gone.
+        # B = 129 gives three blocks, so both workers run one.
+        rng = np.random.default_rng(14)
+        coef = np.array([[0.3, 0.0], [0.1, 0.2]])
+        paths = []
+        for name in ("a.csv", "b.csv"):
+            path = tmp_path / name
+            write_csv(path, _simulate_var(coef, 1, False, rng.normal(size=(301, 2))))
+            paths.append(str(path))
+        argv = ["test", "--series1", paths[0], "--series2", paths[1], "-B", "129", "--lag", "0",
+                "--max-lag", "3", "--direction", "both", "--seed", "9"]
+        blobs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}.json"
+            assert run_cli([*argv, "--threads", threads, "--output", str(out)]) == 0
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
+
     @staticmethod
     def reports_by_blas_threads(tmp_path, argv):
         """The report bytes of ``argv`` run in a fresh interpreter with the
