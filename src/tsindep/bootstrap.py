@@ -50,7 +50,7 @@ import numpy as np
 
 from ._streams import BOOTSTRAP, path_keys, substream
 from .exceptions import BootstrapError, DataError, FitError, SingularityError
-from .hsic import LagConfig, _pass_calls, stat_from_grams
+from .hsic import _TILE_BYTES, LagConfig, _pass_calls, stat_from_grams
 from .kernels import KernelSpec, as_points, gram_matrix
 from .models import (
     FitResult,
@@ -73,12 +73,12 @@ STANDARDIZE_MODES = ("whiten", "center", "none")
 ESTIMATOR_MODES = ("auto", "full_refit", "one_step")
 
 _BLOCK = 64
-# Bytes of one stack of replicate Grams (see _stats_block).  Equal to
-# hsic._TILE_BYTES: a stack of several replicates (n <= 181) is then one
-# tile of the pass, and the two stacks of a block fit a 2 MB L2 cache
-# together.  From n = 182 on a stack is one replicate, whose Grams the
-# pass reads in row tiles that do not straddle a hsic._CROSS_BLOCK edge.
-_STACK_BYTES = 512 * 1024
+# Bytes of one stack of replicate Grams (see _stats_block), the pass's tile
+# size: a stack of several replicates (n <= 181) is then one tile of the
+# pass, and the two stacks of a block fit a 2 MB L2 cache together.  From
+# n = 182 on a stack is one replicate, whose Grams the pass reads in row
+# tiles that do not straddle a hsic._CROSS_BLOCK edge.
+_STACK_BYTES = _TILE_BYTES
 _FAILURE_BUDGET = 0.02
 # Simulated rows discarded before each bootstrap path.
 _BURN_IN = 500

@@ -7,13 +7,16 @@ Four families, all operating on residual series:
 - W: spectral statistic weighting squared cross-correlation quadratic
   forms over all lags with the squared Daniell kernel, standard normal
   reference.  Operates on raw series prewhitened by VAR(p) fits.
-- L: portmanteau on the squared-norm transform q_t = eta_t' eta_t
+- L: the G statistic on the squared-norm transform q_t = eta_t' eta_t
   (scalar), chi-square with 2M+1 degrees of freedom.
-- T: portmanteau on the half-vectorized outer products vech(eta eta'),
+- T: the G statistic on the half-vectorized outer products vech(eta eta'),
   chi-square with (2M+1) d1* d2*, ds* = ds (ds + 1) / 2.
 
-Variant 2 of each test applies the small-sample lag weights n/(n-|m|)
-(G) or n^2/(n-|m|) in place of n (L, T).
+G, L and T share one engine, :func:`_correlation_quadratics`: each lag's
+quadratic form n vec(R12(m))' [R22(0)^-1 kron R11(0)^-1] vec(R12(m)) on
+column-equilibrated correlations (El Himdi and Roy, Canadian Journal of
+Statistics 25(2), 1997), so none of them depends on the columns' units.
+Variant 2 of each test applies the small-sample lag weights n/(n-|m|).
 
 Cross-covariances subtract full-sample column means and divide by n.
 """
@@ -27,11 +30,12 @@ import numpy as np
 from .exceptions import DataError, SingularityError
 from .hsic import PairedResiduals
 from .kernels import as_points
-from .models import fit_var
+from .models import _COND_LIMIT, fit_var
 from .results import TestOutcome
 from .special import chi2_sf, norm_sf
 
-_COND_LIMIT = 1e12
+# What each portmanteau family correlates, for error messages.
+_SERIES = {"G": "series", "L": "squared-norm series", "T": "vech transform"}
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +89,10 @@ def _inv_sym(mat: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.inv(mat)
 
 
-def _corr_normalizers(r0: np.ndarray) -> np.ndarray:
+def _corr_normalizers(r0: np.ndarray, what: str) -> np.ndarray:
     d = np.diag(r0)
     if (d <= 0).any():
-        raise SingularityError("a residual component has zero variance")
+        raise SingularityError(f"a component of {what} has zero variance")
     return 1.0 / np.sqrt(d)
 
 
@@ -97,25 +101,37 @@ def _corr_normalizers(r0: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _lag0_correlations(e1: np.ndarray, e2: np.ndarray):
+def _lag0_correlations(e1: np.ndarray, e2: np.ndarray, what: str = "series"):
     """Column scalings ``s = 1 / sd`` and inverse lag-zero correlation
-    matrices of both series: ``(s1, s2, R11(0)^-1, R22(0)^-1)``."""
+    matrices of both series: ``(s1, s2, R11(0)^-1, R22(0)^-1)``.  ``what``
+    names the series in error messages."""
     c11 = cross_cov(e1, e1, 0)
     c22 = cross_cov(e2, e2, 0)
-    s1 = _corr_normalizers(c11)
-    s2 = _corr_normalizers(c22)
-    r11_inv = _inv_sym(s1[:, None] * c11 * s1[None, :], "lag-zero correlation of series 1")
-    r22_inv = _inv_sym(s2[:, None] * c22 * s2[None, :], "lag-zero correlation of series 2")
+    s1 = _corr_normalizers(c11, f"{what} 1")
+    s2 = _corr_normalizers(c22, f"{what} 2")
+    r11_inv = _inv_sym(s1[:, None] * c11 * s1[None, :], f"lag-zero correlation of {what} 1")
+    r22_inv = _inv_sym(s2[:, None] * c22 * s2[None, :], f"lag-zero correlation of {what} 2")
     return s1, s2, r11_inv, r22_inv
 
 
-def _correlation_quadratics(e1: np.ndarray, e2: np.ndarray, lags) -> np.ndarray:
-    """n * vec(R12(m))' [R22(0)^-1 kron R11(0)^-1] vec(R12(m)) per lag."""
-    n = e1.shape[0]
-    s1, s2, r11_inv, r22_inv = _lag0_correlations(e1, e2)
+def _correlation_quadratics(
+    x1: np.ndarray, x2: np.ndarray, lags, what: str = "series"
+) -> np.ndarray:
+    """n * vec(R12(m))' [R22(0)^-1 kron R11(0)^-1] vec(R12(m)) per lag.
+
+    Both series are centred once; each lag's cross-covariance is the
+    expression of :func:`cross_cov`, reflection for m < 0 included, so
+    every value has the bits of one built through it.  ``what`` names the
+    series in error messages.
+    """
+    n = x1.shape[0]
+    s1, s2, r11_inv, r22_inv = _lag0_correlations(x1, x2, what)
+    xc = x1 - x1.mean(axis=0)
+    yc = x2 - x2.mean(axis=0)
     out = np.empty(len(lags))
     for i, m in enumerate(lags):
-        r12 = s1[:, None] * cross_cov(e1, e2, m) * s2[None, :]
+        c12 = xc[: n - m].T @ yc[m:] / n if m >= 0 else (yc[: n + m].T @ xc[-m:] / n).T
+        r12 = s1[:, None] * c12 * s2[None, :]
         out[i] = n * float(np.einsum("ab,ac,cd,bd->", r12, r11_inv, r12, r22_inv))
     return out
 
@@ -146,16 +162,24 @@ def _chi2_outcome(family: str, stat, df: int, n: int, max_lag: int, variant: int
     )
 
 
-def g_test(res: PairedResiduals, max_lag: int, variant: int = 1) -> TestOutcome:
-    """Cross-correlation portmanteau test over lags -M..M."""
-    n = _portmanteau_n(res, max_lag, variant)
+def _portmanteau(
+    family: str, x1: np.ndarray, x2: np.ndarray, n: int, max_lag: int, variant: int
+) -> TestOutcome:
+    """G's statistic on the series ``x1``, ``x2`` over lags -M..M, against
+    chi2((2M+1) d1 d2) with the widths d1, d2 of the two series."""
     lags = list(range(-max_lag, max_lag + 1))
-    z = _correlation_quadratics(res.eta1, res.eta2, lags)
+    z = _correlation_quadratics(x1, x2, lags, _SERIES[family])
     if variant == 2:
         weights = np.array([n / (n - abs(m)) for m in lags])
         z = z * weights
-    df = (2 * max_lag + 1) * res.eta1.shape[1] * res.eta2.shape[1]
-    return _chi2_outcome("G", z.sum(), df, n, max_lag, variant)
+    df = (2 * max_lag + 1) * x1.shape[1] * x2.shape[1]
+    return _chi2_outcome(family, z.sum(), df, n, max_lag, variant)
+
+
+def g_test(res: PairedResiduals, max_lag: int, variant: int = 1) -> TestOutcome:
+    """Cross-correlation portmanteau test over lags -M..M."""
+    n = _portmanteau_n(res, max_lag, variant)
+    return _portmanteau("G", res.eta1, res.eta2, n, max_lag, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -278,38 +302,22 @@ def w_test(
 # ---------------------------------------------------------------------------
 
 
-def _squared_norms(eta: np.ndarray) -> np.ndarray:
-    return np.einsum("ti,ti->t", eta, eta)
-
-
-def _l_setup(res: PairedResiduals):
-    """Squared-norm series ``(q1, q2)`` and the product of their standard
-    deviations, the denominator of every lag's correlation."""
-    q1 = _squared_norms(res.eta1)
-    q2 = _squared_norms(res.eta2)
-    v1 = cross_cov(q1[:, None], q1[:, None], 0)[0, 0]
-    v2 = cross_cov(q2[:, None], q2[:, None], 0)[0, 0]
-    for q, v in ((q1, v1), (q2, v2)):
+def _squared_norms(res: PairedResiduals):
+    """The squared-norm series ``(q1, q2)`` as n x 1 columns, once neither
+    is constant."""
+    q1 = np.einsum("ti,ti->t", res.eta1, res.eta1)[:, None]
+    q2 = np.einsum("ti,ti->t", res.eta2, res.eta2)[:, None]
+    for q in (q1, q2):
+        v = cross_cov(q, q, 0)[0, 0]
         if v <= 1e-18 * max(1.0, float(np.mean(q)) ** 2):
             raise DataError("squared-norm series is constant; L statistic undefined")
-    return q1, q2, np.sqrt(v1 * v2)
-
-
-def _l_term(q1: np.ndarray, q2: np.ndarray, m: int, scale) -> float:
-    """Lag-m cross-correlation of the squared-norm series."""
-    return float(cross_cov(q1[:, None], q2[:, None], m)[0, 0] / scale)
+    return q1, q2
 
 
 def l_test(res: PairedResiduals, max_lag: int, variant: int = 1) -> TestOutcome:
     """Portmanteau on cross-correlations of squared residual norms."""
     n = _portmanteau_n(res, max_lag, variant)
-    q1, q2, scale = _l_setup(res)
-    stat = 0.0
-    for m in range(-max_lag, max_lag + 1):
-        rho = _l_term(q1, q2, m, scale)
-        weight = n if variant == 1 else n * n / (n - abs(m))
-        stat += weight * rho * rho
-    return _chi2_outcome("L", stat, 2 * max_lag + 1, n, max_lag, variant)
+    return _portmanteau("L", *_squared_norms(res), n, max_lag, variant)
 
 
 def _vech(eta: np.ndarray) -> np.ndarray:
@@ -319,30 +327,10 @@ def _vech(eta: np.ndarray) -> np.ndarray:
     return eta[:, rows] * eta[:, cols]
 
 
-def _t_setup(res: PairedResiduals):
-    """vech transforms ``(phi1, phi2)`` and their inverse lag-zero covariances."""
-    phi1 = _vech(res.eta1)
-    phi2 = _vech(res.eta2)
-    c11_inv = _inv_sym(cross_cov(phi1, phi1, 0), "lag-zero covariance of vech transform (1)")
-    c22_inv = _inv_sym(cross_cov(phi2, phi2, 0), "lag-zero covariance of vech transform (2)")
-    return phi1, phi2, c11_inv, c22_inv
-
-
-def _t_term(phi1: np.ndarray, phi2: np.ndarray, m: int, c11_inv, c22_inv) -> float:
-    c12 = cross_cov(phi1, phi2, m)
-    return float(np.trace(c12.T @ c11_inv @ c12 @ c22_inv))
-
-
 def t_test(res: PairedResiduals, max_lag: int, variant: int = 1) -> TestOutcome:
-    """Portmanteau on cross-covariances of vech(eta eta') transforms."""
+    """Portmanteau on cross-correlations of vech(eta eta') transforms."""
     n = _portmanteau_n(res, max_lag, variant)
-    phi1, phi2, c11_inv, c22_inv = _t_setup(res)
-    stat = 0.0
-    for m in range(-max_lag, max_lag + 1):
-        weight = n if variant == 1 else n * n / (n - abs(m))
-        stat += weight * _t_term(phi1, phi2, m, c11_inv, c22_inv)
-    df = (2 * max_lag + 1) * phi1.shape[1] * phi2.shape[1]
-    return _chi2_outcome("T", stat, df, n, max_lag, variant)
+    return _portmanteau("T", _vech(res.eta1), _vech(res.eta2), n, max_lag, variant)
 
 
 def single_lag_stat(res: PairedResiduals, m: int, family: str, direction: int = 1):
@@ -358,11 +346,9 @@ def single_lag_stat(res: PairedResiduals, m: int, family: str, direction: int = 
     n = res.n
     if m >= n - 1:
         raise DataError(f"lag {m} infeasible for n={n}")
-    lag = m if direction == 1 else -m
     if family == "L":
-        q1, q2, scale = _l_setup(res)
-        rho = _l_term(q1, q2, lag, scale)
-        return float(n * rho * rho), 1
-    phi1, phi2, c11_inv, c22_inv = _t_setup(res)
-    df = phi1.shape[1] * phi2.shape[1]
-    return float(n * _t_term(phi1, phi2, lag, c11_inv, c22_inv)), df
+        x1, x2 = _squared_norms(res)
+    else:
+        x1, x2 = _vech(res.eta1), _vech(res.eta2)
+    z = _correlation_quadratics(x1, x2, [m if direction == 1 else -m], _SERIES[family])
+    return float(z[0]), x1.shape[1] * x2.shape[1]

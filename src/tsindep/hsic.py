@@ -261,9 +261,7 @@ def _window_offsets(m: int, direction: int) -> tuple[int, int]:
     raise ValueError("direction must be 1 or 2")
 
 
-def single_from_grams(
-    g1: np.ndarray, g2: np.ndarray, m: int, direction: int, terms=None
-) -> float | np.ndarray:
+def single_from_grams(g1: np.ndarray, g2: np.ndarray, m: int, direction: int) -> float | np.ndarray:
     """Single-lag statistic from precomputed full n x n Gram matrices.
 
     ``g1[i, j] = k(eta1_i, eta1_j)`` and likewise ``g2``; the lagged pairing
@@ -278,20 +276,15 @@ def single_from_grams(
     Entry-identical to :func:`single_stat` on the same residuals.
 
     This is the one-lag case of the pass of :func:`stat_from_grams`, and
-    its value is assembled by the same code (see :func:`_lag_stats`).
-    ``terms`` optionally holds the windows' ``(c_k, c_l, dots)`` as
-    :func:`_lag_terms` computes them (in direction 1 at m = 0), which
-    gives the same bits as computing them here.  Two (nb, n, n) stacks
-    give (nb,) values, as in :func:`hsic_v`.
+    its value is assembled by the same code (see :func:`_lag_stats`).  Two
+    (nb, n, n) stacks give (nb,) values, as in :func:`hsic_v`.
     """
     n = g1.shape[-1]
     if n - m < 2:
         raise DataError(f"lag m={m} leaves fewer than 2 pairs (n={n})")
     if m == 0:
         direction = 1
-    if terms is None:
-        terms = _lag_terms(g1, g2, direction, [m])[m]
-    stat = _lag_stats(g1, g2, direction, [m], {m: terms})[..., 0]
+    stat = _lag_stats(g1, g2, direction, [m], _lag_terms(g1, g2, direction, [m]))[..., 0]
     return stat if g1.ndim == 3 else float(stat)
 
 

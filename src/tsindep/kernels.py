@@ -25,8 +25,8 @@ from .exceptions import DataError
 
 FAMILIES = ("gaussian", "laplace", "inverse_multiquadric", "fbm")
 # Rows of one tile of a Gram build (see gram_matrix); any value gives the
-# same bits.  Items of up to two tiles' rows are built in one piece, since
-# a short second tile costs more in calls than it saves.
+# same bits.  Grams of up to two tiles' rows are one tile, since a short
+# second tile costs more in calls than it saves.
 _GRAM_TILE_ROWS = 128
 
 
@@ -165,28 +165,6 @@ def eval_kernel(spec: KernelSpec, u, v) -> float:
     return 0.5 * (nu + nv - sq**h)
 
 
-def _pairwise_sq_dists(pts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Squared Euclidean distances between all rows of ``pts``, as n x n.
-
-    An (nb, n, d) stack gives (nb, n, n), item by item.  scipy's
-    ``sqeuclidean`` loop adds ``(u_k - v_k)**2`` coordinate by coordinate.
-    Explicit differences rather than the ||u||^2 + ||v||^2 - 2<u,v>
-    shortcut keep every entry nonnegative and accurate, and since
-    (a - b)^2 == (b - a)^2 in IEEE arithmetic the result is exactly
-    symmetric.  Each item is written into its slot of ``out`` if given
-    (a C-contiguous float buffer of the result's shape), else of a fresh
-    buffer; the caller may overwrite the result.
-    """
-    shape = pts.shape[:-1] + pts.shape[-2:-1]
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape:
-        raise ValueError(f"out has shape {out.shape}, need {shape}")
-    for item, vals in zip(pts[None] if pts.ndim == 2 else pts, out[None] if out.ndim == 2 else out):
-        cdist(item, item, "sqeuclidean", out=vals)
-    return out
-
-
 def _apply_kernel(spec: KernelSpec, vals: np.ndarray, norms, r0: int = 0, out=None) -> None:
     """Turn squared distances into kernel values.
 
@@ -228,17 +206,20 @@ def gram_matrix(spec: KernelSpec, points, out: np.ndarray | None = None) -> Gram
     lets a caller reuse one buffer across calls), else into a fresh
     array.
 
-    When n is at most ``2 * _GRAM_TILE_ROWS`` the kernel is applied in
-    place, once over the whole squared-distance buffer of
-    :func:`_pairwise_sq_dists`.  Larger items are built one at a time in
-    tiles of ``_GRAM_TILE_ROWS`` rows: tile ``[r0, r1)`` computes the
-    distances of its upper block ``[r0:r1, r0:]`` only, into a scratch
-    tile whose kernel step writes the values straight into that block of
-    the Gram.  The part right of its diagonal block is then mirrored into
-    the lower triangle, which halves the distance and kernel work.  Each entry
-    is the same elementwise function of a sum of ``(a - b)**2`` terms,
-    and those sums are equal for (i, j) and (j, i), so both builds give
-    the same bits and the Gram matrix is exactly symmetric.
+    The build runs in row tiles.  Tile ``[r0, r1)`` writes the squared
+    distances of its upper block ``[r0:r1, r0:]`` (scipy's ``sqeuclidean``
+    loop, which adds ``(u_k - v_k)**2`` coordinate by coordinate, so every
+    entry is nonnegative and accurate), turns them into kernel values over
+    the whole stack at once, and mirrors the part right of its diagonal
+    block into the lower triangle, which halves the distance and kernel
+    work.  When n is at most ``2 * _GRAM_TILE_ROWS`` one tile holds all
+    rows: the distances go straight into ``out`` and the kernel runs in
+    place.  Larger Grams take tiles of ``_GRAM_TILE_ROWS`` rows through a
+    scratch buffer, whose kernel step writes the values into their block
+    of the Gram.  Each entry is the same elementwise function of a sum of
+    ``(a - b)**2`` terms, and those sums are equal for (i, j) and (j, i),
+    so any tile size gives the same bits and the Gram matrix is exactly
+    symmetric.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 3:
@@ -257,19 +238,19 @@ def gram_matrix(spec: KernelSpec, points, out: np.ndarray | None = None) -> Gram
     if spec.family == "fbm":
         flat = pts.reshape(-1, pts.shape[-1])
         norms = (np.einsum("ij,ij->i", flat, flat) ** spec.hurst).reshape(pts.shape[:-1])
-    if n <= 2 * _GRAM_TILE_ROWS:
-        _apply_kernel(spec, _pairwise_sq_dists(pts, out), norms)
-        return GramMatrix(values=out)
-    tile = np.empty(_GRAM_TILE_ROWS * n)
-    for i in np.ndindex(pts.shape[:-2]):
-        item, gram = pts[i], out[i]
-        for r0 in range(0, n, _GRAM_TILE_ROWS):
-            r1 = min(r0 + _GRAM_TILE_ROWS, n)
-            upper = tile[: (r1 - r0) * (n - r0)].reshape(r1 - r0, n - r0)
-            cdist(item[r0:r1], item[r0:], "sqeuclidean", out=upper)
-            values = gram[r0:r1, r0:]
-            _apply_kernel(spec, upper, None if norms is None else norms[i], r0, out=values)
-            gram[r1:, r0:r1] = values[:, r1 - r0 :].T
+    items = pts.reshape((-1,) + pts.shape[-2:])
+    rows = n if n <= 2 * _GRAM_TILE_ROWS else _GRAM_TILE_ROWS
+    scratch = None if rows == n else np.empty(rows * out.size // n)
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        values = out[..., r0:r1, r0:]
+        sq = values if scratch is None else scratch[: values.size].reshape(values.shape)
+        dists = sq.reshape((-1,) + sq.shape[-2:])
+        for head, tail, item in zip(items[:, r0:r1], items[:, r0:], dists):
+            cdist(head, tail, "sqeuclidean", out=item)
+        _apply_kernel(spec, sq, norms, r0, out=values)
+        if r1 < n:
+            out[..., r1:, r0:r1] = values[..., r1 - r0 :].swapaxes(-1, -2)
     return GramMatrix(values=out)
 
 

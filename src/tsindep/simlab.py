@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._streams import MONTE_CARLO, substream
-from .bootstrap import BootstrapConfig, bootstrap_run
+from .bootstrap import BootstrapConfig, _FAILURE_BUDGET, bootstrap_run
 from .crosscorr import _prewhitening_order, g_test, l_test, t_test, w_test
 from .exceptions import DataError, NumericalError, TsindepError
 from .hsic import LagConfig
@@ -399,12 +399,12 @@ def run_monte_carlo(cfg: McConfig) -> McSummary:
 
     failed = [(r, o) for r, o in enumerate(outcomes) if isinstance(o, str)]
     failures = len(failed)
-    if failures > int(0.02 * cfg.replications):
+    if failures > int(_FAILURE_BUDGET * cfg.replications):
         tally = Counter(name for _, name in failed).most_common()
         causes = ", ".join(f"{name} x{count}" for name, count in tally)
         raise NumericalError(
-            f"{failures} of {cfg.replications} Monte Carlo replications failed (budget 2%): "
-            f"{causes} at replications {[r for r, _ in failed[:5]]}"
+            f"{failures} of {cfg.replications} Monte Carlo replications failed "
+            f"(budget {_FAILURE_BUDGET:.0%}): {causes} at replications {[r for r, _ in failed[:5]]}"
         )
     good = [o for o in outcomes if not isinstance(o, str)]
     rows = []

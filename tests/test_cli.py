@@ -40,6 +40,21 @@ def short_files(tmp_path):
     return paths
 
 
+@pytest.fixture()
+def scaled_files(tmp_path):
+    # A 300-row VAR(1) pair whose series 1 has one column in units 1024
+    # times the other's: the lag-zero covariance of its vech transform has
+    # a condition number of about 1.1e12.
+    rng = np.random.default_rng(0)
+    coef = np.array([[0.3, 0.0], [0.1, 0.2]])
+    paths = []
+    for name, units in (("a.csv", [1.0, 1024.0]), ("b.csv", [1.0, 1.0])):
+        path = tmp_path / name
+        write_csv(path, _simulate_var(coef, 1, False, rng.normal(size=(400, 2)))[100:] * units)
+        paths.append(str(path))
+    return paths
+
+
 def run_cli(args):
     return main(args)
 
@@ -62,6 +77,20 @@ class TestExitCodes:
         )
         assert code == 2
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["test", "--ttest", "3"], ["lagscan", "--max-lag", "1", "--include-t"]],
+        ids=["test", "lagscan"],
+    )
+    def test_t_on_mixed_column_units(self, scaled_files, tmp_path, argv):
+        # T reads the equilibrated correlation of its vech transforms, so a
+        # column in other units is no numerical failure.
+        code = run_cli(
+            [argv[0], "--series1", scaled_files[0], "--series2", scaled_files[1],
+             "-B", "19", *argv[1:], "--output", str(tmp_path / "out.json")]
+        )
+        assert code == 0
 
     @pytest.mark.parametrize("band", ["nan", "0.5"])
     def test_bad_wtest_bandwidth_is_data_error(self, series_files, capsys, monkeypatch, band):

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from tsindep import (
     DataError,
     PairedResiduals,
+    SingularityError,
     bandwidth_rule,
     cross_cov,
     cross_cov_set,
@@ -172,19 +173,6 @@ def scalar_cross_corr_loop(q1, q2, m):
     return float(c / np.sqrt(v1 * v2))
 
 
-def l_stat_loop(res, max_lag, variant):
-    """Oracle: the L statistic as a sum of per-lag correlations."""
-    n = res.n
-    q1 = np.einsum("ti,ti->t", res.eta1, res.eta1)
-    q2 = np.einsum("ti,ti->t", res.eta2, res.eta2)
-    stat = 0.0
-    for m in range(-max_lag, max_lag + 1):
-        rho = scalar_cross_corr_loop(q1, q2, m)
-        weight = n if variant == 1 else n * n / (n - abs(m))
-        stat += weight * rho * rho
-    return float(stat)
-
-
 def t_lag_loop(res, lag):
     """Oracle: one lag's T term with its own inverse lag-zero covariances."""
     rows1, cols1 = np.tril_indices(res.eta1.shape[1])
@@ -211,9 +199,75 @@ def correlation_quadratics_loop(e1, e2, lags):
     return out
 
 
+def transforms(res, family):
+    """Oracle: both series of L (squared norms) or T (vech of outer
+    products), as columns."""
+    if family == "L":
+        return tuple(np.einsum("ti,ti->t", e, e)[:, None] for e in (res.eta1, res.eta2))
+    out = []
+    for e in (res.eta1, res.eta2):
+        rows, cols = np.tril_indices(e.shape[1])
+        out.append(e[:, rows] * e[:, cols])
+    return tuple(out)
+
+
+def form_bound(x1, x2, lag):
+    """First-order rounding bound on the gap between two evaluations of one
+    lag's form ``Q = n vec(C12)' [C22^-1 kron C11^-1] vec(C12)`` on the
+    (n, d1) and (n, d2) series ``x1``, ``x2``: G's, on the equilibrated
+    correlations, and the trace form on the covariances (or, at d1 = d2 =
+    1, the rho form ``n rho^2``).
+
+    Both start from the same bits of C11, C22 and C12 (``cross_cov``), so
+    the gap is at most the sum of each side's distance to the exact Q of
+    those matrices, in units u = eps / 2.  For any A, B and C,
+    ``|n vec(C)' (B kron A) vec(C)| <= S = n ||C||_F^2 ||A||_2 ||B||_2``,
+    and the sum of the absolute terms of the form is at most ``sqrt(d1 d2)
+    S``.
+    - Inverses.  A computed inverse X of A with residual ``A X = I + F``
+      is within ``||X|| ||F|| / (1 - ||F||)`` of A^-1, which moves Q by
+      that relative amount times S.  F is evaluated in long double.  On
+      G's side the correlation matrix carries two roundings per entry
+      (``s_i c_ij s_j``; Q does not change under an exact diagonal
+      scaling, so the computed s may stand for the exact one), which
+      moves its inverse by a further ``2 u ||R||_F ||R^-1||_2`` relative.
+    - Evaluation.  G's side rounds R12 twice per entry (4u on each term),
+      each term's product of four factors three times, and sums (d1 d2)^2
+      terms; the trace form makes three matrix products and a trace,
+      ``2 d1 + 2 d2`` roundings a term; the rho form 7 in all.  One more
+      rounding multiplies by n.  Each side is therefore within ``k u
+      sqrt(d1 d2) S`` of its exact value, ``k = (d1 d2)^2 + 7``.
+    """
+    n, d1 = x1.shape
+    d2 = x2.shape[1]
+    u = np.finfo(float).eps / 2
+    k = ((d1 * d2) ** 2 + 7) * np.sqrt(d1 * d2) * u
+
+    def inverse(a):
+        x = np.linalg.inv(a)
+        resid = a.astype(np.longdouble) @ x.astype(np.longdouble) - np.eye(len(a))
+        f = np.linalg.norm(resid.astype(float), 2)
+        return np.linalg.norm(x, 2), f / (1.0 - f)
+
+    def side(c11, c22, c12, entry_roundings):
+        (n1, f1), (n2, f2) = inverse(c11), inverse(c22)
+        f1 += entry_roundings * u * np.linalg.norm(c11) * n1
+        f2 += entry_roundings * u * np.linalg.norm(c22) * n2
+        return n * np.linalg.norm(c12) ** 2 * n1 * n2 * (k + f1 + f2)
+
+    c11, c22, c12 = cross_cov(x1, x1, 0), cross_cov(x2, x2, 0), cross_cov(x1, x2, lag)
+    s1 = 1.0 / np.sqrt(np.diag(c11))
+    s2 = 1.0 / np.sqrt(np.diag(c22))
+    r11 = s1[:, None] * c11 * s1[None, :]
+    r22 = s2[:, None] * c22 * s2[None, :]
+    r12 = s1[:, None] * c12 * s2[None, :]
+    return side(c11, c22, c12, 0) + side(r11, r22, r12, 2)
+
+
 class TestPerLagOracles:
     # The per-call setup is shared across lags; every per-lag value keeps
-    # the bits of the loop that rebuilt it at each lag.
+    # the bits of the loop that rebuilt it at each lag.  L and T are G's
+    # form on the transforms, so G's loop is their oracle too.
     @pytest.fixture(scope="class")
     def res(self):
         rng = np.random.default_rng(22)
@@ -221,22 +275,40 @@ class TestPerLagOracles:
 
     @pytest.mark.parametrize("variant", [1, 2])
     def test_l_statistic(self, res, variant):
+        q1, q2 = transforms(res, "L")
         for max_lag in (0, 3, 20, 88):
-            assert l_test(res, max_lag, variant).statistic == l_stat_loop(res, max_lag, variant)
+            lags = list(range(-max_lag, max_lag + 1))
+            z = correlation_quadratics_loop(q1, q2, lags)
+            if variant == 2:
+                z = z * np.array([res.n / (res.n - abs(m)) for m in lags])
+            assert l_test(res, max_lag, variant).statistic == float(z.sum())
 
     def test_single_lag_values(self, res):
-        q1 = np.einsum("ti,ti->t", res.eta1, res.eta1)
-        q2 = np.einsum("ti,ti->t", res.eta2, res.eta2)
-        for m in range(89):
-            for direction, lag in ((1, m), (2, -m)):
-                rho = scalar_cross_corr_loop(q1, q2, lag)
-                assert single_lag_stat(res, m, "L", direction)[0] == float(res.n * rho * rho)
-                assert single_lag_stat(res, m, "T", direction)[0] == t_lag_loop(res, lag)
+        for family in ("L", "T"):
+            x1, x2 = transforms(res, family)
+            for m in range(89):
+                for direction, lag in ((1, m), (2, -m)):
+                    want = correlation_quadratics_loop(x1, x2, [lag])[0]
+                    assert single_lag_stat(res, m, family, direction)[0] == want
 
     def test_g_quadratics(self, res):
         lags = list(range(-88, 89))
         quads = _correlation_quadratics(res.eta1, res.eta2, lags)
         assert (quads == correlation_quadratics_loop(res.eta1, res.eta2, lags)).all()
+
+    def test_rho_and_trace_forms(self, res):
+        # The correlation form agrees with L's n rho^2 and T's trace form
+        # within form_bound's rounding bound; the largest gaps seen are
+        # 0.3 (L) and 0.002 (T) of it, and 2e-15 of the statistic.
+        q1, q2 = transforms(res, "L")
+        phi1, phi2 = transforms(res, "T")
+        for m in range(89):
+            for direction, lag in ((1, m), (2, -m)):
+                rho = scalar_cross_corr_loop(q1[:, 0], q2[:, 0], lag)
+                got = single_lag_stat(res, m, "L", direction)[0]
+                assert abs(got - res.n * rho * rho) <= form_bound(q1, q2, lag)
+                got = single_lag_stat(res, m, "T", direction)[0]
+                assert abs(got - t_lag_loop(res, lag)) <= form_bound(phi1, phi2, lag)
 
 
 class TestLTest:
@@ -302,6 +374,16 @@ class TestTTest:
         assert single_lag_stat(res, 1, "L")[1] == 1
         assert single_lag_stat(res, 1, "T")[1] == 9
 
+    def test_constant_vech_component_names_the_transform(self):
+        # A column of signs has a constant square: G is defined, T is not.
+        rng = np.random.default_rng(24)
+        e1 = np.column_stack([rng.choice([-1.0, 1.0], 200), rng.normal(size=200)])
+        res = PairedResiduals(e1, rng.normal(size=(200, 2)))
+        assert np.isfinite(g_test(res, 2).p_value)
+        for run in (lambda: t_test(res, 2), lambda: single_lag_stat(res, 1, "T")):
+            with pytest.raises(SingularityError, match="component of vech transform 1"):
+                run()
+
     def test_lag_zero_directions_equal(self):
         rng = np.random.default_rng(21)
         res = PairedResiduals(rng.normal(size=(60, 2)), rng.normal(size=(60, 2)))
@@ -309,6 +391,20 @@ class TestTTest:
             one = single_lag_stat(res, 0, family, direction=1)[0]
             two = single_lag_stat(res, 0, family, direction=2)[0]
             assert one == two
+
+
+class TestColumnUnits:
+    @pytest.mark.parametrize("power", [10, 13])
+    def test_g_and_t_keep_their_bits(self, power):
+        # Scaling a column by a power of two is exact, and G and T read
+        # column-equilibrated correlations, so neither statistic moves.
+        rng = np.random.default_rng(23)
+        e1, e2 = rng.normal(size=(300, 2)), rng.normal(size=(300, 2))
+        res = PairedResiduals(e1, e2)
+        scaled = PairedResiduals(e1 * [1.0, 2.0**power], e2)
+        for test in (g_test, t_test):
+            for variant in (1, 2):
+                assert test(scaled, 3, variant).statistic == test(res, 3, variant).statistic
 
 
 class TestNullUniformity:

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 import tsindep.kernels as kernels_module
 from tsindep import DataError, KernelSpec, eval_kernel, gram_matrix, median_heuristic_sigma
-from tsindep.kernels import _pairwise_sq_dists
+from tsindep.kernels import _exponent_scale
 
 ALL_SPECS = [
     KernelSpec.gaussian(1.0),
@@ -28,6 +28,19 @@ def sq_dists_by_coordinate(pts):
         diff *= diff
         sq += diff
     return sq
+
+
+def kernel_of(spec, sq, pts):
+    """Oracle: the kernel's ufuncs, step by step, on squared distances ``sq``
+    between the rows of ``pts``."""
+    if spec.family == "gaussian":
+        return np.exp(sq * _exponent_scale(spec))
+    if spec.family == "laplace":
+        return np.exp(np.sqrt(sq) * _exponent_scale(spec))
+    if spec.family == "inverse_multiquadric":
+        return np.power(np.sqrt(sq) + spec.beta, -spec.alpha)
+    norms = np.einsum("ij,ij->i", pts, pts) ** spec.hurst
+    return np.multiply(norms[:, None] + norms[None, :] - sq**spec.hurst, 0.5)
 
 
 class TestKernelSpec:
@@ -128,20 +141,22 @@ class TestGramMatrix:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_sq_dists_match_coordinate_loop(self, d):
-        # Exact: the Gram bits and the reports rest on this equality.  If a
-        # scipy build breaks it, keep the coordinate loop for the affected d;
-        # do not widen the test.
+        # Exact: the Gram bits and the reports rest on the squared distances
+        # equalling the coordinate loop.  If a scipy build breaks it, keep
+        # the coordinate loop for the affected d; do not widen the test.
         rng = np.random.default_rng(31 + d)
         for n in (1, 2, 7, 100, 500):
             for scale in (1e-3, 1.0, 1e3):
                 pts = scale * rng.normal(size=(n, d))
-                sq = _pairwise_sq_dists(pts)
-                assert np.array_equal(sq, sq_dists_by_coordinate(pts))
-                assert np.array_equal(sq, sq.T)
+                for spec in ALL_SPECS:
+                    want = kernel_of(spec, sq_dists_by_coordinate(pts), pts)
+                    assert np.array_equal(gram_matrix(spec, pts).values, want)
         # The bootstrap passes row views of a (blocks, n, d) stack.
         stack = rng.normal(size=(3, 504, d))
         view = stack[1, 4:]
-        assert np.array_equal(_pairwise_sq_dists(view), sq_dists_by_coordinate(view))
+        for spec in ALL_SPECS:
+            want = kernel_of(spec, sq_dists_by_coordinate(view), view)
+            assert np.array_equal(gram_matrix(spec, view).values, want)
 
     @pytest.mark.parametrize("spec", BOUNDED_SPECS)
     def test_positive_semidefinite(self, spec):
