@@ -3,7 +3,8 @@
 One bootstrap replicate, for each series independently:
 
 1. resample (with replacement) from the standardized empirical residuals,
-2. simulate a fresh path through the fitted dynamics (500-row burn-in),
+2. simulate a fresh path through the fitted dynamics, after a burn-in
+   sized by the fit's memory (see below),
 3. re-estimate the model on that path: a full refit, or the one-step
    update ``theta + mean(influence on the path at theta)``, which avoids
    re-optimizing and is the default for the GARCH model,
@@ -16,6 +17,19 @@ streams is what enforces the independence null in the bootstrap world.
 Replicate ``b`` of series ``s`` draws from the stream derived from
 ``(master_seed, b, s)``, so results are bit-identical for any thread
 count and do not depend on which statistics are requested.
+
+A path starts at y = 0 (VAR) or at the stationary variances (GARCH) and
+runs ``L`` burn-in rows before its n kept rows.  ``L`` comes from the
+fit: with rho the spectral radius of the VAR companion matrix (intercept
+left out), or the larger ``alpha + beta`` of the GARCH fit, the start's
+influence decays like rho^L, and ``L = ceil(log 2^-53 / log rho)`` takes
+it below float64 rounding, clamped to [50, 500] (:func:`_burn_in`).  A
+fit with rho >= 1 has no stationary path to simulate and raises
+:class:`~tsindep.exceptions.FitError` before any replicate runs.  A
+replicate draws its n + L rows from its stream; the first n feed the kept
+rows and the last L the burn-in, backwards from the first kept row, so
+the kept rows' draws do not depend on L, and neither do the burn-in
+rows nearest to them.
 
 Replicates run in blocks of ``_BLOCK``, one block per task of the thread
 pool.  A block draws, simulates and re-estimates all of its paths of
@@ -62,6 +76,7 @@ from .models import (
     _garch_xspace_scores_batch,
     _simulate_garch,
     _simulate_var,
+    _var_companion,
     _var_onestep_batch,
     fit_ccc_garch,
     fit_var,
@@ -80,8 +95,11 @@ _BLOCK = 64
 # tiles that do not straddle a hsic._CROSS_BLOCK edge.
 _STACK_BYTES = _TILE_BYTES
 _FAILURE_BUDGET = 0.02
-# Simulated rows discarded before each bootstrap path.
-_BURN_IN = 500
+# Burn-in rows of a bootstrap path: enough for the start to decay below
+# _BURN_IN_TOL at the fit's memory rate, within [_BURN_IN_MIN, _BURN_IN_MAX].
+_BURN_IN_TOL = 2.0**-53
+_BURN_IN_MIN = 50
+_BURN_IN_MAX = 500
 
 
 @dataclass(frozen=True)
@@ -219,6 +237,30 @@ def _garch_onestep(fit: FitResult, paths: np.ndarray, v_init: np.ndarray) -> np.
 # ---------------------------------------------------------------------------
 
 
+def _burn_in(fit: FitResult) -> int:
+    """Burn-in rows for bootstrap paths of ``fit``.
+
+    A path forgets its start at the rate rho: the spectral radius of the VAR
+    companion matrix (intercept column left out), or the larger ``alpha +
+    beta`` of a CCC-GARCH fit.  The rows are ``ceil(log _BURN_IN_TOL / log
+    rho)`` within [_BURN_IN_MIN, _BURN_IN_MAX]; rho = 0 gives the floor.
+    Raises :class:`FitError` when rho >= 1: the fit has no stationary path.
+    """
+    if fit.model.kind == "ccc_garch":
+        th = fit.theta
+        rho, what = float(max(th[1] + th[2], th[4] + th[5])), "alpha + beta"
+    else:
+        companion = _var_companion(fit.coef, fit.model.p, fit.model.intercept)
+        rho = float(np.abs(np.linalg.eigvals(companion)).max())
+        what = "VAR companion spectral radius"
+    if not rho < 1.0:
+        raise FitError(f"bootstrap needs a stationary fit; its {what} is rho = {rho:.6g} >= 1")
+    if rho == 0.0:
+        return _BURN_IN_MIN
+    rows = math.ceil(math.log(_BURN_IN_TOL) / math.log(rho))
+    return min(_BURN_IN_MAX, max(_BURN_IN_MIN, rows))
+
+
 def _draw_innovations(pool: np.ndarray, n_sim: int, master_seed: int, b0: int, nb: int, series: int):
     """Rows of ``pool`` resampled for replicates ``b0 .. b0 + nb - 1``, (nb, n_sim, d).
 
@@ -240,18 +282,23 @@ def _draw_innovations(pool: np.ndarray, n_sim: int, master_seed: int, b0: int, n
     return pool.take(idx, axis=0)
 
 
-def _series_block(fit: FitResult, pool: np.ndarray, cfg: BootstrapConfig, b0: int, nb: int, series: int):
+def _series_block(
+    fit: FitResult, pool: np.ndarray, burn: int, cfg: BootstrapConfig, b0: int, nb: int, series: int
+):
     """Simulate, re-estimate and extract residuals for one replicate block.
 
     Returns ``(residuals, valid)`` with residuals of shape (nb, n_res, d).
+    A replicate's first n draws drive its kept rows and its last ``burn``
+    draws the burn-in rows, backwards from the first kept row.
     """
     kind = fit.model.kind
     mode = _resolve_mode(cfg.estimator_mode, kind)
-    n_sim = fit.n_obs + _BURN_IN
-    innov = _draw_innovations(pool, n_sim, cfg.master_seed, b0, nb, series)
+    n = fit.n_obs
+    innov = _draw_innovations(pool, n + burn, cfg.master_seed, b0, nb, series)
+    innov = np.concatenate([innov[:, n:][:, ::-1], innov[:, :n]], axis=1)
     if kind == "var":
         paths = _simulate_var(fit.coef, fit.model.p, fit.model.intercept, innov)
-        paths = paths[:, _BURN_IN:]
+        paths = paths[:, burn:]
         if mode == "full_refit":
             _, resid, valid, _, _ = _fit_var_batch(paths, fit.model.p, fit.model.intercept)
         else:
@@ -259,7 +306,7 @@ def _series_block(fit: FitResult, pool: np.ndarray, cfg: BootstrapConfig, b0: in
             valid = np.ones(nb, dtype=bool)
         valid &= np.isfinite(resid).reshape(nb, -1).all(axis=1)
         return resid, valid
-    paths = _simulate_garch(fit.theta, innov)[:, _BURN_IN:]
+    paths = _simulate_garch(fit.theta, innov)[:, burn:]
     v_init_b = paths.var(axis=1)
     if mode == "one_step":
         return _garch_residuals_batch(_garch_onestep(fit, paths, v_init_b), paths, v_init_b)
@@ -304,10 +351,10 @@ def _stack_stats(e1, e2, items, lag_cfgs, kernel_k, kernel_l):
 
 
 def _stats_block(
-    fit1, fit2, pool1, pool2, lag_cfgs, kernel_k, kernel_l, cfg, n_scale, b0, nb
+    fit1, fit2, pool1, pool2, burns, lag_cfgs, kernel_k, kernel_l, cfg, n_scale, b0, nb
 ):
-    res1, ok1 = _series_block(fit1, pool1, cfg, b0, nb, series=1)
-    res2, ok2 = _series_block(fit2, pool2, cfg, b0, nb, series=2)
+    res1, ok1 = _series_block(fit1, pool1, burns[0], cfg, b0, nb, series=1)
+    res2, ok2 = _series_block(fit2, pool2, burns[1], cfg, b0, nb, series=2)
     e1, e2 = _align(res1, fit1.presample, res2, fit2.presample)
     stats = np.full((nb, len(lag_cfgs)), np.nan)
     valid = ok1 & ok2
@@ -336,6 +383,8 @@ def bootstrap_run(
     All statistics share the same replicate paths, so adding statistics to
     a run never changes the others' results.  Replicate failures are
     dropped (and counted) up to a 2% budget; beyond that the run aborts.
+    A fit with no stationary path (rho >= 1, see :func:`_burn_in`) raises
+    :class:`FitError` before any replicate runs.
     """
     cfg = cfg or BootstrapConfig()
     kernel_k = kernel_k or KernelSpec.gaussian(1.0)
@@ -346,6 +395,8 @@ def bootstrap_run(
 
     pair = paired_residuals(fit1, fit2)
     n_scale = pair.n
+    # A fit with no stationary path fails here, before any block runs.
+    burns = (_burn_in(fit1), _burn_in(fit2))
     for lag_cfg in lag_cfgs:
         if n_scale - lag_cfg.lag < 2:
             raise DataError(f"lag {lag_cfg.lag} infeasible for n={n_scale}")
@@ -365,7 +416,7 @@ def bootstrap_run(
     def work(block):
         b0, nb = block
         return _stats_block(
-            fit1, fit2, pool1, pool2, lag_cfgs, kernel_k, kernel_l, cfg, n_scale, b0, nb
+            fit1, fit2, pool1, pool2, burns, lag_cfgs, kernel_k, kernel_l, cfg, n_scale, b0, nb
         )
 
     if cfg.threads > 1 and len(blocks) > 1:

@@ -16,7 +16,7 @@ from dataclasses import replace
 
 from . import __version__
 from .bootstrap import BootstrapConfig, hsic_test_suite
-from .crosscorr import g_test, l_test, single_lag_stat, t_test, w_test
+from .crosscorr import _single_lag_scan, g_test, l_test, t_test, w_test
 from .exceptions import DataError, NumericalError, TsindepError
 from .hsic import LagConfig
 from .io import log_returns, read_csv
@@ -532,9 +532,10 @@ def _cmd_lagscan(args) -> int:
         if not enabled:
             continue
         for dd in directions:
-            for m in range(args.max_lag + 1):
-                value, df = single_lag_stat(pair, m, family, direction=dd)
-                rows.append([m, dd, value, chi2_quantile(0.95, df), f"{family}{dd}"])
+            values, df = _single_lag_scan(pair, range(args.max_lag + 1), family, direction=dd)
+            bound = chi2_quantile(0.95, df)
+            for m, value in enumerate(values):
+                rows.append([m, dd, float(value), bound, f"{family}{dd}"])
     config = _pair_echo(args, fits, kernel, cfg)
     config.update(include_l=bool(args.include_l), include_t=bool(args.include_t))
     body = {"fits": [_fit_summary(f) for f in fits], "scan": [dict(zip(header, r)) for r in rows]}

@@ -82,8 +82,16 @@ def cross_cov_set(a, b, max_lag: int) -> CrossCovSet:
     return CrossCovSet(matrices=mats, n=as_points(a).shape[0], max_lag=max_lag)
 
 
+def _sym_cond(mat: np.ndarray) -> float:
+    """2-norm condition number of a symmetric matrix that should be positive
+    definite: the ratio of its extreme eigenvalues, or inf when the smallest
+    is <= 0."""
+    w = np.linalg.eigvalsh(mat)
+    return float(w[-1] / w[0]) if w[0] > 0 else np.inf
+
+
 def _inv_sym(mat: np.ndarray, what: str) -> np.ndarray:
-    cond = np.linalg.cond(mat)
+    cond = _sym_cond(mat)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise SingularityError(f"{what} is numerically singular (cond={cond:.3g})")
     return np.linalg.inv(mat)
@@ -333,22 +341,34 @@ def t_test(res: PairedResiduals, max_lag: int, variant: int = 1) -> TestOutcome:
     return _portmanteau("T", _vech(res.eta1), _vech(res.eta2), n, max_lag, variant)
 
 
-def single_lag_stat(res: PairedResiduals, m: int, family: str, direction: int = 1):
-    """One-lag L or T statistic with its chi-square degrees of freedom.
+def _single_lag_scan(res: PairedResiduals, lags, family: str, direction: int = 1):
+    """L or T statistics at the lags ``m`` in ``lags`` of one direction, with
+    their chi-square degrees of freedom: ``(values, df)``.
 
-    Direction 1 uses lag +m, direction 2 lag -m; summing both directions
-    over 0..M (counting lag 0 once) reproduces the joint statistics.
+    Direction 1 uses lag +m, direction 2 lag -m.  One engine call serves
+    every lag, and each value has the bits of a call for its lag alone.
     """
     if family not in ("L", "T"):
         raise ValueError("family must be 'L' or 'T'")
     if direction not in (1, 2):
         raise ValueError("direction must be 1 or 2")
     n = res.n
-    if m >= n - 1:
-        raise DataError(f"lag {m} infeasible for n={n}")
+    if max(lags) >= n - 1:
+        raise DataError(f"lag {max(lags)} infeasible for n={n}")
     if family == "L":
         x1, x2 = _squared_norms(res)
     else:
         x1, x2 = _vech(res.eta1), _vech(res.eta2)
-    z = _correlation_quadratics(x1, x2, [m if direction == 1 else -m], _SERIES[family])
-    return float(z[0]), x1.shape[1] * x2.shape[1]
+    signed = [m if direction == 1 else -m for m in lags]
+    z = _correlation_quadratics(x1, x2, signed, _SERIES[family])
+    return z, x1.shape[1] * x2.shape[1]
+
+
+def single_lag_stat(res: PairedResiduals, m: int, family: str, direction: int = 1):
+    """One-lag L or T statistic with its chi-square degrees of freedom.
+
+    Direction 1 uses lag +m, direction 2 lag -m; summing both directions
+    over 0..M (counting lag 0 once) reproduces the joint statistics.
+    """
+    z, df = _single_lag_scan(res, [m], family, direction)
+    return float(z[0]), df

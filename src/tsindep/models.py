@@ -235,6 +235,14 @@ def fit_var(data, p: int = 1, intercept: bool = False) -> FitResult:
     )
 
 
+def _var_companion(coef, p: int, intercept: bool) -> np.ndarray:
+    """Companion matrix of the VAR(p) with coefficients ``[c | A_1 | ... | A_p]``."""
+    d = coef.shape[0]
+    companion = np.eye(d * p, k=-d)
+    companion[:d] = coef[:, (1 if intercept else 0) :]
+    return companion
+
+
 # Rows per chunk of the VAR scan: the fastest of 12..32 for 1, 7 and 64
 # paths of 600 and 1000 rows at d = 2 (2-core x86-64, one OpenBLAS thread).
 _SCAN_CHUNK = 24
@@ -267,8 +275,7 @@ def _simulate_var(coef, p, intercept, innovations, init=None):
         e = e + coef[:, 0]
     dp = d * p
     L = max(_SCAN_CHUNK, p)
-    companion = np.eye(dp, k=-d)
-    companion[:d] = coef[:, (1 if intercept else 0) :]
+    companion = _var_companion(coef, p, intercept)
     phi = np.empty((L + 1, d, dp))
     phi[0] = np.eye(d, dp)
     for k in range(L):

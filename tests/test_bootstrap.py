@@ -1,5 +1,6 @@
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ import tsindep.bootstrap as bootstrap_module
 from tsindep import (
     BootstrapConfig,
     DataError,
+    FitError,
     KernelSpec,
     LagConfig,
+    ModelSpec,
     SingularityError,
     bootstrap_estimate,
     bootstrap_run,
@@ -409,16 +412,17 @@ class TestStackedBlock:
         fits = var_fit_pair(seed=n, n=n)
         cfg = BootstrapConfig(n_replicates=nb, master_seed=n)
         pools = [standardize_residuals(f.effective_residuals, "center") for f in fits]
+        burns = [bootstrap_module._burn_in(f) for f in fits]
         replicates = [
-            bootstrap_module._series_block(f, pool, cfg, 0, nb, series=s)
-            for s, f, pool in zip((1, 2), fits, pools)
+            bootstrap_module._series_block(f, pool, burn, cfg, 0, nb, series=s)
+            for s, f, pool, burn in zip((1, 2), fits, pools, burns)
         ]
         replicates[0][1][list(invalid)] = False
         monkeypatch.setattr(
             bootstrap_module, "_series_block",
-            lambda fit, pool, cfg, b0, nb, series: replicates[series - 1],
+            lambda fit, pool, burn, cfg, b0, nb, series: replicates[series - 1],
         )
-        args = (*fits, *pools, self.CFGS, self.KERNEL, self.KERNEL, cfg, n - 1, 0, nb)
+        args = (*fits, *pools, burns, self.CFGS, self.KERNEL, self.KERNEL, cfg, n - 1, 0, nb)
         return (lambda: bootstrap_module._stats_block(*args)), (
             lambda: self.one_by_one(replicates, n - 1)
         )
@@ -556,3 +560,117 @@ class TestStackedBlock:
         cfg = BootstrapConfig(n_replicates=9, master_seed=12, threads=1)
         peak = self.peak_bytes(lambda: bootstrap_run(*fits, self.CFGS, cfg=cfg))
         assert 2 * 8 * n**2 <= peak <= 3 * 8 * n**2
+
+
+def fit_with(model, coef=None, theta=None, n=120, seed=0):
+    """A fit on white noise whose parameters are replaced: VAR ``coef``
+    ([c | A_1 | ... | A_p] for ``model = (p, intercept)``), or a CCC-GARCH
+    ``theta`` when ``model`` is ``"garch"``."""
+    data = np.random.default_rng(seed).normal(size=(n, 2))
+    if model == "garch":
+        fit = fit_var(data, 1, False)
+        return replace(fit, model=ModelSpec("ccc_garch"), theta=np.asarray(theta, dtype=float))
+    p, intercept = model
+    return replace(fit_var(data, p, intercept), coef=coef, theta=coef.ravel())
+
+
+def capture(monkeypatch, name):
+    """Replace ``bootstrap.<name>`` by a wrapper that records each call's
+    positional arguments and result."""
+    calls = []
+    original = getattr(bootstrap_module, name)
+
+    def recorded(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(bootstrap_module, name, recorded)
+    return calls
+
+
+def burn_in_gap_bound(rho, burn, start):
+    """Largest change of a kept row when ``burn`` more burn-in rows precede
+    the ``burn`` nearest ones, for a VAR(1) whose A is symmetric with
+    spectral radius ``rho``.
+
+    The two paths share every draw after the longer path's first ``burn``
+    rows; there its state is ``start`` and the shorter path's is 0.  The
+    gap then evolves as ``delta_t = A delta_{t-1}``, so at kept row t it is
+    ``A^(burn + t + 1) start``, and ``|A^k s| <= rho^k |s|`` in 2-norm for
+    symmetric A.  Per path, the largest is at t = 0.
+    """
+    return rho ** (burn + 1) * np.linalg.norm(start, axis=-1)
+
+
+class TestBurnIn:
+    # A of a VAR(2) with A_1 = 0.2 I, A_2 = 0.48 I: companion eigenvalues
+    # solve l^2 = 0.2 l + 0.48, so they are 0.8 and -0.6.
+    VAR2 = np.hstack([np.full((2, 1), 5.0), 0.2 * np.eye(2), 0.48 * np.eye(2)])
+
+    @pytest.mark.parametrize(
+        "model, params, rows",
+        [
+            ((1, False), np.zeros((2, 2)), 50),  # rho = 0: the floor
+            ((1, False), np.diag([0.3, -0.1]), 50),  # 30.5 rows: the floor
+            ((1, True), np.array([[9.0, 0.56, 0.0], [-9.0, 0.0, 0.28]]), 64),  # 63.4
+            ((2, True), VAR2, 165),  # rho = 0.8: 164.6
+            ((1, False), np.diag([-0.9, 0.5]), 349),  # 348.7
+            ((1, False), np.diag([0.95, 0.0]), 500),  # 716.2 rows: the cap
+            ("garch", [0.2, 0.1, 0.8, 0.2, 0.06, 0.5, 0.3], 349),  # alpha + beta = 0.9
+            ("garch", [0.2, 0.06, 0.5, 0.2, 0.15, 0.8, 0.3], 500),  # 0.95: the cap
+        ],
+    )
+    def test_rows_from_memory_radius(self, model, params, rows):
+        fit = fit_with(model, coef=params) if model != "garch" else fit_with(model, theta=params)
+        assert bootstrap_module._burn_in(fit) == rows
+
+    def test_nonstationary_garch_fit_is_refused(self):
+        fit = fit_with("garch", theta=[0.2, 0.1, 0.5, 0.2, 0.3, 0.7, 0.3])
+        with pytest.raises(FitError, match=r"alpha \+ beta is rho = 1 >= 1"):
+            bootstrap_module._burn_in(fit)
+
+    @pytest.mark.parametrize("series", [1, 2])
+    def test_kept_rows_take_the_first_draws(self, monkeypatch, series):
+        sims = capture(monkeypatch, "_simulate_var")
+        cfg = BootstrapConfig(n_replicates=9, master_seed=17)
+        for coef, burn in ((np.diag([0.3, 0.1]), 50), (np.diag([0.9, 0.2]), 349)):
+            fit = fit_with((1, False), coef=coef)
+            assert bootstrap_module._burn_in(fit) == burn
+            n, pool = fit.n_obs, fit.effective_residuals
+            bootstrap_module._series_block(fit, pool, burn, cfg, 3, 4, series=series)
+            innov = sims[-1][0][3]
+            assert innov.shape == (4, burn + n, 2)
+            for i in range(4):
+                stream = (17, BOOTSTRAP, 3 + i, series)
+                kept = pool[substream(*stream).integers(0, len(pool), size=n)]
+                assert np.array_equal(innov[i, burn:], kept)
+                # The burn-in takes the next draws, nearest row first.
+                drawn = pool[substream(*stream).integers(0, len(pool), size=n + burn)]
+                assert np.array_equal(innov[i, :burn], drawn[n:][::-1])
+
+    @pytest.mark.parametrize("burn", [6, 12, None])
+    def test_doubled_burn_in_moves_kept_rows_by_rho_power(self, monkeypatch, burn):
+        # A symmetric A with spectral radius 0.5606 and an intercept, so both
+        # the innovations and the mean offset of the start must decay.
+        coef = np.array([[1.0, 0.5, 0.2], [-2.0, 0.2, -0.1]])
+        rho = float(np.abs(np.linalg.eigvalsh(coef[:, 1:])).max())
+        fit = fit_with((1, True), coef=coef)
+        if burn is None:
+            burn = bootstrap_module._burn_in(fit)
+            assert burn == 64
+        cfg = BootstrapConfig(n_replicates=64, master_seed=3)
+        sims = capture(monkeypatch, "_simulate_var")
+        paths = []
+        for rows in (burn, 2 * burn):
+            bootstrap_module._series_block(fit, fit.effective_residuals, rows, cfg, 0, 64, series=1)
+            paths.append(sims[-1][1])
+        short, long = paths[0][:, burn:], paths[1][:, 2 * burn :]
+        gap = np.linalg.norm(short - long, axis=-1).max(axis=1)
+        bound = burn_in_gap_bound(rho, burn, paths[1][:, burn - 1])
+        # Rounding of the two scans, relative to the paths' size.
+        slack = 1e-12 * np.abs(paths[1]).max()
+        assert (gap <= bound + slack).all()
+        if rho**burn > 1e-3:
+            # A short burn-in leaves a visible trace, so the paths differ.
+            assert (gap > slack).all()

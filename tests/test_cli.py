@@ -562,6 +562,27 @@ class TestLagscanCommand:
             want = pair.n * tsindep.single_stat(pair, r["lag"], r["direction"], gauss, gauss)
             assert r["statistic"] == want
 
+    def test_l_t_rows_equal_single_lag_stat(self, series_files, tmp_path):
+        out = tmp_path / "scan.json"
+        code = run_cli(
+            ["lagscan", "--series1", series_files[0], "--series2", series_files[1],
+             "--max-lag", "6", "-B", "9", "--include-l", "--include-t", "--output", str(out)]
+        )
+        assert code == 0
+        fits = [
+            tsindep.fit_var(tsindep.read_csv(path), p=1, intercept=True) for path in series_files
+        ]
+        pair = tsindep.paired_residuals(*fits)
+        rows = [r for r in json.loads(out.read_text())["scan"] if r["test_name"][0] in "LT"]
+        assert [(r["test_name"], r["lag"]) for r in rows] == [
+            (f"{family}{d}", m) for family in "LT" for d in (1, 2) for m in range(7)
+        ]
+        for r in rows:
+            family, direction = r["test_name"][0], int(r["test_name"][1])
+            value, df = tsindep.single_lag_stat(pair, r["lag"], family, direction)
+            assert r["statistic"] == value
+            assert r["bound_95"] == tsindep.chi2_quantile(0.95, df)
+
     @pytest.mark.parametrize("max_lag", ["57", "80"])
     def test_max_lag_beyond_data_names_the_flag(self, short_files, capsys, max_lag):
         code = run_cli(

@@ -16,7 +16,14 @@ from tsindep import (
     t_test,
     w_test,
 )
-from tsindep.crosscorr import _all_lag_quadratics, _correlation_quadratics, _daniell_finite_sample_constants
+from tsindep.crosscorr import (
+    _all_lag_quadratics,
+    _correlation_quadratics,
+    _daniell_finite_sample_constants,
+    _inv_sym,
+    _sym_cond,
+)
+from tsindep.models import _COND_LIMIT
 
 
 class TestCrossCov:
@@ -405,6 +412,67 @@ class TestColumnUnits:
         for test in (g_test, t_test):
             for variant in (1, 2):
                 assert test(scaled, 3, variant).statistic == test(res, 3, variant).statistic
+
+
+def correlation_with_cond(rng, d, kappa):
+    """A random d x d correlation matrix whose 2-norm condition number is
+    near ``kappa`` (rescaling to a unit diagonal moves it a little)."""
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    cov = (q * np.geomspace(1.0, 1.0 / kappa, d)) @ q.T
+    s = 1.0 / np.sqrt(np.diag(cov))
+    corr = s[:, None] * cov * s[None, :]
+    return (corr + corr.T) / 2
+
+
+def cond_gap_bound(mat, c=10.0):
+    """Relative gap allowed between two backward-stable 2-norm condition
+    numbers of the positive definite ``mat``.
+
+    A symmetric eigensolver and an SVD each return the exact values of a
+    matrix within c d eps |mat|_2 of ``mat`` (c a modest solver constant),
+    so by Weyl each extreme value moves by at most c d eps lambda_max.
+    lambda_max then moves by a relative c d eps and lambda_min by c d eps
+    kappa, so each ratio is within about c d eps (kappa + 1) of kappa,
+    relatively, and the two within twice that.
+    """
+    d = mat.shape[0]
+    kappa = np.linalg.cond(mat)
+    return 2.0 * c * d * np.finfo(float).eps * (kappa + 1.0)
+
+
+class TestSymmetricCondition:
+    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    def test_matches_svd_condition(self, d):
+        rng = np.random.default_rng(d)
+        for kappa in np.geomspace(1.0, 1e14, 15):
+            mat = correlation_with_cond(rng, d, kappa)
+            want = np.linalg.cond(mat)
+            assert abs(_sym_cond(mat) - want) <= cond_gap_bound(mat) * want
+
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_same_verdict_away_from_the_limit(self, d):
+        rng = np.random.default_rng(10 + d)
+        for kappa in (1e3, 1e9, 1e11, 3e13, 1e15):
+            mat = correlation_with_cond(rng, d, kappa)
+            svd_singular = np.linalg.cond(mat) > _COND_LIMIT
+            assert abs(np.log10(np.linalg.cond(mat) / _COND_LIMIT)) > 0.5
+            if svd_singular:
+                with pytest.raises(SingularityError, match=r"\(cond=\d(\.\d+)?e\+1\d\)$"):
+                    _inv_sym(mat, "test matrix")
+            else:
+                assert np.array_equal(_inv_sym(mat, "test matrix"), np.linalg.inv(mat))
+
+    def test_nonpositive_eigenvalue_is_singular(self):
+        # Two equal columns: the smallest eigenvalue is 0 or rounds below it.
+        x = np.random.default_rng(4).normal(size=(50, 2))
+        corr = np.corrcoef(np.column_stack([x, x[:, 0]]).T)
+        assert np.linalg.eigvalsh(corr)[0] <= 1e-15
+        with pytest.raises(SingularityError, match=r"numerically singular \(cond="):
+            _inv_sym(corr, "test matrix")
+        indefinite = np.array([[1.0, 1.5], [1.5, 1.0]])
+        assert _sym_cond(indefinite) == np.inf
+        with pytest.raises(SingularityError, match=r"\(cond=inf\)$"):
+            _inv_sym(indefinite, "test matrix")
 
 
 class TestNullUniformity:

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -8,6 +9,8 @@ from numpy.testing import assert_allclose
 
 from tsindep import (
     DataError,
+    FitError,
+    LagConfig,
     ModelSpec,
     SingularityError,
     bootstrap,
@@ -17,9 +20,11 @@ from tsindep import (
     psd_sqrt,
     residuals,
     simulate,
+    write_csv,
 )
 import tsindep.models as models_module
-from tsindep.bootstrap import BootstrapConfig, _series_block
+from tsindep.bootstrap import BootstrapConfig, _burn_in, _draw_innovations
+from tsindep.cli import main
 from tsindep.models import (
     _COND_LIMIT,
     _SCAN_CHUNK,
@@ -338,6 +343,10 @@ def step_loop(coef, p, intercept, innovations, init=None):
     return out if batched else out[0]
 
 
+def no_blocks(*args, **kwargs):
+    raise AssertionError("a replicate block ran")
+
+
 def coef_with_radius(rng, d, p, rho):
     """Random [A_1 | ... | A_p] whose companion matrix has spectral radius rho."""
     a = rng.normal(size=(d, d * p))
@@ -427,19 +436,41 @@ class TestChunkedScan:
         assert np.array_equal(np.isfinite(got).all(axis=(1, 2)), finite)
 
     @pytest.mark.parametrize("mode", ["full_refit", "one_step"])
-    def test_series_block_flags_overflowed_replicates(self, monkeypatch, mode):
+    def test_series_block_flags_overflowed_replicates(self, monkeypatch, tmp_path, capfd, mode):
         rng = np.random.default_rng(9)
         data = make_var1_data(rng, 100, np.array([[0.3, 0.0], [0.0, 0.3]]))
         coef = coef_with_radius(rng, 2, 1, 4.0)
         fit = replace(fit_var(data, 1, False), coef=coef, theta=coef.ravel())
         pool = fit.effective_residuals
-        cfg = BootstrapConfig(n_replicates=64, estimator_mode=mode, master_seed=5)
+        innov = _draw_innovations(pool, 600, 5, 0, 64, 1)
         with np.errstate(all="ignore"):
-            _, valid = _series_block(fit, pool, cfg, 0, 64, series=1)
-            monkeypatch.setattr(bootstrap, "_simulate_var", step_loop)
-            _, valid_loop = _series_block(fit, pool, cfg, 0, 64, series=1)
+            got = _simulate_var(coef, 1, False, innov)
+            ref = step_loop(coef, 1, False, innov)
         # Every one of the 600-row paths overflows, with the scan as with the loop.
-        assert not valid.any() and not valid_loop.any()
+        assert not np.isfinite(got).all(axis=(1, 2)).any()
+        assert not np.isfinite(ref).all(axis=(1, 2)).any()
+        # The bootstrap refuses such a fit before it simulates a path.
+        with pytest.raises(FitError, match=r"spectral radius is rho = 4 >= 1"):
+            _burn_in(fit)
+        monkeypatch.setattr(bootstrap, "_series_block", no_blocks)
+        cfg = BootstrapConfig(n_replicates=64, estimator_mode=mode, master_seed=5)
+        stable = fit_var(data, 1, False)
+        for pair in ((fit, stable), (stable, fit)):
+            with pytest.raises(FitError, match=r"spectral radius is rho = 4 >= 1"):
+                bootstrap.bootstrap_run(*pair, [LagConfig(1, m=0)], cfg=cfg)
+        # From the CLI: a VAR(1) path with coefficient 1.1 fits an explosive model.
+        paths = []
+        for name in ("a.csv", "b.csv"):
+            paths.append(str(tmp_path / name))
+            write_csv(paths[-1], make_var1_data(rng, 80, 1.1 * np.eye(2), burn=0))
+        argv = ["test", "--series1", paths[0], "--series2", paths[1], "-B", "9"]
+        if mode == "one_step":
+            argv += ["--estimator-mode", "one-step"]
+        assert main(argv) == 3
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err.startswith("numerical failure: bootstrap needs a stationary fit;")
+        assert re.search(r"spectral radius is rho = 1\.\d+ >= 1$", err.strip())
 
 
 class TestLeastSquaresOracle:

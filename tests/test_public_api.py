@@ -1,5 +1,8 @@
 import importlib
 
+import numpy as np
+import pytest
+
 import tsindep
 
 # The public names are part of the contract: private helpers may merge or
@@ -56,3 +59,36 @@ def test_traced_attributes_exist():
         mod = importlib.import_module(module)
         for name in names:
             assert callable(getattr(mod, name, None)), f"{module}.{name}"
+
+
+@pytest.mark.parametrize("kind", ["var", "ccc_garch"])
+def test_bootstrap_run_enters_traced_boundaries(monkeypatch, kind):
+    # A traced run reports a layer only if a call went through its
+    # attribute; a call that bypasses one drops that metric from the run.
+    import tsindep.bootstrap as boot
+
+    names = ["gram_matrix", "stat_from_grams", "_draw_innovations"]
+    if kind == "var":
+        names.append("_simulate_var")
+        rng = np.random.default_rng(3)
+        fits = [tsindep.fit_var(rng.normal(size=(80, 2)), 1, True) for _ in range(2)]
+    else:
+        names += ["_simulate_garch", "_garch_xspace_scores_batch"]
+        rng = np.random.default_rng(8)
+        theta = np.array([0.2, 0.1, 0.5, 0.2, 0.1, 0.5, 0.4])
+        paths = [boot._simulate_garch(theta, rng.normal(size=(700, 2)))[500:] for _ in range(2)]
+        fits = [tsindep.fit_ccc_garch(y, seed=0) for y in paths]
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(boot, name, counted(name, getattr(boot, name)))
+    cfg = tsindep.BootstrapConfig(n_replicates=9, master_seed=1)
+    boot.bootstrap_run(*fits, [tsindep.LagConfig(1, m=0)], cfg=cfg)
+    assert all(calls.values()), calls

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -279,6 +280,27 @@ class TestMonteCarloFailureCauses:
         summary = run_monte_carlo(self.config(100))
         assert summary.failures == 2
         assert all(row.n_effective == 98 for row in summary.rows)
+
+    def test_explosive_fit_fails_its_replication(self, monkeypatch):
+        # A replication whose fit has companion spectral radius >= 1 fails
+        # in the bootstrap with FitError and counts against the budget.
+        import tsindep.simlab as simlab
+        from tsindep import NumericalError
+
+        calls = itertools.count()
+        real = simlab.fit_var
+
+        def fit(y, p=1):
+            out = real(y, p=p)
+            if next(calls) == 3:  # replication 1, series 2
+                coef = np.diag([1.5, 0.2])
+                out = dataclasses.replace(out, coef=coef, theta=coef.ravel())
+            return out
+
+        monkeypatch.setattr(simlab, "fit_var", fit)
+        cfg = small_config(replications=2, tests=(TestSpec("hsic_single", 1, 0),))
+        with pytest.raises(NumericalError, match=r"1 of 2 .*: FitError x1 at replications \[1\]"):
+            run_monte_carlo(cfg)
 
     def test_cli_exits_3_and_names_the_causes(self, monkeypatch, tmp_path, capsys):
         from tsindep import BoundaryError
