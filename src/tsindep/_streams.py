@@ -14,6 +14,14 @@ derives the Philox keys of a run of paths at once, in numpy array
 arithmetic that restates ``SeedSequence``'s hash, so a caller can re-key
 one generator per path (counter 0, empty buffer) and draw exactly what
 :func:`substream` would give, at a fraction of its set-up cost.
+
+The bootstrap's draws from such a path are ``Generator.integers(0, m)``:
+index ``(u * m) >> 32`` for u the next 32-bit half of a raw Philox word,
+low half first (Lemire's bounded map).  It computes them from the raw words
+of a whole block at once and redraws a path through ``Generator.integers``
+only when some u falls in the map's rejection zone; a test pins this to
+``Generator.integers`` on the installed numpy
+(``tsindep.bootstrap._resample_indices``).
 """
 
 from __future__ import annotations

@@ -16,14 +16,26 @@ streams is what enforces the independence null in the bootstrap world.
 
 Replicate ``b`` of series ``s`` draws from the stream derived from
 ``(master_seed, b, s)``, so results are bit-identical for any thread
-count and do not depend on which statistics are requested.
+count and do not depend on which statistics are requested.  A draw is
+the index ``(u * m) >> 32`` into the pool of m rows, for u the next
+32-bit half of a raw Philox word, low half first, by Lemire's bounded
+map.  A path whose u hits the map's rejection zone (about 1e-8 per draw
+at m = 100) is drawn again whole by ``Generator.integers``, which rejects
+and moves on to the next half.  So the draws are those of
+``Generator.integers(0, m)`` on the stream, and a test pins them to it on
+the installed numpy.  The run derives all B keys of each series at once
+(:func:`_replicate_keys`), and a block takes each path's words in one call
+and maps them in one array step (:func:`_resample_indices`).
 
 A path starts at y = 0 (VAR) or at the stationary variances (GARCH) and
 runs ``L`` burn-in rows before its n kept rows.  ``L`` comes from the
 fit: with rho the spectral radius of the VAR companion matrix (intercept
 left out), or the larger ``alpha + beta`` of the GARCH fit, the start's
 influence decays like rho^L, and ``L = ceil(log 2^-53 / log rho)`` takes
-it below float64 rounding, clamped to [50, 500] (:func:`_burn_in`).  A
+it below float64 rounding, clamped to [50, 500] (:func:`_burn_in`).  At
+the cap a share rho^500 of the start's offset from the mean can remain
+(0.66 of a mean of 100 at rho = 0.99), so a VAR path whose ``L`` is at
+the cap starts at the fit's stationary mean instead of 0.  A
 fit with rho >= 1 has no stationary path to simulate and raises
 :class:`~tsindep.exceptions.FitError` before any replicate runs.  A
 replicate draws its n + L rows from its stream; the first n feed the kept
@@ -62,7 +74,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._streams import BOOTSTRAP, path_keys, substream
+from ._streams import _MASK32, BOOTSTRAP, path_keys, substream
 from .exceptions import BootstrapError, DataError, FitError, SingularityError
 from .hsic import _TILE_BYTES, LagConfig, _pass_calls, stat_from_grams
 from .kernels import KernelSpec, as_points, gram_matrix
@@ -261,43 +273,106 @@ def _burn_in(fit: FitResult) -> int:
     return min(_BURN_IN_MAX, max(_BURN_IN_MIN, rows))
 
 
-def _draw_innovations(pool: np.ndarray, n_sim: int, master_seed: int, b0: int, nb: int, series: int):
-    """Rows of ``pool`` resampled for replicates ``b0 .. b0 + nb - 1``, (nb, n_sim, d).
+def _var_mean_start(fit: FitResult):
+    """The p start rows of a VAR path at the fit's stationary mean ``(I -
+    sum_k A_k)^-1 c``, or None (the zero start) for a fit without an
+    intercept, whose mean is 0."""
+    if not fit.model.intercept:
+        return None
+    d, p = fit.coef.shape[0], fit.model.p
+    a_sum = fit.coef[:, 1:].reshape(d, p, d).sum(axis=1)
+    mean = np.linalg.solve(np.eye(d) - a_sum, fit.coef[:, 0])
+    return np.tile(mean, (p, 1))
 
-    Replicate ``b`` draws from ``substream(master_seed, BOOTSTRAP, b,
-    series)``.  The generator of the first replicate is re-keyed to each
-    replicate's stream in turn (counter 0, empty buffer, keys from
-    :func:`~tsindep._streams.path_keys`), which draws the same values as
-    that substream without building a generator per replicate.
+
+def _replicate_keys(master_seed: int, b0: int, nb: int, series: int) -> np.ndarray:
+    """Philox keys, (nb, 2) uint64, of the streams of replicates ``b0 ..
+    b0 + nb - 1`` of ``series``: row i keys ``substream(master_seed,
+    BOOTSTRAP, b0 + i, series)``."""
+    b = np.arange(b0, b0 + nb)
+    return path_keys(master_seed, np.column_stack([np.full(nb, BOOTSTRAP), b, np.full(nb, series)]))
+
+
+def _resample_indices(rng: np.random.Generator, keys: np.ndarray, n_sim: int, size: int):
+    """Indices in ``[0, size)``, (len(keys), n_sim) int64, one row per key.
+
+    Row i is what ``rng.integers(0, size, size=n_sim)`` draws after ``rng``
+    is re-keyed to ``keys[i]`` (counter 0, empty buffers), for a Philox
+    ``rng``.  numpy draws each index from the next 32-bit half of a raw
+    Philox word, low half first: u maps to ``(u * size) >> 32``, and u is
+    rejected in favour of the next half when the low 32 bits of ``u *
+    size`` fall below ``(2**32 - size) % size`` (Lemire's rule).  Here a
+    path takes its ceil(n_sim / 2) raw words in one call, and the block is
+    mapped in one array step.  A path with a half in the rejection zone,
+    about 1e-8 per draw at size 100, is drawn again through
+    ``rng.integers`` itself, as is every path when size > 2**32, where
+    numpy maps 64-bit words instead.
     """
-    rng = substream(master_seed, BOOTSTRAP, b0, series)
     bitgen = rng.bit_generator
     fresh = bitgen.state
-    paths = np.column_stack([np.full(nb, BOOTSTRAP), np.arange(b0, b0 + nb), np.full(nb, series)])
-    idx = np.empty((nb, n_sim), dtype=np.int64)
-    for i, key in enumerate(path_keys(master_seed, paths)):
+    nb, n_words = len(keys), -(-n_sim // 2)
+    words = np.empty((nb, n_words), dtype=np.uint64)
+    for i, key in enumerate(keys):
         fresh["state"]["key"] = key
         bitgen.state = fresh
-        idx[i] = rng.integers(0, pool.shape[0], size=n_sim)
+        words[i] = bitgen.random_raw(n_words)
+    # The halves by arithmetic, so their order does not depend on byte order.
+    scaled = np.empty((nb, 2 * n_words), dtype=np.uint64)
+    np.bitwise_and(words, _MASK32, out=scaled[:, 0::2])
+    np.right_shift(words, 32, out=scaled[:, 1::2])
+    scaled = scaled[:, :n_sim]
+    if size > 2**32:
+        redraw = range(nb)
+    else:
+        scaled *= np.uint64(size)
+        redraw = np.flatnonzero(((scaled & _MASK32) < (2**32 - size) % size).any(axis=1))
+    idx = (scaled >> 32).astype(np.int64)
+    for i in redraw:
+        fresh["state"]["key"] = keys[i]
+        bitgen.state = fresh
+        idx[i] = rng.integers(0, size, size=n_sim)
+    return idx
+
+
+def _draw_innovations(
+    pool: np.ndarray, n: int, burn: int, master_seed: int, b0: int, keys, series: int
+):
+    """Rows of ``pool`` resampled for the paths of replicates ``b0 .. b0 +
+    nb - 1`` of ``series``, (nb, burn + n, d) in path order.
+
+    ``keys`` holds the replicates' Philox keys, rows ``b0 ..`` of
+    :func:`_replicate_keys`.  Replicate ``b`` takes ``n + burn`` draws from
+    ``substream(master_seed, BOOTSTRAP, b, series)``: its first ``n``
+    draws give the kept rows, the last ``burn`` the burn-in rows, backwards
+    from the first kept row.  One generator, that of replicate ``b0``,
+    is re-keyed to each replicate's stream in turn
+    (:func:`_resample_indices`), and the rows are gathered in one take.
+    """
+    rng = substream(master_seed, BOOTSTRAP, b0, series)
+    idx = _resample_indices(rng, keys, n + burn, pool.shape[0])
+    idx = np.concatenate([idx[:, n:][:, ::-1], idx[:, :n]], axis=1)
     return pool.take(idx, axis=0)
 
 
 def _series_block(
-    fit: FitResult, pool: np.ndarray, burn: int, cfg: BootstrapConfig, b0: int, nb: int, series: int
+    fit: FitResult, pool: np.ndarray, burn: int, cfg: BootstrapConfig, b0: int, keys, series: int
 ):
     """Simulate, re-estimate and extract residuals for one replicate block.
 
-    Returns ``(residuals, valid)`` with residuals of shape (nb, n_res, d).
-    A replicate's first n draws drive its kept rows and its last ``burn``
-    draws the burn-in rows, backwards from the first kept row.
+    ``keys`` holds the Philox keys of replicates ``b0 .. b0 + nb - 1``
+    (:func:`_replicate_keys`).  Returns ``(residuals, valid)`` with
+    residuals of shape (nb, n_res, d).  A replicate's first n draws drive
+    its kept rows and its last ``burn`` draws the burn-in rows, backwards
+    from the first kept row.  A VAR path whose burn-in is at the cap starts
+    at the fit's stationary mean (:func:`_var_mean_start`).
     """
     kind = fit.model.kind
     mode = _resolve_mode(cfg.estimator_mode, kind)
-    n = fit.n_obs
-    innov = _draw_innovations(pool, n + burn, cfg.master_seed, b0, nb, series)
-    innov = np.concatenate([innov[:, n:][:, ::-1], innov[:, :n]], axis=1)
+    n, nb = fit.n_obs, len(keys)
+    innov = _draw_innovations(pool, n, burn, cfg.master_seed, b0, keys, series)
     if kind == "var":
-        paths = _simulate_var(fit.coef, fit.model.p, fit.model.intercept, innov)
+        init = _var_mean_start(fit) if burn == _BURN_IN_MAX else None
+        paths = _simulate_var(fit.coef, fit.model.p, fit.model.intercept, innov, init)
         paths = paths[:, burn:]
         if mode == "full_refit":
             _, resid, valid, _, _ = _fit_var_batch(paths, fit.model.p, fit.model.intercept)
@@ -351,10 +426,10 @@ def _stack_stats(e1, e2, items, lag_cfgs, kernel_k, kernel_l):
 
 
 def _stats_block(
-    fit1, fit2, pool1, pool2, burns, lag_cfgs, kernel_k, kernel_l, cfg, n_scale, b0, nb
+    fit1, fit2, pool1, pool2, burns, keys, lag_cfgs, kernel_k, kernel_l, cfg, n_scale, b0, nb
 ):
-    res1, ok1 = _series_block(fit1, pool1, burns[0], cfg, b0, nb, series=1)
-    res2, ok2 = _series_block(fit2, pool2, burns[1], cfg, b0, nb, series=2)
+    res1, ok1 = _series_block(fit1, pool1, burns[0], cfg, b0, keys[0][b0 : b0 + nb], series=1)
+    res2, ok2 = _series_block(fit2, pool2, burns[1], cfg, b0, keys[1][b0 : b0 + nb], series=2)
     e1, e2 = _align(res1, fit1.presample, res2, fit2.presample)
     stats = np.full((nb, len(lag_cfgs)), np.nan)
     valid = ok1 & ok2
@@ -412,11 +487,13 @@ def bootstrap_run(
 
     b_total = cfg.n_replicates
     blocks = [(b0, min(_BLOCK, b_total - b0)) for b0 in range(0, b_total, _BLOCK)]
+    keys = [_replicate_keys(cfg.master_seed, 0, b_total, series) for series in (1, 2)]
 
     def work(block):
         b0, nb = block
         return _stats_block(
-            fit1, fit2, pool1, pool2, burns, lag_cfgs, kernel_k, kernel_l, cfg, n_scale, b0, nb
+            fit1, fit2, pool1, pool2, burns, keys, lag_cfgs, kernel_k, kernel_l, cfg, n_scale,
+            b0, nb,
         )
 
     if cfg.threads > 1 and len(blocks) > 1:

@@ -30,7 +30,7 @@ import numpy as np
 from .exceptions import DataError, SingularityError
 from .hsic import PairedResiduals
 from .kernels import as_points
-from .models import _COND_LIMIT, fit_var
+from .models import _COND_LIMIT, _sym_cond, fit_var
 from .results import TestOutcome
 from .special import chi2_sf, norm_sf
 
@@ -80,14 +80,6 @@ class CrossCovSet:
 def cross_cov_set(a, b, max_lag: int) -> CrossCovSet:
     mats = {m: cross_cov(a, b, m) for m in range(-max_lag, max_lag + 1)}
     return CrossCovSet(matrices=mats, n=as_points(a).shape[0], max_lag=max_lag)
-
-
-def _sym_cond(mat: np.ndarray) -> float:
-    """2-norm condition number of a symmetric matrix that should be positive
-    definite: the ratio of its extreme eigenvalues, or inf when the smallest
-    is <= 0."""
-    w = np.linalg.eigvalsh(mat)
-    return float(w[-1] / w[0]) if w[0] > 0 else np.inf
 
 
 def _inv_sym(mat: np.ndarray, what: str) -> np.ndarray:

@@ -147,6 +147,15 @@ def _var_design(data: np.ndarray, p: int, intercept: bool):
     return data[..., p:, :], np.concatenate(cols, axis=-1)
 
 
+def _sym_cond(mat: np.ndarray):
+    """2-norm condition number of each symmetric matrix of a (..., q, q)
+    stack that should be positive definite: the ratio of its extreme
+    eigenvalues, or inf when the smallest is <= 0."""
+    w = np.linalg.eigvalsh(mat)
+    lo, hi = w[..., 0], w[..., -1]
+    return np.divide(hi, lo, out=np.full(lo.shape, np.inf), where=lo > 0)[()]
+
+
 def _fit_var_batch(data: np.ndarray, p: int, intercept: bool):
     """VAR(p) least squares on every path of a (..., n, d) stack.
 
@@ -154,14 +163,14 @@ def _fit_var_batch(data: np.ndarray, p: int, intercept: bool):
     laid out as ``[intercept | A_1 | ... | A_p]``, residuals (..., n - p, d),
     validity and the condition number (both (...,)), and the Gram X'X
     (..., q, q).  ``cond`` is that of the column-equilibrated Gram
-    ``D^-1/2 X'X D^-1/2`` with ``D = diag(X'X)``, so it measures
-    collinearity and not the data's units: rescaling a series leaves it
-    unchanged up to rounding.  A path is valid iff
-    ``cond < _COND_LIMIT``; a path whose Gram is not finite (an overflowed
-    path) or has a zero diagonal entry gets ``cond = inf``.  The solve uses
-    the raw Gram.  An invalid path is solved against the identity as a
-    placeholder and neither raises nor warns, so bootstrap callers can
-    count it against the failure budget.  Each path gets the bits that a
+    ``D^-1/2 X'X D^-1/2`` with ``D = diag(X'X)``, from its eigenvalues
+    (:func:`_sym_cond`), so it measures collinearity and not the data's
+    units: rescaling a series leaves it unchanged up to rounding.  A path
+    is valid iff ``cond < _COND_LIMIT``; a path whose Gram is not finite
+    (an overflowed path) or has a zero diagonal entry gets ``cond = inf``.
+    The solve uses the raw Gram.  An invalid path is solved against the
+    identity as a placeholder and neither raises nor warns, so bootstrap
+    callers can count it against the failure budget.  Each path gets the bits that a
     stack of that one path gives, which is how :func:`fit_var` calls it.
     """
     target, design = _var_design(data, p, intercept)
@@ -174,8 +183,8 @@ def _fit_var_batch(data: np.ndarray, p: int, intercept: bool):
         usable = np.isfinite(gram).all(axis=(-2, -1)) & (diag > 0).all(axis=-1)
         inv_root = 1.0 / np.sqrt(diag)
         scaled = gram * inv_root[..., :, None] * inv_root[..., None, :]
-        # The SVD inside cond does not converge on a non-finite matrix.
-        cond = np.linalg.cond(np.where(usable[..., None, None], scaled, eye))
+        # The eigensolver does not converge on a non-finite matrix.
+        cond = _sym_cond(np.where(usable[..., None, None], scaled, eye))
         cond = np.where(usable, cond, np.inf)
         valid = cond < _COND_LIMIT
         coef_t = np.linalg.solve(np.where(valid[..., None, None], gram, eye), xty)

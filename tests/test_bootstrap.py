@@ -112,7 +112,8 @@ class TestResample:
 
     def test_draws_are_the_fancy_indexed_rows(self):
         pool = np.random.default_rng(3).normal(size=(600, 2))
-        out = bootstrap_module._draw_innovations(pool, 700, 5, 10, 3, 2)
+        keys = bootstrap_module._replicate_keys(5, 10, 3, 2)
+        out = bootstrap_module._draw_innovations(pool, 700, 0, 5, 10, keys, 2)
         for i in range(3):
             idx = substream(5, BOOTSTRAP, 10 + i, 2).integers(0, 600, size=700)
             assert np.array_equal(out[i], pool[idx])
@@ -413,16 +414,17 @@ class TestStackedBlock:
         cfg = BootstrapConfig(n_replicates=nb, master_seed=n)
         pools = [standardize_residuals(f.effective_residuals, "center") for f in fits]
         burns = [bootstrap_module._burn_in(f) for f in fits]
+        keys = [bootstrap_module._replicate_keys(n, 0, nb, s) for s in (1, 2)]
         replicates = [
-            bootstrap_module._series_block(f, pool, burn, cfg, 0, nb, series=s)
+            bootstrap_module._series_block(f, pool, burn, cfg, 0, keys[s - 1], series=s)
             for s, f, pool, burn in zip((1, 2), fits, pools, burns)
         ]
         replicates[0][1][list(invalid)] = False
         monkeypatch.setattr(
             bootstrap_module, "_series_block",
-            lambda fit, pool, burn, cfg, b0, nb, series: replicates[series - 1],
+            lambda fit, pool, burn, cfg, b0, keys, series: replicates[series - 1],
         )
-        args = (*fits, *pools, burns, self.CFGS, self.KERNEL, self.KERNEL, cfg, n - 1, 0, nb)
+        args = (*fits, *pools, burns, keys, self.CFGS, self.KERNEL, self.KERNEL, cfg, n - 1, 0, nb)
         return (lambda: bootstrap_module._stats_block(*args)), (
             lambda: self.one_by_one(replicates, n - 1)
         )
@@ -638,7 +640,8 @@ class TestBurnIn:
             fit = fit_with((1, False), coef=coef)
             assert bootstrap_module._burn_in(fit) == burn
             n, pool = fit.n_obs, fit.effective_residuals
-            bootstrap_module._series_block(fit, pool, burn, cfg, 3, 4, series=series)
+            keys = bootstrap_module._replicate_keys(17, 3, 4, series)
+            bootstrap_module._series_block(fit, pool, burn, cfg, 3, keys, series=series)
             innov = sims[-1][0][3]
             assert innov.shape == (4, burn + n, 2)
             for i in range(4):
@@ -648,6 +651,38 @@ class TestBurnIn:
                 # The burn-in takes the next draws, nearest row first.
                 drawn = pool[substream(*stream).integers(0, len(pool), size=n + burn)]
                 assert np.array_equal(innov[i, :burn], drawn[n:][::-1])
+
+    def test_capped_var_path_starts_at_the_fitted_mean(self, monkeypatch):
+        # rho = 0.99 asks for 3652 rows, over the cap.  Zero innovations keep
+        # a path that starts at the mean, about (100, 0), there; from y = 0
+        # its first kept row would still be 100 * 0.99^501 = 0.66 short.
+        fit = fit_with((1, True), coef=np.array([[1.0, 0.99, 0.0], [0.0, 0.0, 0.5]]))
+        burn = bootstrap_module._burn_in(fit)
+        assert burn == bootstrap_module._BURN_IN_MAX
+        mean = np.linalg.solve(np.eye(2) - fit.coef[:, 1:], fit.coef[:, 0])
+        assert np.array_equal(bootstrap_module._var_mean_start(fit), mean[None])
+        sims = capture(monkeypatch, "_simulate_var")
+        cfg = BootstrapConfig(n_replicates=4, master_seed=1)
+        pool = np.zeros((fit.n_obs - 1, 2))
+        keys = bootstrap_module._replicate_keys(1, 0, 4, 1)
+        bootstrap_module._series_block(fit, pool, burn, cfg, 0, keys, series=1)
+        kept = sims[-1][1][:, burn:]
+        assert np.abs(kept - mean).max() <= 1e-12 * np.abs(mean).max()
+        from_zero = _simulate_var(fit.coef, 1, True, np.zeros((burn + fit.n_obs, 2)))[burn:]
+        assert 0.6 < mean[0] - from_zero[0, 0] < 0.7
+
+    def test_uncapped_var_path_starts_at_zero(self, monkeypatch):
+        # Below the cap the start stays y = 0, so such fits keep their bits.
+        fit = fit_with((1, True), coef=np.array([[1.0, 0.9, 0.0], [0.0, 0.0, 0.5]]))
+        burn = bootstrap_module._burn_in(fit)
+        assert burn == 349
+        sims = capture(monkeypatch, "_simulate_var")
+        cfg = BootstrapConfig(n_replicates=4, master_seed=1)
+        keys = bootstrap_module._replicate_keys(1, 0, 4, 1)
+        bootstrap_module._series_block(fit, fit.effective_residuals, burn, cfg, 0, keys, series=1)
+        args, paths = sims[-1]
+        assert args[4] is None
+        assert np.array_equal(paths, _simulate_var(fit.coef, 1, True, args[3]))
 
     @pytest.mark.parametrize("burn", [6, 12, None])
     def test_doubled_burn_in_moves_kept_rows_by_rho_power(self, monkeypatch, burn):
@@ -661,9 +696,10 @@ class TestBurnIn:
             assert burn == 64
         cfg = BootstrapConfig(n_replicates=64, master_seed=3)
         sims = capture(monkeypatch, "_simulate_var")
+        keys = bootstrap_module._replicate_keys(3, 0, 64, 1)
         paths = []
         for rows in (burn, 2 * burn):
-            bootstrap_module._series_block(fit, fit.effective_residuals, rows, cfg, 0, 64, series=1)
+            bootstrap_module._series_block(fit, fit.effective_residuals, rows, cfg, 0, keys, series=1)
             paths.append(sims[-1][1])
         short, long = paths[0][:, burn:], paths[1][:, 2 * burn :]
         gap = np.linalg.norm(short - long, axis=-1).max(axis=1)

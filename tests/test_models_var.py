@@ -23,8 +23,9 @@ from tsindep import (
     write_csv,
 )
 import tsindep.models as models_module
-from tsindep.bootstrap import BootstrapConfig, _burn_in, _draw_innovations
+from tsindep.bootstrap import BootstrapConfig, _burn_in, _draw_innovations, _replicate_keys
 from tsindep.cli import main
+from test_crosscorr import cond_gap_bound, correlation_with_cond
 from tsindep.models import (
     _COND_LIMIT,
     _SCAN_CHUNK,
@@ -442,7 +443,7 @@ class TestChunkedScan:
         coef = coef_with_radius(rng, 2, 1, 4.0)
         fit = replace(fit_var(data, 1, False), coef=coef, theta=coef.ravel())
         pool = fit.effective_residuals
-        innov = _draw_innovations(pool, 600, 5, 0, 64, 1)
+        innov = _draw_innovations(pool, 600, 0, 5, 0, _replicate_keys(5, 0, 64, 1), 1)
         with np.errstate(all="ignore"):
             got = _simulate_var(coef, 1, False, innov)
             ref = step_loop(coef, 1, False, innov)
@@ -543,6 +544,48 @@ class TestUnitFreeFit:
         conds = [_fit_var_batch(c * y[None], 1, True)[3][0] for c in (1e-8, 1.0, 1e8)]
         assert_allclose(conds, conds[1], rtol=1e-8)
         assert conds[1] < 2.0
+
+
+def design_with_cond(rng, m, d, kappa):
+    """(m + 1, d) data whose VAR(1) design ``X = data[:-1]`` has ``X'X`` a
+    correlation matrix whose condition number is near ``kappa``: X is an
+    orthonormal basis times the Cholesky factor of that matrix."""
+    z, _ = np.linalg.qr(rng.normal(size=(m, d)))
+    corr = correlation_with_cond(rng, d, kappa)
+    return np.vstack([z @ np.linalg.cholesky(corr).T, np.zeros((1, d))])
+
+
+class TestEquilibratedCondition:
+    """``_fit_var_batch``'s condition number from eigenvalues against the SVD's."""
+
+    @staticmethod
+    def equilibrated(gram):
+        # The same operations as the fit, so both sides read one matrix.
+        inv_root = 1.0 / np.sqrt(np.diagonal(gram, axis1=-2, axis2=-1))
+        return gram * inv_root[..., :, None] * inv_root[..., None, :]
+
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_matches_svd_condition(self, d):
+        rng = np.random.default_rng(40 + d)
+        data = np.stack([design_with_cond(rng, 80, d, k) for k in np.geomspace(1.0, 1e11, 12)])
+        _, _, valid, cond, gram = _fit_var_batch(data, 1, False)
+        scaled = self.equilibrated(gram)
+        want = np.linalg.cond(scaled)
+        bound = np.array([cond_gap_bound(mat) for mat in scaled])
+        assert valid.all()
+        assert (np.abs(cond - want) <= bound * want).all()
+
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_same_verdict_on_both_sides_of_the_limit(self, d):
+        rng = np.random.default_rng(50 + d)
+        kappas = (1e3, 1e9, 1e11, 3e13, 1e15)
+        data = np.stack([design_with_cond(rng, 80, d, k) for k in kappas])
+        _, _, valid, cond, gram = _fit_var_batch(data, 1, False)
+        svd_cond = np.linalg.cond(self.equilibrated(gram))
+        # Every case sits a factor 10^0.5 or more from the limit, on each side.
+        assert (np.abs(np.log10(svd_cond / _COND_LIMIT)) > 0.5).all()
+        assert valid.tolist() == (svd_cond < _COND_LIMIT).tolist() == [True] * 3 + [False] * 2
+        assert (cond[~valid] >= _COND_LIMIT).all()
 
 
 class TestPairedResidualsAlignment:
