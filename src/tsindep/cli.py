@@ -532,7 +532,7 @@ def _cmd_lagscan(args) -> int:
         if not enabled:
             continue
         for dd in directions:
-            values, df = _single_lag_scan(pair, range(args.max_lag + 1), family, direction=dd)
+            values, df = _single_lag_scan(pair, args.max_lag, family, direction=dd)
             bound = chi2_quantile(0.95, df)
             for m, value in enumerate(values):
                 rows.append([m, dd, float(value), bound, f"{family}{dd}"])

@@ -12,11 +12,17 @@ Four families, all operating on residual series:
 - T: the G statistic on the half-vectorized outer products vech(eta eta'),
   chi-square with (2M+1) d1* d2*, ds* = ds (ds + 1) / 2.
 
-G, L and T share one engine, :func:`_correlation_quadratics`: each lag's
+G, L, T and W share one engine, :func:`_correlation_quadratics`: each lag's
 quadratic form n vec(R12(m))' [R22(0)^-1 kron R11(0)^-1] vec(R12(m)) on
 column-equilibrated correlations (El Himdi and Roy, Canadian Journal of
 Statistics 25(2), 1997), so none of them depends on the columns' units.
-Variant 2 of each test applies the small-sample lag weights n/(n-|m|).
+One call serves a whole lag range -M..M: both series are centred and
+scaled to unit variance once, the second is padded with M zero rows at
+each end, and one ``np.correlate`` per component pair gives every lag's
+R12 in O(n (2M+1)) work.  Each lag's sum runs over the same n-row window
+whatever M is, so a lag's value does not depend on the range it was
+computed in.  W takes every lag, M = n - 1.  Variant 2 of G, L and T
+applies the small-sample lag weights n/(n-|m|).
 
 Cross-covariances subtract full-sample column means and divide by n.
 """
@@ -115,25 +121,29 @@ def _lag0_correlations(e1: np.ndarray, e2: np.ndarray, what: str = "series"):
 
 
 def _correlation_quadratics(
-    x1: np.ndarray, x2: np.ndarray, lags, what: str = "series"
+    x1: np.ndarray, x2: np.ndarray, max_lag: int, what: str = "series"
 ) -> np.ndarray:
-    """n * vec(R12(m))' [R22(0)^-1 kron R11(0)^-1] vec(R12(m)) per lag.
+    """n * vec(R12(m))' [R22(0)^-1 kron R11(0)^-1] vec(R12(m)) for the lags
+    m = -M..M, in lag order.
 
-    Both series are centred once; each lag's cross-covariance is the
-    expression of :func:`cross_cov`, reflection for m < 0 included, so
-    every value has the bits of one built through it.  ``what`` names the
-    series in error messages.
+    ``R12(m)[i, j]`` is the sum over the n rows of ``xc[t, i] *
+    pad[t + m, j]`` divided by n, with ``xc = (x - mean) * s`` and ``pad``
+    the centred, scaled ``x2`` with M zero rows at each end.  ``what``
+    names the series in error messages.
     """
     n = x1.shape[0]
     s1, s2, r11_inv, r22_inv = _lag0_correlations(x1, x2, what)
-    xc = x1 - x1.mean(axis=0)
-    yc = x2 - x2.mean(axis=0)
-    out = np.empty(len(lags))
-    for i, m in enumerate(lags):
-        c12 = xc[: n - m].T @ yc[m:] / n if m >= 0 else (yc[: n + m].T @ xc[-m:] / n).T
-        r12 = s1[:, None] * c12 * s2[None, :]
-        out[i] = n * float(np.einsum("ab,ac,cd,bd->", r12, r11_inv, r12, r22_inv))
-    return out
+    xc = ((x1 - x1.mean(axis=0)) * s1).T
+    pad = np.zeros((x2.shape[1], n + 2 * max_lag))
+    pad[:, max_lag : max_lag + n] = ((x2 - x2.mean(axis=0)) * s2).T
+    r12 = np.empty((2 * max_lag + 1, len(xc), len(pad)))
+    for i, row in enumerate(xc):
+        for j, col in enumerate(pad):
+            r12[:, i, j] = np.correlate(col, row, "valid")
+    r12 /= n
+    # Matmuls and a sum per lag, not one einsum over the lag axis: einsum's
+    # loop order, and so its bits, can change with the number of lags.
+    return n * ((r11_inv @ r12) * (r12 @ r22_inv)).sum(axis=(1, 2))
 
 
 def _portmanteau_n(res: PairedResiduals, max_lag: int, variant: int) -> int:
@@ -167,11 +177,9 @@ def _portmanteau(
 ) -> TestOutcome:
     """G's statistic on the series ``x1``, ``x2`` over lags -M..M, against
     chi2((2M+1) d1 d2) with the widths d1, d2 of the two series."""
-    lags = list(range(-max_lag, max_lag + 1))
-    z = _correlation_quadratics(x1, x2, lags, _SERIES[family])
+    z = _correlation_quadratics(x1, x2, max_lag, _SERIES[family])
     if variant == 2:
-        weights = np.array([n / (n - abs(m)) for m in lags])
-        z = z * weights
+        z = z * (n / (n - np.abs(np.arange(-max_lag, max_lag + 1))))
     df = (2 * max_lag + 1) * x1.shape[1] * x2.shape[1]
     return _chi2_outcome(family, z.sum(), df, n, max_lag, variant)
 
@@ -211,27 +219,6 @@ def _daniell_finite_sample_constants(n: int, h: float):
     a1n = float(((1.0 - np.abs(m) / n) * k2).sum())
     b1n = float(((1.0 - np.abs(m) / n) * (1.0 - (np.abs(m) + 1.0) / n) * k2**2).sum())
     return a1n, b1n
-
-
-def _all_lag_quadratics(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
-    """Correlation quadratic forms for every lag 1-n..n-1, in lag order."""
-    n, d1 = e1.shape
-    d2 = e2.shape[1]
-    s1, s2, r11_inv, r22_inv = _lag0_correlations(e1, e2)
-    xc = (e1 - e1.mean(axis=0)) * s1[None, :]
-    yc = (e2 - e2.mean(axis=0)) * s2[None, :]
-    # r12[m] for m >= 0 via one correlation pass per component pair
-    r_pos = np.empty((n, d1, d2))
-    r_neg = np.empty((n, d1, d2))
-    for i in range(d1):
-        for j in range(d2):
-            full = np.correlate(yc[:, j], xc[:, i], mode="full") / n
-            # full[k] = sum_t xc[t] yc[t + k - (n-1)]
-            r_pos[:, i, j] = full[n - 1 :]
-            r_neg[:, i, j] = full[: n][::-1]
-    quad_pos = n * np.einsum("mab,ac,mcd,bd->m", r_pos, r11_inv, r_pos, r22_inv)
-    quad_neg = n * np.einsum("mab,ac,mcd,bd->m", r_neg, r11_inv, r_neg, r22_inv)
-    return np.concatenate([quad_neg[1:][::-1], quad_pos])  # lags 1-n .. n-1
 
 
 def _prewhitening_order(n: int) -> int:
@@ -275,7 +262,7 @@ def w_test(
         )
     d1 = e1.shape[1]
     d2 = e2.shape[1]
-    quads = _all_lag_quadratics(e1, e2)
+    quads = _correlation_quadratics(e1, e2, n - 1)
     m = np.arange(1 - n, n)
     k2 = np.sinc(m / h) ** 2
     weighted = float((k2 * quads).sum())
@@ -333,9 +320,9 @@ def t_test(res: PairedResiduals, max_lag: int, variant: int = 1) -> TestOutcome:
     return _portmanteau("T", _vech(res.eta1), _vech(res.eta2), n, max_lag, variant)
 
 
-def _single_lag_scan(res: PairedResiduals, lags, family: str, direction: int = 1):
-    """L or T statistics at the lags ``m`` in ``lags`` of one direction, with
-    their chi-square degrees of freedom: ``(values, df)``.
+def _single_lag_scan(res: PairedResiduals, max_lag: int, family: str, direction: int = 1):
+    """L or T statistics at the lags 0..M of one direction, with their
+    chi-square degrees of freedom: ``(values, df)``.
 
     Direction 1 uses lag +m, direction 2 lag -m.  One engine call serves
     every lag, and each value has the bits of a call for its lag alone.
@@ -345,22 +332,22 @@ def _single_lag_scan(res: PairedResiduals, lags, family: str, direction: int = 1
     if direction not in (1, 2):
         raise ValueError("direction must be 1 or 2")
     n = res.n
-    if max(lags) >= n - 1:
-        raise DataError(f"lag {max(lags)} infeasible for n={n}")
+    if not 0 <= max_lag < n - 1:
+        raise DataError(f"lag {max_lag} infeasible for n={n}")
     if family == "L":
         x1, x2 = _squared_norms(res)
     else:
         x1, x2 = _vech(res.eta1), _vech(res.eta2)
-    signed = [m if direction == 1 else -m for m in lags]
-    z = _correlation_quadratics(x1, x2, signed, _SERIES[family])
-    return z, x1.shape[1] * x2.shape[1]
+    z = _correlation_quadratics(x1, x2, max_lag, _SERIES[family])
+    return (z[max_lag:] if direction == 1 else z[max_lag::-1]), x1.shape[1] * x2.shape[1]
 
 
 def single_lag_stat(res: PairedResiduals, m: int, family: str, direction: int = 1):
     """One-lag L or T statistic with its chi-square degrees of freedom.
 
-    Direction 1 uses lag +m, direction 2 lag -m; summing both directions
-    over 0..M (counting lag 0 once) reproduces the joint statistics.
+    Direction 1 uses lag +m, direction 2 lag -m, for m in 0..n-2; summing
+    both directions over 0..M (counting lag 0 once) reproduces the joint
+    statistics.
     """
-    z, df = _single_lag_scan(res, [m], family, direction)
-    return float(z[0]), df
+    z, df = _single_lag_scan(res, m, family, direction)
+    return float(z[m]), df

@@ -583,6 +583,20 @@ class TestLagscanCommand:
             assert r["statistic"] == value
             assert r["bound_95"] == tsindep.chi2_quantile(0.95, df)
 
+    def test_largest_feasible_lag_with_l_and_t(self, short_files, tmp_path):
+        # Lag 56 leaves two of the 58 paired rows; every row is finite.
+        out = tmp_path / "scan.json"
+        code = run_cli(
+            ["lagscan", "--series1", short_files[0], "--series2", short_files[1],
+             "-B", "19", "--max-lag", "56", "--include-l", "--include-t", "--output", str(out)]
+        )
+        assert code == 0
+        rows = json.loads(out.read_text())["scan"]
+        assert [(r["test_name"], r["lag"]) for r in rows] == [
+            (f"{family}{d}", m) for family in "SLT" for d in (1, 2) for m in range(57)
+        ]
+        assert all(np.isfinite([r["statistic"], r["bound_95"]]).all() for r in rows)
+
     @pytest.mark.parametrize("max_lag", ["57", "80"])
     def test_max_lag_beyond_data_names_the_flag(self, short_files, capsys, max_lag):
         code = run_cli(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from tsindep import (
@@ -16,8 +18,14 @@ from tsindep import (
     t_test,
     w_test,
 )
+from bounds import (
+    cond_gap_bound,
+    correlation_with_cond,
+    engine_gap_bound,
+    form_bound,
+    statistic_gap_bound,
+)
 from tsindep.crosscorr import (
-    _all_lag_quadratics,
     _correlation_quadratics,
     _daniell_finite_sample_constants,
     _inv_sym,
@@ -137,13 +145,15 @@ class TestDaniellHelpers:
 
 class TestWTest:
     def test_all_lag_quadratics_match_per_lag(self):
+        # W's call: the engine over every lag, M = n - 1.
         rng = np.random.default_rng(8)
         e1 = rng.normal(size=(40, 2))
         e2 = rng.normal(size=(40, 2))
-        quads = _all_lag_quadratics(e1, e2)
+        quads = _correlation_quadratics(e1, e2, 39)
         lags = list(range(1 - 40, 40))
-        direct = _correlation_quadratics(e1, e2, lags)
-        assert_allclose(quads, direct, rtol=1e-9, atol=1e-10)
+        direct = correlation_quadratics_loop(e1, e2, lags)
+        for got, want, lag in zip(quads, direct, lags):
+            assert abs(got - want) <= engine_gap_bound(e1, e2, lag)
 
     def test_variants_converge_large_n(self):
         rng = np.random.default_rng(9)
@@ -218,63 +228,11 @@ def transforms(res, family):
     return tuple(out)
 
 
-def form_bound(x1, x2, lag):
-    """First-order rounding bound on the gap between two evaluations of one
-    lag's form ``Q = n vec(C12)' [C22^-1 kron C11^-1] vec(C12)`` on the
-    (n, d1) and (n, d2) series ``x1``, ``x2``: G's, on the equilibrated
-    correlations, and the trace form on the covariances (or, at d1 = d2 =
-    1, the rho form ``n rho^2``).
-
-    Both start from the same bits of C11, C22 and C12 (``cross_cov``), so
-    the gap is at most the sum of each side's distance to the exact Q of
-    those matrices, in units u = eps / 2.  For any A, B and C,
-    ``|n vec(C)' (B kron A) vec(C)| <= S = n ||C||_F^2 ||A||_2 ||B||_2``,
-    and the sum of the absolute terms of the form is at most ``sqrt(d1 d2)
-    S``.
-    - Inverses.  A computed inverse X of A with residual ``A X = I + F``
-      is within ``||X|| ||F|| / (1 - ||F||)`` of A^-1, which moves Q by
-      that relative amount times S.  F is evaluated in long double.  On
-      G's side the correlation matrix carries two roundings per entry
-      (``s_i c_ij s_j``; Q does not change under an exact diagonal
-      scaling, so the computed s may stand for the exact one), which
-      moves its inverse by a further ``2 u ||R||_F ||R^-1||_2`` relative.
-    - Evaluation.  G's side rounds R12 twice per entry (4u on each term),
-      each term's product of four factors three times, and sums (d1 d2)^2
-      terms; the trace form makes three matrix products and a trace,
-      ``2 d1 + 2 d2`` roundings a term; the rho form 7 in all.  One more
-      rounding multiplies by n.  Each side is therefore within ``k u
-      sqrt(d1 d2) S`` of its exact value, ``k = (d1 d2)^2 + 7``.
-    """
-    n, d1 = x1.shape
-    d2 = x2.shape[1]
-    u = np.finfo(float).eps / 2
-    k = ((d1 * d2) ** 2 + 7) * np.sqrt(d1 * d2) * u
-
-    def inverse(a):
-        x = np.linalg.inv(a)
-        resid = a.astype(np.longdouble) @ x.astype(np.longdouble) - np.eye(len(a))
-        f = np.linalg.norm(resid.astype(float), 2)
-        return np.linalg.norm(x, 2), f / (1.0 - f)
-
-    def side(c11, c22, c12, entry_roundings):
-        (n1, f1), (n2, f2) = inverse(c11), inverse(c22)
-        f1 += entry_roundings * u * np.linalg.norm(c11) * n1
-        f2 += entry_roundings * u * np.linalg.norm(c22) * n2
-        return n * np.linalg.norm(c12) ** 2 * n1 * n2 * (k + f1 + f2)
-
-    c11, c22, c12 = cross_cov(x1, x1, 0), cross_cov(x2, x2, 0), cross_cov(x1, x2, lag)
-    s1 = 1.0 / np.sqrt(np.diag(c11))
-    s2 = 1.0 / np.sqrt(np.diag(c22))
-    r11 = s1[:, None] * c11 * s1[None, :]
-    r22 = s2[:, None] * c22 * s2[None, :]
-    r12 = s1[:, None] * c12 * s2[None, :]
-    return side(c11, c22, c12, 0) + side(r11, r22, r12, 2)
-
-
 class TestPerLagOracles:
-    # The per-call setup is shared across lags; every per-lag value keeps
-    # the bits of the loop that rebuilt it at each lag.  L and T are G's
-    # form on the transforms, so G's loop is their oracle too.
+    # The engine sums each lag's products in its own order, so every form
+    # is held to engine_gap_bound's rounding bound against the per-lag loop
+    # on cross_cov.  L and T are G's form on the transforms, so G's loop is
+    # their oracle too.
     @pytest.fixture(scope="class")
     def res(self):
         rng = np.random.default_rng(22)
@@ -286,9 +244,13 @@ class TestPerLagOracles:
         for max_lag in (0, 3, 20, 88):
             lags = list(range(-max_lag, max_lag + 1))
             z = correlation_quadratics_loop(q1, q2, lags)
+            gaps = [engine_gap_bound(q1, q2, m) for m in lags]
+            weights = None
             if variant == 2:
-                z = z * np.array([res.n / (res.n - abs(m)) for m in lags])
-            assert l_test(res, max_lag, variant).statistic == float(z.sum())
+                weights = np.array([res.n / (res.n - abs(m)) for m in lags])
+                z = z * weights
+            got = l_test(res, max_lag, variant).statistic
+            assert abs(got - float(z.sum())) <= statistic_gap_bound(z, gaps, weights)
 
     def test_single_lag_values(self, res):
         for family in ("L", "T"):
@@ -296,17 +258,46 @@ class TestPerLagOracles:
             for m in range(89):
                 for direction, lag in ((1, m), (2, -m)):
                     want = correlation_quadratics_loop(x1, x2, [lag])[0]
-                    assert single_lag_stat(res, m, family, direction)[0] == want
+                    got = single_lag_stat(res, m, family, direction)[0]
+                    assert abs(got - want) <= engine_gap_bound(x1, x2, lag)
 
     def test_g_quadratics(self, res):
         lags = list(range(-88, 89))
-        quads = _correlation_quadratics(res.eta1, res.eta2, lags)
-        assert (quads == correlation_quadratics_loop(res.eta1, res.eta2, lags)).all()
+        quads = _correlation_quadratics(res.eta1, res.eta2, 88)
+        loop = correlation_quadratics_loop(res.eta1, res.eta2, lags)
+        for got, want, lag in zip(quads, loop, lags):
+            assert abs(got - want) <= engine_gap_bound(res.eta1, res.eta2, lag)
+
+    def test_lag_values_do_not_depend_on_max_lag(self, res):
+        # Each lag's sum runs over the same n-row window of the padded
+        # series whatever M is, so its value keeps its bits.
+        n = res.n
+        for x1, x2 in [(res.eta1, res.eta2), transforms(res, "L"), transforms(res, "T")]:
+            full = _correlation_quadratics(x1, x2, n - 1)
+            for max_lag in (0, 1, 3, n - 2, n - 1):
+                z = _correlation_quadratics(x1, x2, max_lag)
+                assert np.array_equal(z, full[n - 1 - max_lag : n + max_lag])
+
+    def test_bound_rejects_a_moved_correlation(self, res):
+        # The loop with one lag's R12 moved by 1e-10 of itself falls outside
+        # engine_gap_bound at that lag: the bound is far below such a change.
+        x1, x2 = res.eta1, res.eta2
+        lag = 2
+        got = _correlation_quadratics(x1, x2, lag)[-1]
+        s1 = 1.0 / np.sqrt(np.diag(cross_cov(x1, x1, 0)))
+        s2 = 1.0 / np.sqrt(np.diag(cross_cov(x2, x2, 0)))
+        r11_inv = np.linalg.inv(s1[:, None] * cross_cov(x1, x1, 0) * s1[None, :])
+        r22_inv = np.linalg.inv(s2[:, None] * cross_cov(x2, x2, 0) * s2[None, :])
+        r12 = s1[:, None] * cross_cov(x1, x2, lag) * s2[None, :]
+        bound = engine_gap_bound(x1, x2, lag)
+        for moved in (r12, r12 * (1 + 1e-10)):
+            want = res.n * np.einsum("ab,ac,cd,bd->", moved, r11_inv, moved, r22_inv)
+            assert (abs(got - want) <= bound) == (moved is r12)
 
     def test_rho_and_trace_forms(self, res):
         # The correlation form agrees with L's n rho^2 and T's trace form
         # within form_bound's rounding bound; the largest gaps seen are
-        # 0.3 (L) and 0.002 (T) of it, and 2e-15 of the statistic.
+        # 0.012 (L) and 0.0005 (T) of it, and 1.5e-13 of the statistic.
         q1, q2 = transforms(res, "L")
         phi1, phi2 = transforms(res, "T")
         for m in range(89):
@@ -316,6 +307,53 @@ class TestPerLagOracles:
                 assert abs(got - res.n * rho * rho) <= form_bound(q1, q2, lag)
                 got = single_lag_stat(res, m, "T", direction)[0]
                 assert abs(got - t_lag_loop(res, lag)) <= form_bound(phi1, phi2, lag)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(12, 150),
+    d1=st.sampled_from([1, 2, 3, 6]),
+    d2=st.sampled_from([1, 2, 3, 6]),
+    lag_share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_engine_matches_cross_cov_oracle(n, d1, d2, lag_share, seed):
+    # Every lag of one engine call against the per-lag loop on cross_cov,
+    # with columns in units from 0.1 to 10.
+    rng = np.random.default_rng(seed)
+    x1 = rng.normal(size=(n, d1)) * rng.uniform(0.1, 10.0, d1)
+    x2 = rng.normal(size=(n, d2)) * rng.uniform(0.1, 10.0, d2)
+    max_lag = int(lag_share * (n - 1))
+    lags = list(range(-max_lag, max_lag + 1))
+    quads = _correlation_quadratics(x1, x2, max_lag)
+    loop = correlation_quadratics_loop(x1, x2, lags)
+    for got, want, lag in zip(quads, loop, lags):
+        assert abs(got - want) <= engine_gap_bound(x1, x2, lag)
+
+
+class TestPaddingEdges:
+    def test_three_rows(self):
+        # M = 0 pads nothing; M = n - 1 leaves one product in the end lags.
+        rng = np.random.default_rng(25)
+        for d in (1, 2):
+            x1, x2 = rng.normal(size=(3, d)), rng.normal(size=(3, d))
+            full = _correlation_quadratics(x1, x2, 2)
+            assert full.shape == (5,) and np.isfinite(full).all()
+            assert np.array_equal(_correlation_quadratics(x1, x2, 0), full[2:3])
+        # Three centred rows span two dimensions: the lag-zero correlation
+        # of three columns is singular.
+        with pytest.raises(SingularityError, match="lag-zero correlation of series 1"):
+            _correlation_quadratics(rng.normal(size=(3, 3)), rng.normal(size=(3, 1)), 0)
+
+    @pytest.mark.parametrize("test", [g_test, l_test, t_test])
+    def test_largest_feasible_lag(self, test):
+        rng = np.random.default_rng(26)
+        res = PairedResiduals(rng.normal(size=(20, 2)), rng.normal(size=(20, 2)))
+        for variant in (1, 2):
+            out = test(res, res.n - 2, variant)
+            assert np.isfinite(out.statistic) and 0.0 <= out.p_value <= 1.0
+        with pytest.raises(DataError, match="max_lag 19 infeasible for n=20"):
+            test(res, res.n - 1)
 
 
 class TestLTest:
@@ -412,32 +450,6 @@ class TestColumnUnits:
         for test in (g_test, t_test):
             for variant in (1, 2):
                 assert test(scaled, 3, variant).statistic == test(res, 3, variant).statistic
-
-
-def correlation_with_cond(rng, d, kappa):
-    """A random d x d correlation matrix whose 2-norm condition number is
-    near ``kappa`` (rescaling to a unit diagonal moves it a little)."""
-    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-    cov = (q * np.geomspace(1.0, 1.0 / kappa, d)) @ q.T
-    s = 1.0 / np.sqrt(np.diag(cov))
-    corr = s[:, None] * cov * s[None, :]
-    return (corr + corr.T) / 2
-
-
-def cond_gap_bound(mat, c=10.0):
-    """Relative gap allowed between two backward-stable 2-norm condition
-    numbers of the positive definite ``mat``.
-
-    A symmetric eigensolver and an SVD each return the exact values of a
-    matrix within c d eps |mat|_2 of ``mat`` (c a modest solver constant),
-    so by Weyl each extreme value moves by at most c d eps lambda_max.
-    lambda_max then moves by a relative c d eps and lambda_min by c d eps
-    kappa, so each ratio is within about c d eps (kappa + 1) of kappa,
-    relatively, and the two within twice that.
-    """
-    d = mat.shape[0]
-    kappa = np.linalg.cond(mat)
-    return 2.0 * c * d * np.finfo(float).eps * (kappa + 1.0)
 
 
 class TestSymmetricCondition:

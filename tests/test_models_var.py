@@ -22,10 +22,9 @@ from tsindep import (
     simulate,
     write_csv,
 )
-import tsindep.models as models_module
 from tsindep.bootstrap import BootstrapConfig, _burn_in, _draw_innovations, _replicate_keys
 from tsindep.cli import main
-from test_crosscorr import cond_gap_bound, correlation_with_cond
+from bounds import cond_gap_bound, correlation_with_cond, onestep_gap_bound
 from tsindep.models import (
     _COND_LIMIT,
     _SCAN_CHUNK,
@@ -243,24 +242,23 @@ class TestBatchHelpers:
         assert_allclose(coef_b[0], fit.coef, atol=1e-12)
 
     @pytest.mark.parametrize("nb", [1, 7])
-    def test_onestep_is_mean_influence(self, monkeypatch, nb):
-        # The update is the mean of influence_values' rows, bit for bit, and
-        # the residuals are those of residuals() at the updated coefficients.
-        # Blocks of one row, of a few rows and the default block sum the
-        # rows; one influence column (d = 1, p = 1) stays one block.
+    def test_onestep_is_mean_influence(self, nb):
+        # The update is the mean of influence_values' rows within
+        # onestep_gap_bound (the closed form (E'X) Gamma^-1 / m sums in
+        # another order), and the residuals are those of residuals() at the
+        # updated coefficients, bit for bit.
         rng = np.random.default_rng(20)
         shapes = ((2, 1, False), (2, 2, True), (1, 1, False), (1, 2, True), (3, 6, True))
         for d, p, intercept in shapes:
             fit = fit_var(rng.normal(size=(150, d)), p, intercept)
             paths = rng.normal(size=(nb, 120, d))
-            for block_bytes in (1 << 20, 1, 8 * fit.coef.size * nb * 5):
-                monkeypatch.setattr(models_module, "_INFLUENCE_BLOCK_BYTES", block_bytes)
-                coef_b, resid_b = _var_onestep_batch(fit, paths)
-                for b in range(nb):
-                    mean = influence_values(fit, paths[b])[p:].mean(0)
-                    assert np.array_equal(coef_b[b], fit.coef + mean.reshape(fit.coef.shape))
-                    moved = replace(fit, coef=coef_b[b])
-                    assert np.array_equal(resid_b[b], residuals(moved, paths[b])[p:])
+            coef_b, resid_b = _var_onestep_batch(fit, paths)
+            for b in range(nb):
+                mean = influence_values(fit, paths[b])[p:].mean(0)
+                want = fit.coef + mean.reshape(fit.coef.shape)
+                assert (np.abs(coef_b[b] - want) <= onestep_gap_bound(fit, paths[b])).all()
+                moved = replace(fit, coef=coef_b[b])
+                assert np.array_equal(resid_b[b], residuals(moved, paths[b])[p:])
 
     def test_onestep_never_forms_every_influence_row(self):
         # 16 paths x 1994 rows x 57 influence columns are 14.5 MB at once;
