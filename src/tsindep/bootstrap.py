@@ -52,8 +52,8 @@ series and one :func:`~tsindep.hsic.stat_from_grams` call for all
 statistics serve a whole stack, whose Grams take at most
 ``_STACK_BYTES`` per series (6 replicates at n = 100, 2 at n = 150, and
 one from n = 182 on).  One pair of Gram buffers serves every stack of a
-block, and the pass's matmul call lists on them
-(:func:`~tsindep.hsic._pass_calls`) are built once per stack depth per
+block, and the pass's call list on them
+(:func:`~tsindep.hsic._pass_calls`) is built once per stack depth per
 block: at most twice, since only a block's last stack can be shallower.
 A block owns its buffers and lists, so no two threads share one, and
 they go with the block.  Each replicate's statistics have the bits they
@@ -405,10 +405,11 @@ def _stack_stats(e1, e2, items, lag_cfgs, kernel_k, kernel_l):
     ``_STACK_BYTES`` per Gram stack, and at least one pair.  One pair of
     buffers serves every stack: fresh stack-sized arrays would go back to
     the system when freed and fault their pages in again for the next
-    stack.  The pass's call lists are bound to these buffers, so one list
-    per stack depth serves every stack, and lists and buffers go when this
-    returns.  Each row has the bits of ``stat_from_grams`` on the Grams of
-    its pair alone.
+    stack.  A kept pass is bound to the array objects it was built on, so
+    each stack depth keeps one pass on one view of each buffer, and the
+    Grams of every stack of that depth go into those views; passes, views
+    and buffers go when this returns.  Each row has the bits of
+    ``stat_from_grams`` on the Grams of its pair alone.
     """
     n = e1.shape[1]
     depth = max(1, _STACK_BYTES // (8 * n**2))
@@ -417,11 +418,12 @@ def _stack_stats(e1, e2, items, lag_cfgs, kernel_k, kernel_l):
     stats = np.empty((len(items), len(lag_cfgs)))
     for s0 in range(0, len(items), depth):
         stack = items[s0 : s0 + depth]
-        g1 = gram_matrix(kernel_k, e1[stack], out=buf1[: len(stack)]).values
-        g2 = gram_matrix(kernel_l, e2[stack], out=buf2[: len(stack)]).values
         if len(stack) not in calls:
-            calls[len(stack)] = _pass_calls(g1, g2, lag_cfgs)
-        stats[s0 : s0 + depth] = stat_from_grams(g1, g2, lag_cfgs, calls=calls[len(stack)])
+            calls[len(stack)] = _pass_calls(buf1[: len(stack)], buf2[: len(stack)], lag_cfgs)
+        kept = calls[len(stack)]
+        g1 = gram_matrix(kernel_k, e1[stack], out=kept.g1).values
+        g2 = gram_matrix(kernel_l, e2[stack], out=kept.g2).values
+        stats[s0 : s0 + depth] = stat_from_grams(g1, g2, lag_cfgs, calls=kept)
     return stats
 
 

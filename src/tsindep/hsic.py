@@ -14,29 +14,33 @@ bootstrap (see :mod:`tsindep.bootstrap`) calibrates against.
 At lag m the leading series enters through the leading window
 ``G[:N, :N]`` of its Gram matrix and the other through the trailing
 window ``G[m:, m:]``.  Every statistic is evaluated in one defined order,
-which fixes its bits (see :func:`hsic_v`): the leading window's column
-sums add its rows top-down, the trailing window's add them bottom-up,
-and the cross term reads the upper triangle of both windows in blocks of
-``_CROSS_BLOCK`` rows.  Gram matrices must therefore be exactly
-symmetric, as :func:`~tsindep.kernels.gram_matrix` makes them.  The
-multi-lag pass shares one top-down and one bottom-up accumulation across
-all lags and reproduces these bits exactly.  :func:`stat_from_grams`
-takes one config or a sequence of them, and evaluates every lag the
-sequence needs in one such pass per direction.
+which fixes its bits.  A window's column sums are row-local: the
+pairwise sum of each row of the whole Gram (``np.add.reduce`` along the
+row), less the window's edge rows, added from the matrix edge inward
+(see :func:`_lag_terms`).  The cross term reads the upper triangle of
+both windows in blocks of ``_CROSS_BLOCK`` rows (see :func:`hsic_v`).
+Gram matrices must therefore be exactly symmetric, as
+:func:`~tsindep.kernels.gram_matrix` makes them.  At lag 0 a single
+statistic is :func:`hsic_v` on the two Grams; at m > 0 it agrees with
+``hsic_v`` on the two windows copied out up to the rounding of the
+window sums.  :func:`stat_from_grams` takes one config or a sequence of
+them, and evaluates every lag of both directions that the sequence
+needs in one pass, whose row sums serve every lag.
 
 The Python cost of a pass does not grow with its lags and row tiles:
 
-- each direction's values are assembled once over the lag axis, from
+- the values of every lag are assembled once over the lag axis, from
   four reductions per lag (:func:`_lag_stats`);
-- a direction's lead windows are nested, and so are its trailing
-  windows, so one column-sum test on the largest lag's windows rules out
-  a constant window at every lag, and the per-lag check runs only when
-  it cannot;
-- the row dots run as a list of matmul calls on views of the two Gram
-  buffers (:func:`_tile_calls`).  A caller that refills one pair of
-  buffers builds the lists once with :func:`_pass_calls` and passes them
-  with each refill; :mod:`tsindep.bootstrap` keeps one per stack depth
-  of a replicate block.  Other callers' passes make their own calls.
+- a direction's lead windows all hold row 0 of their Gram, and its
+  trailing windows all hold row n - 1 of theirs, so one O(n) test of
+  those two rows rules out a constant window at every lag, and the exact
+  per-lag check runs only when it cannot;
+- the row sums, row dots and window sums run as one list of ufunc calls
+  on views of the two Gram buffers (:func:`_tile_calls`,
+  :func:`_edge_calls`).  A caller that refills one pair of buffers builds
+  the list once with :func:`_pass_calls` and passes it with each refill;
+  :mod:`tsindep.bootstrap` keeps one per stack depth of a replicate
+  block.  Other callers' passes make their own calls.
 """
 
 from __future__ import annotations
@@ -139,11 +143,13 @@ def hsic_v(K, L) -> float | np.ndarray:
 
     so neither H nor any other N x N temporary is formed.  ``K`` and
     ``L`` must be exactly symmetric, and a :class:`DataError` is raised
-    otherwise: the column sums stand in for the row sums, and the cross
+    otherwise: the row sums stand in for the column sums, and the cross
     term reads one triangle only.  The sums are taken in this order:
 
-    - c_K adds the rows of ``K`` top-down and c_L adds the rows of ``L``
-      bottom-up;
+    - c_K and c_L are the row sums of ``K`` and ``L``, each row summed
+      pairwise on its own (``np.add.reduce`` along the row);
+    - sum(c_K), sum(c_L) and sum_i K_i . L_i are pairwise sums too, and
+      c_K . c_L is one BLAS dot;
     - the cross term splits the rows into blocks of S = ``_CROSS_BLOCK``.
       Row i of block b (rows ``[bS, (b+1)S)``) contributes
       ``2 K[i, (b+1)S:] . L[i, (b+1)S:] + K[i, bS:(b+1)S] . L[i, bS:(b+1)S]``,
@@ -152,9 +158,9 @@ def hsic_v(K, L) -> float | np.ndarray:
 
     None of these depends on the memory layout or the buffer's alignment,
     so a transposed matrix or a principal-submatrix view gives the same
-    bits as a contiguous copy of it.  This is the lag-0 case of the multi-lag
-    pass of :func:`stat_from_grams`: a single statistic equals
-    ``hsic_v(lead window, trailing window)`` (see :func:`single_from_grams`).
+    bits as a contiguous copy of it.  This is the lag-0 case of the
+    multi-lag pass of :func:`stat_from_grams`; at m > 0 the pass takes the
+    windows' sums from the whole Grams' rows (see :func:`single_from_grams`).
     When either Gram matrix is constant the result is exactly 0.0;
     otherwise it is nonnegative up to roundoff whenever both kernels are
     positive definite.
@@ -171,7 +177,7 @@ def hsic_v(K, L) -> float | np.ndarray:
     for g in (k, l):
         if not np.array_equal(g, g.swapaxes(-1, -2)):
             raise DataError("Gram matrix is not exactly symmetric")
-    # Rows must be contiguous for the column sums to add them in order.
+    # Unit-stride rows: numpy sums a row pairwise only along a unit-stride axis.
     k, l = (g if g.strides[-1] == g.itemsize else np.ascontiguousarray(g) for g in (k, l))
     return single_from_grams(k, l, 0, 1)
 
@@ -268,11 +274,13 @@ def single_from_grams(g1: np.ndarray, g2: np.ndarray, m: int, direction: int) ->
     only selects a contiguous principal submatrix of each, so one Gram
     computation per series serves every lag.  Both must be exactly
     symmetric, as :func:`~tsindep.kernels.gram_matrix` makes them; this is
-    not checked here.  The value has the bits of
-    ``hsic_v(lead window, trailing window)``: in direction 1 the lead
-    window is ``g1[:n-m, :n-m]`` and the trailing one ``g2[m:, m:]``, and
-    direction 2 swaps the roles of ``g1`` and ``g2``.  At m = 0 both
-    directions take direction 1's order, so they agree bit for bit.
+    not checked here.  In direction 1 the lead window is ``g1[:n-m, :n-m]``
+    and the trailing one ``g2[m:, m:]``; direction 2 swaps the roles of
+    ``g1`` and ``g2``.  The value is ``hsic_v(lead window, trailing
+    window)`` with each window's sums taken from the whole Gram's row sums
+    (see :func:`_lag_terms`), so for m > 0 it agrees with ``hsic_v`` on
+    the copied windows up to the rounding of those sums, and at m = 0 it
+    is ``hsic_v(g1, g2)`` bit for bit, in either direction.
     Entry-identical to :func:`single_stat` on the same residuals.
 
     This is the one-lag case of the pass of :func:`stat_from_grams`, and
@@ -282,166 +290,232 @@ def single_from_grams(g1: np.ndarray, g2: np.ndarray, m: int, direction: int) ->
     n = g1.shape[-1]
     if n - m < 2:
         raise DataError(f"lag m={m} leaves fewer than 2 pairs (n={n})")
-    if m == 0:
-        direction = 1
-    stat = _lag_stats(g1, g2, direction, [m], _lag_terms(g1, g2, direction, [m]))[..., 0]
+    lags = {direction if m else 1: [m]}
+    stat = _lag_stats(g1, g2, lags, _lag_terms(g1, g2, lags))[..., 0]
     return stat if g1.ndim == 3 else float(stat)
 
 
-def _source(g1: np.ndarray, g2: np.ndarray, direction: int, lags) -> tuple:
-    """The buffers, layout, direction and lags that a call list serves."""
-    layout = (g1.shape, g1.strides, g2.strides)
-    return (g1.ctypes.data, g2.ctypes.data, layout, direction, tuple(lags))
+def _keys(lags: dict) -> list:
+    """The (direction, m) of a pass's singles, in the order of its buffers."""
+    return [(direction, m) for direction, ms in lags.items() for m in ms]
 
 
-def _tile_calls(g1: np.ndarray, g2: np.ndarray, direction: int, lags, dots: np.ndarray):
-    """The matmul calls that make :func:`_lag_terms`' row dots, in sweep order.
+def _tile_calls(g1: np.ndarray, g2: np.ndarray, keys, rows: np.ndarray, dots: np.ndarray):
+    """The calls that make :func:`_lag_terms`' row sums and row dots, in
+    sweep order.
 
-    ``dots`` is a (..., len(lags), n) buffer whose row j receives the
-    n - m row dots of lag ``lags[j]`` in its first n - m entries.  Each
-    call is ``(a, b, out, part)``, in sweep order: row tiles of
-    ``_TILE_BYTES`` across the whole stack, the lags within a tile, and
-    the tile's rows of each ``_CROSS_BLOCK`` block within a lag, so each
-    tile of both stacks stays in cache across the lags.
-    ``np.matmul(a, b, out=out)`` takes one BLAS dot per row: of a diagonal
+    ``rows`` is a (2, ..., n) buffer that receives the row sums of ``g1``
+    and of ``g2``, and ``dots`` a (..., len(keys), n) buffer whose row j
+    receives the n - m row dots of ``keys[j] = (direction, m)`` in its
+    first n - m entries.  Each call is ``(f, args, part)``, run as
+    ``f(*args)``, in sweep order: row tiles of ``_TILE_BYTES`` across the
+    whole stack; within a tile, the tile's row sums of both Grams
+    (``np.add.reduce`` along each row), then the keys, then the tile's
+    rows of each ``_CROSS_BLOCK`` block within a key.  So each tile of
+    both stacks stays in cache across both directions and every lag.  A
+    row dot call is ``np.matmul`` with one BLAS dot per row: of a diagonal
     block straight into ``dots`` (``part`` is None), or of the part right
     of it into a scratch row, which is then doubled and added to
     ``part``.  Row i of block b thus gets the split cross term that
     :func:`hsic_v` defines, and only the upper triangle and the diagonal
-    blocks of each window are read.
-
-    The calls are views of ``g1``, ``g2``, ``dots`` and the scratch row,
-    so they read whatever ``g1`` and ``g2`` hold when they run.  A single
-    pass runs them as they are made; :func:`_pass_calls` keeps them in a
-    list for callers that refill the same buffers.
+    blocks of each window are read.  A row's sum and its dots do not
+    depend on the tile that holds it.
     """
     n = g1.shape[-1]
     # A tile holds the same rows of every item, so its bytes grow with the
     # stack.  Its rows are whole blocks or a power of two dividing one, so
     # that no tile straddles a block edge and splits its dots into more calls.
-    rows = max(1, _TILE_BYTES // (8 * g1[..., 0, :].size))
-    if rows < n:
-        rows = rows - rows % _CROSS_BLOCK or 1 << (rows.bit_length() - 1)
-    upper = np.empty(g1.shape[:-2] + (min(rows, _CROSS_BLOCK, n), 1, 1))
-    for r0 in range(0, n, rows):
-        for j, m in enumerate(lags):
-            big = n - m
-            r1 = min(r0 + rows, big)
+    tile = max(1, _TILE_BYTES // (8 * g1[..., 0, :].size))
+    if tile < n:
+        tile = tile - tile % _CROSS_BLOCK or 1 << (tile.bit_length() - 1)
+    upper = np.empty(g1.shape[:-2] + (min(tile, _CROSS_BLOCK, n), 1, 1))
+    windows = []
+    for direction, m in keys:
+        big = n - m
+        ko, lo = _window_offsets(m, direction)
+        windows.append((big, g1[..., ko : ko + big, ko : ko + big], g2[..., lo : lo + big, lo : lo + big]))
+    for r0 in range(0, n, tile):
+        for g, out in zip((g1, g2), rows):
+            tile_rows = slice(r0, r0 + tile)
+            yield np.add.reduce, (g[..., tile_rows, :], -1, None, out[..., tile_rows]), None
+        for j, (big, k, l) in enumerate(windows):
+            r1 = min(r0 + tile, big)
             if r0 >= r1:
                 continue
-            ko, lo = _window_offsets(m, direction)
-            k = g1[..., ko : ko + big, ko : ko + big]
-            l = g2[..., lo : lo + big, lo : lo + big]
             for b0 in range(r0 - r0 % _CROSS_BLOCK, r1, _CROSS_BLOCK):
                 b1 = min(b0 + _CROSS_BLOCK, big)
                 a, e = max(r0, b0), min(r1, b1)
                 part = dots[..., j, a:e, None, None]
-                yield k[..., a:e, None, b0:b1], l[..., a:e, b0:b1, None], part, None
+                yield np.matmul, (k[..., a:e, None, b0:b1], l[..., a:e, b0:b1, None], part), None
                 if b1 < big:
                     scratch = upper[..., : e - a, :, :]
-                    yield k[..., a:e, None, b1:], l[..., a:e, b1:, None], scratch, part
+                    yield np.matmul, (k[..., a:e, None, b1:], l[..., a:e, b1:, None], scratch), part
 
 
-def _lag_terms(g1: np.ndarray, g2: np.ndarray, direction: int, lags, *, calls=None) -> dict:
-    """:func:`hsic_v`'s ``(c_k, c_l, dots)`` for every lag in one pass.
+def _edge_calls(g1: np.ndarray, g2: np.ndarray, lags: dict, rows: np.ndarray, sums: np.ndarray):
+    """The calls that turn the row sums into each window's sums, and the
+    ``(c_k, c_l)`` of every key, views of ``rows`` and ``sums``.
+
+    ``sums`` is a (2, ..., len(keys), n) buffer: row j of ``sums[0]``
+    receives the window sums of ``g1`` for key j, and of ``sums[1]`` those
+    of ``g2``, in their first n - m entries.  By symmetry a window's
+    column sums are its rows' sums over the window's columns: the whole
+    row sum less the entries of the edge rows outside the window.  The
+    lead window ``[0, n - m)`` thus takes the row sums less rows n - 1,
+    n - 2, ..., n - m, and the trailing window ``[m, n)`` less rows 0, 1,
+    ..., m - 1.  Each direction adds its edge rows one by one from the
+    matrix edge inward, from the edge row itself, so the edge sum of lag
+    m depends on m alone; each lag then makes one subtraction per Gram.
+    At lag 0 the sums are the row sums themselves.
+    """
+    n = g1.shape[-1]
+    calls, terms = [], {}
+    j = 0
+    for direction, ms in lags.items():
+        # The Gram of each role: g1 (0) leads in direction 1, g2 (1) in 2.
+        grams = (0, 1) if direction == 1 else (1, 0)
+        lead, trail = ((g1, g2)[g] for g in grams)
+        top = ms[-1]
+        # edges[0][k] adds lead rows n - 1, ..., n - 1 - k, edges[1][k]
+        # trailing rows 0, ..., k.
+        edges = [lead[..., n - 1, :]], [trail[..., 0, :]]
+        acc = np.empty((2,) + g1.shape[:-2] + (max(top - 1, 0), n))
+        for k in range(1, top):
+            for role, row in ((0, lead[..., n - 1 - k, :]), (1, trail[..., k, :])):
+                calls.append((np.add, (edges[role][-1], row, acc[role][..., k - 1, :]), None))
+                edges[role].append(acc[role][..., k - 1, :])
+        for m in ms:
+            c = [rows[0], rows[1]]
+            if m:
+                for role, cols in ((0, slice(0, n - m)), (1, slice(m, n))):
+                    g = grams[role]
+                    c[g] = sums[g][..., j, : n - m]
+                    edge = edges[role][m - 1][..., cols]
+                    calls.append((np.subtract, (rows[g][..., cols], edge, c[g]), None))
+            terms[direction, m] = tuple(c)
+            j += 1
+    return calls, terms
+
+
+class _Pass:
+    """One pass's buffers and calls on one pair of Gram arrays (see
+    :func:`_lag_terms`).
+
+    ``calls`` is the list of the pass's calls, in order; a kept pass
+    (:func:`_pass_calls`) runs it again with each refill of ``g1`` and
+    ``g2``.  ``terms`` maps each (direction, m) to its ``(c_k, c_l,
+    dots)``, views of the buffers that the calls fill.
+    """
+
+    def __init__(self, g1: np.ndarray, g2: np.ndarray, lags: dict):
+        keys = _keys(lags)
+        rows = np.empty((2,) + g1.shape[:-1])
+        sums = np.empty((2,) + g1.shape[:-2] + (len(keys), g1.shape[-1]))
+        dots = np.empty(g1.shape[:-2] + (len(keys), g1.shape[-1]))
+        sweep = _tile_calls(g1, g2, keys, rows, dots)
+        edge_calls, window_sums = _edge_calls(g1, g2, lags, rows, sums)
+        self.g1, self.g2, self.lags = g1, g2, lags
+        self.calls = [*sweep, *edge_calls]
+        self.terms = {
+            key: (*window_sums[key], dots[..., j, : g1.shape[-1] - key[1]])
+            for j, key in enumerate(keys)
+        }
+
+
+def _lag_terms(g1: np.ndarray, g2: np.ndarray, lags: dict, *, calls=None) -> dict:
+    """:func:`hsic_v`'s ``(c_k, c_l, dots)`` for every lag of both
+    directions in one pass.
 
     ``g1`` and ``g2`` are two exactly symmetric n x n matrices or two
-    (nb, n, n) stacks; a stack's terms carry its axis first.  At lag m
-    one Gram enters through its leading window ``G[:n-m, :n-m]`` (``g1``
-    in direction 1, ``g2`` in direction 2) and the other through its
-    trailing window ``G[m:, m:]``.  The leading windows' column sums are
-    prefixes of one top-down accumulation over the rows, and the trailing
-    windows' column sums are suffixes of one bottom-up accumulation, so
-    the sums of all lags cost one pass over each Gram.  The row dots of
-    every lag come from one sweep over row tiles of the whole stack: the
-    matmul calls that :func:`_tile_calls` makes for these buffers and
-    lags.  Every term of a stack item has the bits :func:`hsic_v` gives
-    on the lead and the trailing window of that item alone, whatever the
-    tile size.
+    (nb, n, n) stacks; a stack's terms carry its axis first.  ``lags``
+    maps each direction to its lags, in ascending order, and the terms
+    are keyed by (direction, m).  At lag m one Gram enters through its
+    leading window ``G[:n-m, :n-m]`` (``g1`` in direction 1, ``g2`` in
+    direction 2) and the other through its trailing window ``G[m:, m:]``.
 
-    ``calls`` is internal plumbing: this direction's entry of
-    :func:`_pass_calls` on these same buffers and lags, whose kept call
-    list then runs instead of new calls made for this pass.  The
-    ``dots`` returned are views of its buffer, valid until it runs again.
-    A list built for other buffers or lags raises ValueError.
+    Each window's column sums are restated row-locally: one pairwise row
+    sum per Gram (``np.add.reduce`` along each row) serves both directions
+    and every lag, less the sum of the window's edge rows, added from the
+    matrix edge inward (see :func:`_edge_calls`).  So the sums of all lags
+    cost one read of each Gram, made tile by tile in the same sweep as
+    the row dots of every lag of both directions (:func:`_tile_calls`).
+    Every term of a stack item depends only on its own lag, direction and
+    item, whatever the other lags and the tile size.  At lag 0 the terms
+    are :func:`hsic_v`'s on ``g1, g2``; at m > 0 the row dots are
+    :func:`hsic_v`'s on the two windows, but the sums differ from those of
+    the copied windows in the last bits, since a row sum adds entries
+    outside the window that the edge subtraction then removes.
+
+    ``calls`` is internal plumbing: the :func:`_pass_calls` of these same
+    arrays and lags, whose kept calls then run instead of new calls made
+    for this pass.  The terms returned are views of the pass's buffers,
+    valid until it runs again.  A pass built for other arrays or lags
+    raises ValueError.
     """
     if g1.ndim not in (2, 3) or g1.shape != g2.shape or g1.shape[-1] != g1.shape[-2]:
         raise DataError(f"Gram size mismatch: {g1.shape} vs {g2.shape}")
-    n = g1.shape[-1]
-    lead, trail = (g1, g2) if direction == 1 else (g2, g1)
-    ordered = sorted(lags, reverse=True)
-    top, bottom = n - ordered[0], ordered[0]
-    down = lead[..., :top, :].sum(axis=-2)
-    up = trail[..., bottom:, :][..., ::-1, :].sum(axis=-2)
-    sums = {}
-    for m in ordered:
-        for r in range(top, n - m):
-            down += lead[..., r, :]
-        for r in range(bottom - 1, m - 1, -1):
-            up += trail[..., r, :]
-        top, bottom = n - m, m
-        sums[m] = (down[..., :top].copy(), up[..., m:].copy())
     if calls is None:
-        dots = np.empty(g1.shape[:-2] + (len(lags), n))
-        sweep = _tile_calls(g1, g2, direction, lags, dots)
-    elif calls[0] == _source(g1, g2, direction, lags):
-        _, dots, sweep = calls
-    else:
-        raise ValueError("the call list was built for other Gram buffers or lags")
-    for a, b, out, part in sweep:
-        np.matmul(a, b, out=out)
+        calls = _Pass(g1, g2, lags)
+    elif calls.g1 is not g1 or calls.g2 is not g2 or calls.lags != lags:
+        raise ValueError("the pass was built for other Gram arrays or lags")
+    for f, args, part in calls.calls:
+        f(*args)
         if part is not None:
-            out *= 2.0
-            part += out
-    terms = {}
-    for j, m in enumerate(lags):
-        lead_sums, trail_sums = sums[m]
-        c_k, c_l = (lead_sums, trail_sums) if direction == 1 else (trail_sums, lead_sums)
-        terms[m] = (c_k, c_l, dots[..., j, : n - m])
-    return terms
+            upper = args[-1]
+            upper *= 2.0
+            part += upper
+    return calls.terms
 
 
-def _lag_stats(g1: np.ndarray, g2: np.ndarray, direction: int, lags, terms: dict) -> np.ndarray:
+def _lag_stats(g1: np.ndarray, g2: np.ndarray, lags: dict, terms: dict) -> np.ndarray:
     """:func:`hsic_v` of every lag's two windows from their ``(c_k, c_l, dots)``.
 
     The result carries the stack axes of ``g1`` and ``g2``, if any, then
-    one value per lag.  The four reductions that fix a value's bits are
-    made one call per lag, as :func:`hsic_v` defines them: the row dots,
-    c_K and c_L each summed pairwise over the window, and c_K . c_L as
-    one BLAS dot.  The arithmetic that combines them into
+    one value per (direction, m) of ``lags``, in the order of
+    :func:`_keys`.  The four reductions that fix a value's bits are made
+    one call per key, as :func:`hsic_v` defines them: the row dots, c_K
+    and c_L each summed pairwise over the window, and c_K . c_L as one
+    BLAS dot.  The arithmetic that combines them into
     ``sum(dots) / N^2 + sum(c_K) sum(c_L) / N^4 - 2 c_K . c_L / N^3`` runs
-    once over the lag axis, with N^2, N^3 and N^4 the floats of exact
+    once over the key axis, with N^2, N^3 and N^4 the floats of exact
     integers.
 
     A pair with a constant window reads exactly 0.0.  A direction's lead
-    windows are nested, and so are its trailing windows, and a constant
-    window has equal column sums, as has every window inside it.  So when
-    neither window of the largest lag has equal column sums, no window of
-    any lag is constant, and the exact O(N^2) check runs only otherwise.
+    windows ``[0, n - m)`` are nested and all hold row 0, and its
+    trailing windows ``[m, n)`` all hold row n - 1.  So a constant window
+    at any lag makes the lead Gram's row 0 constant over ``[0, n - M)``
+    or the trailing Gram's row n - 1 constant over ``[M, n)``, M the
+    direction's largest lag.  When neither O(n) screen fires, no window
+    is constant; otherwise each lag's windows whose own edge row is
+    constant get the exact O(N^2) check.
     """
     n = g1.shape[-1]
-    dot_sum, k_sum, l_sum, cross = np.empty((4,) + g1.shape[:-2] + (len(lags),))
-    for j, m in enumerate(lags):
-        c_k, c_l, dots = terms[m]
+    keys = _keys(lags)
+    dot_sum, k_sum, l_sum, cross = np.empty((4,) + g1.shape[:-2] + (len(keys),))
+    for j, key in enumerate(keys):
+        c_k, c_l, dots = terms[key]
         np.add.reduce(dots, axis=-1, out=dot_sum[..., j])
         np.add.reduce(c_k, axis=-1, out=k_sum[..., j])
         np.add.reduce(c_l, axis=-1, out=l_sum[..., j])
         _row_dots(c_k, c_l, cross[..., j])
-    n2, n3, n4 = (np.array([float((n - m) ** p) for m in lags]) for p in (2, 3, 4))
+    n2, n3, n4 = (np.array([float((n - m) ** p) for _, m in keys]) for p in (2, 3, 4))
     stat = dot_sum / n2 + k_sum * l_sum / n4 - 2.0 * cross / n3
-    if not any((c == c[..., :1]).all(axis=-1).any() for c in terms[max(lags)][:2]):
-        return stat
-    for j, m in enumerate(lags):
-        big = n - m
-        ko, lo = _window_offsets(m, direction)
-        windows = g1[..., ko : ko + big, ko : ko + big], g2[..., lo : lo + big, lo : lo + big]
-        for g, c in zip(windows, terms[m]):
-            # Equal column sums are necessary for a constant matrix and cost
-            # O(N) to test; only then is the full O(N^2) comparison made.
-            maybe = (c == c[..., :1]).all(axis=-1)
-            if maybe.any():
-                constant = maybe & (g == g[..., :1, :1]).all(axis=(-2, -1))
-                stat[..., j] = np.where(constant, 0.0, stat[..., j])
+    j = 0
+    for direction, ms in lags.items():
+        lead, trail = (g1, g2) if direction == 1 else (g2, g1)
+        top = ms[-1]
+        screens = lead[..., 0, : n - top], trail[..., n - 1, top:]
+        if not any((row == row[..., :1]).all(axis=-1).any() for row in screens):
+            j += len(ms)
+            continue
+        for m in ms:
+            windows = lead[..., : n - m, : n - m], trail[..., m:, m:]
+            for g, row in zip(windows, (windows[0][..., 0, :], windows[1][..., -1, :])):
+                maybe = (row == row[..., :1]).all(axis=-1)
+                if maybe.any():
+                    constant = maybe & (g == g[..., :1, :1]).all(axis=(-2, -1))
+                    stat[..., j] = np.where(constant, 0.0, stat[..., j])
+            j += 1
     return stat
 
 
@@ -464,24 +538,19 @@ def _singles(cfg) -> tuple:
     return cfgs, keys, lags
 
 
-def _pass_calls(g1: np.ndarray, g2: np.ndarray, cfg) -> dict:
-    """The call lists of ``stat_from_grams(g1, g2, cfg)``, one per direction.
+def _pass_calls(g1: np.ndarray, g2: np.ndarray, cfg) -> _Pass:
+    """The kept pass of ``stat_from_grams(g1, g2, cfg)``.
 
     Internal plumbing for callers that refill the same pair of C-contiguous
-    float Gram buffers and pass the result as ``calls=`` with each refill
-    (see :func:`stat_from_grams`).  Each direction maps to ``(source,
-    dots, calls)``: what the list serves (see :func:`_source`), the
-    (..., len(lags), n) buffer of its row dots, and the list of
-    :func:`_tile_calls` on these buffers, about half a kilobyte of views
-    per call.  A list keeps its buffers alive, and its runs overwrite
-    ``dots``, so it belongs to one caller and thread.
+    float Gram arrays and pass the result as ``calls=`` with each refill
+    (see :func:`stat_from_grams`).  It holds the pass's buffers and the
+    list of its calls (:func:`_tile_calls` and :func:`_edge_calls`) on
+    these arrays, about half a kilobyte of views per call, and serves
+    exactly these two array objects: the same buffers seen through other
+    array objects need a pass of their own.  It keeps its buffers alive,
+    and its runs overwrite them, so it belongs to one caller and thread.
     """
-    calls = {}
-    for direction, lags in _singles(cfg)[2].items():
-        dots = np.empty(g1.shape[:-2] + (len(lags), g1.shape[-1]))
-        sweep = list(_tile_calls(g1, g2, direction, lags, dots))
-        calls[direction] = _source(g1, g2, direction, lags), dots, sweep
-    return calls
+    return _Pass(g1, g2, _singles(cfg)[2])
 
 
 def stat_from_grams(g1: np.ndarray, g2: np.ndarray, cfg, *, calls=None) -> float | np.ndarray:
@@ -497,32 +566,30 @@ def stat_from_grams(g1: np.ndarray, g2: np.ndarray, cfg, *, calls=None) -> float
     ``cfg`` is one :class:`LagConfig` or a sequence of them.  A sequence
     adds a trailing axis with one value per config: (n_cfgs,) values for
     two matrices, (nb, n_cfgs) for two stacks.  Every distinct single the
-    configs need is computed once: each direction's lags come from one
-    :func:`_lag_terms` pass and one assembly over the lag axis
-    (:func:`_lag_stats`), and lag 0 belongs to direction 1.  Joint sums
-    add their singles in ascending m, so each value has the bits it has
-    when its config is passed alone, and the bits of
-    :func:`single_from_grams` on each lag.
+    configs need is computed once, and the lags of both directions come
+    from one :func:`_lag_terms` pass and one assembly over them
+    (:func:`_lag_stats`); lag 0 belongs to direction 1.  Joint sums add
+    their singles in ascending m, so each value has the bits it has when
+    its config is passed alone, and the bits of :func:`single_from_grams`
+    on each lag.
 
-    ``calls`` is internal plumbing: the call lists that :func:`_pass_calls`
-    built on these same buffers for this ``cfg``.  A caller that refills
-    one pair of Gram buffers passes them with every refill, and the pass
-    then runs its row dots without building the calls again.  Without
-    ``calls`` each pass builds its own.
+    ``calls`` is internal plumbing: the pass that :func:`_pass_calls`
+    built on these same arrays for this ``cfg``.  A caller that refills
+    one pair of Gram arrays passes it with every refill, and the pass
+    then runs without building its calls again.  Without ``calls`` each
+    pass builds its own.
     """
     cfgs, keys, lags = _singles(cfg)
-    # Row-major layout, so that every window's column sums add the rows in
-    # the order hsic_v adds them.
+    # A copy of anything but C-contiguous floats, so that the kept calls'
+    # arrays are the ones the caller passes.
     g1, g2 = np.ascontiguousarray(g1, dtype=float), np.ascontiguousarray(g2, dtype=float)
     n = g1.shape[-1]
-    singles = {}
-    for direction, ms in lags.items():
+    for ms in lags.values():
         if n - ms[-1] < 2:
             m = next(m for m in ms if n - m < 2)
             raise DataError(f"lag m={m} leaves fewer than 2 pairs (n={n})")
-        terms = _lag_terms(g1, g2, direction, ms, calls=calls[direction] if calls else None)
-        values = _lag_stats(g1, g2, direction, ms, terms)
-        singles.update(((direction, m), values[..., j]) for j, m in enumerate(ms))
+    values = _lag_stats(g1, g2, lags, _lag_terms(g1, g2, lags, calls=calls))
+    singles = {key: values[..., j] for j, key in enumerate(_keys(lags))}
     out = np.empty(g1.shape[:-2] + (len(cfgs),))
     for i, (c, ks) in enumerate(zip(cfgs, keys)):
         out[..., i] = sum(singles[key] for key in ks) if c.is_joint else singles[ks[0]]

@@ -621,16 +621,20 @@ def _garch_starts(y: np.ndarray, seed: int, n_starts: int) -> list:
 _MIN_STEP = 1e-10
 
 
-def _garch_newton(objective, x: np.ndarray, gtol: float, maxiter: int):
+def _garch_newton(objective, value, x: np.ndarray, gtol: float, maxiter: int):
     """Damped Newton descent on ``objective(x) -> (value, gradient, Hessian)``.
 
     Each step uses the Hessian with its eigenvalues replaced by their
     absolute values, floored at 1e-8 of the largest, so it always points
     downhill.  Armijo backtracking halves the step until the decrease is
     sufficient; a trial point with a nonpositive variance (:class:`FitError`)
-    or a non-finite value also halves it.  Stops when the largest gradient
-    entry is at most ``gtol``, after ``maxiter`` steps, or when backtracking
-    fails.  Returns ``(value, gradient, x)`` at the last accepted point.
+    or a non-finite value, gradient or Hessian also halves it.  A trial's
+    value comes first, from ``value(x)``, which must have the bits of
+    ``objective(x)[0]``; the derivatives are taken only at a trial that
+    passes the Armijo test.
+    Stops when the largest gradient entry is at most ``gtol``, after
+    ``maxiter`` steps, or when backtracking fails.  Returns ``(value,
+    gradient, x)`` at the last accepted point.
     """
     f, g, h = objective(x)
     for _ in range(maxiter):
@@ -645,11 +649,13 @@ def _garch_newton(objective, x: np.ndarray, gtol: float, maxiter: int):
             trial = x + t * step
             try:
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    ft, gt, ht = objective(trial)
+                    ft = value(trial)
+                    if ft <= f + 1e-4 * t * slope:
+                        gt, ht = objective(trial)[1:]
+                        if np.isfinite(gt).all() and np.isfinite(ht).all():
+                            break
             except FitError:
-                ft = np.inf
-            if ft <= f + 1e-4 * t * slope and np.isfinite(gt).all() and np.isfinite(ht).all():
-                break
+                pass
             t *= 0.5
         else:
             break
@@ -695,9 +701,13 @@ def fit_ccc_garch(data, seed: int = 0) -> FitResult:
         grad, hx = _garch_xspace_derivs(x, scores.sum(axis=0), hess)
         return -float(terms.mean()), -grad / n, -hx / n
 
+    def negll_value(x):
+        # The terms of the full call, without its derivatives.
+        return -float(_garch_terms(_garch_unpack(x), y, v_init).mean())
+
     candidates = []
     for x_start in _garch_starts(y, seed, _N_STARTS):
-        fun, jac, x = _garch_newton(negll, x_start, _GTOL, _MAXITER)
+        fun, jac, x = _garch_newton(negll, negll_value, x_start, _GTOL, _MAXITER)
         gnorm = float(np.max(np.abs(jac)))
         if np.isfinite(fun) and gnorm < 1e-5:
             candidates.append((fun, gnorm, x))

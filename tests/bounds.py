@@ -206,3 +206,163 @@ def cond_gap_bound(mat, c=10.0):
     d = mat.shape[0]
     kappa = np.linalg.cond(mat)
     return 2.0 * c * d * np.finfo(float).eps * (kappa + 1.0)
+
+
+def pairwise_depth(n):
+    """The most roundings any term takes in numpy's pairwise sum of n floats
+    (``np.add.reduce`` along a unit-stride axis; the order is pinned in
+    test_hsic's ``pairwise_sum``).
+
+    Below 8 terms the sum runs left to right from 0.0, so a term is rounded
+    at most n - 1 times (adding the first to 0.0 is exact).  Up to 128
+    terms, eight running sums take every eighth term (n // 8 terms each,
+    so n // 8 - 1 roundings), a tree of depth 3 joins them, and the n % 8
+    terms left over are added one by one.  Longer sums split in two at a
+    multiple of 8 near the middle and add the halves: one more rounding.
+    """
+    if n < 8:
+        return max(n - 1, 0)
+    if n <= 128:
+        return n // 8 + 2 + n % 8
+    half = n // 2 - (n // 2) % 8
+    return 1 + max(pairwise_depth(half), pairwise_depth(n - half))
+
+
+def sum_bound(k, magnitude):
+    """Bound on the distance of a floating sum from the exact sum of its
+    terms, when no term takes more than k roundings: Higham's
+    ``|fl(S) - S| <= gamma(k) sum |x_i|``, for ``sum |x_i| <= magnitude``."""
+    return gamma(k) * magnitude
+
+
+class WindowSums:
+    """The absolute row sums of one Gram matrix that the window-sum bounds of
+    the HSIC pass need, for every window at once.
+
+    ``prefix[j, i]`` is ``sum_{c <= i} |g_jc|``: row j's absolute sum over
+    columns ``[0, N)`` is ``prefix[j, N - 1]``, over ``[m, n)`` it is
+    ``prefix[j, n - 1] - prefix[j, m - 1]``.  Taking these in floating
+    point moves each by a relative gamma(n) at most, which is second order
+    in the bounds below.
+    """
+
+    def __init__(self, g):
+        self.n = g.shape[-1]
+        self.prefix = np.cumsum(np.abs(g), axis=-1)
+        self.largest = float(np.abs(g).max())
+
+    def window(self, m, role):
+        """``(inside, outside)``: the absolute sums of each row of the window
+        ``[0, n - m)`` (role "lead") or ``[m, n)`` (role "trail") over the
+        window's columns, and over the columns outside it."""
+        n, big = self.n, self.n - m
+        if role == "lead":
+            whole = self.prefix[:big, -1]
+            inside = self.prefix[:big, big - 1]
+        else:
+            whole = self.prefix[m:, -1]
+            inside = whole - (self.prefix[m:, m - 1] if m else 0.0)
+        return inside, np.maximum(whole - inside, 0.0)
+
+    def pass_bound(self, m, role):
+        """``(inside, e)``: entrywise bound e on the distance of the pass's sums
+        of the window's columns from their exact values.
+
+        The pass takes a window's column sums as its rows' sums (the Gram is
+        symmetric): row j's pairwise sum R over all n columns, less the sum
+        E of its m entries outside the window, added one by one from the
+        matrix edge inward, in one final subtraction.  R is within
+        gamma(depth(n)) of the row's absolute sum of its exact value (see
+        :func:`pairwise_depth`), E within gamma(m - 1) of the outside
+        absolute sum, and the subtraction rounds ``R - E`` once, by u of
+        at most the exact window sum's size plus those two errors.  At
+        m = 0 there is no subtraction.
+        """
+        inside, outside = self.window(m, role)
+        row = sum_bound(pairwise_depth(self.n), inside + outside)
+        if m == 0:
+            return inside, row
+        edge = sum_bound(m - 1, outside)
+        return inside, (1 + U) * (row + edge) + U * inside
+
+    def copy_bound(self, m, role):
+        """``(inside, e)`` as :meth:`pass_bound`, for the window copied out of
+        the Gram: each row summed pairwise over the window's N columns."""
+        inside, _ = self.window(m, role)
+        return inside, sum_bound(pairwise_depth(self.n - m), inside)
+
+
+def _stat_side_bound(k_sums, l_sums, big, t1_size):
+    """Bound on the distance of one HSIC evaluation from the exact value of
+    ``sum(dots) / N^2 + S_K S_L / N^4 - 2 c_K . c_L / N^3`` on the exact
+    window sums c, with the same bits of ``sum(dots) / N^2`` on every side.
+
+    ``k_sums`` and ``l_sums`` are ``(inside, e)`` of each window: every
+    exact sum c_j has ``|c_j| <= inside_j``, and the side's computed sum
+    is within e_j of it, so its size is at most ``C_j = inside_j + e_j``.
+    - S_K, the pairwise sum of the N computed c_K, is within
+      ``A_K = sum e_K + gamma(depth(N)) sum C_K`` of the exact one, and its
+      size is at most ``S_K^+ = sum inside_K + A_K``; likewise S_L.
+    - ``S_K S_L / N^4`` (one product, one division) is then within
+      ``(S_K^+ A_L + S_L^+ A_K + gamma(2) S_K^+ S_L^+) / N^4``.
+    - ``c_K . c_L`` moves by at most ``sum(C_K e_L + C_L e_K)`` with the
+      sums, and its BLAS dot and the division by N^3 round it within
+      gamma(N + 1) of ``X = sum C_K C_L``.
+    - The two final additions round within ``gamma(2)`` of the three terms'
+      sizes; ``t1_size`` bounds the first.
+    N^2, N^3 and N^4 are exact floats for every N here.  The bound is first
+    order, as :func:`form_bound` is: the terms' sizes are taken at their
+    exact values, which leaves out terms of order u^2.
+    """
+    (k_in, k_err), (l_in, l_err) = k_sums, l_sums
+    k_size, l_size = k_in + k_err, l_in + l_err
+    depth = pairwise_depth(big)
+    a_k = k_err.sum() + sum_bound(depth, k_size.sum())
+    a_l = l_err.sum() + sum_bound(depth, l_size.sum())
+    s_k, s_l = k_in.sum() + a_k, l_in.sum() + a_l
+    x = k_size @ l_size
+    d2 = (s_k * a_l + s_l * a_k + gamma(2) * s_k * s_l) / big**4
+    d3 = 2 * ((k_size * l_err).sum() + (l_size * k_err).sum() + gamma(big + 1) * x) / big**3
+    final = gamma(2) * (t1_size + s_k * s_l / big**4 + 2 * x / big**3)
+    return d2 + d3 + final
+
+
+def lag_gap_bounds(g1, g2, direction, lags):
+    """Bound on the gap between the multi-lag pass's single statistic at each
+    lag and ``hsic_v`` on that lag's two windows copied out of the Grams.
+
+    In direction 1, ``g1`` gives the lead window ``[0, n - m)`` and ``g2``
+    the trailing window ``[m, n)``; direction 2 swaps them.  Both routes
+    take the same row dots, so they share the bits of ``sum(dots) / N^2``,
+    and differ only in the window sums: the pass's come from the whole
+    rows (:meth:`WindowSums.pass_bound`), the copy's from the window's own
+    rows (:meth:`WindowSums.copy_bound`).  The gap is at most the sum of
+    each route's distance from the exact value (:func:`_stat_side_bound`),
+    where ``|sum(dots)| / N^2 <= max |L| sum_j inside_K,j / N^2``.  At
+    m = 0 both routes are one computation, and the bound is 0.
+    """
+    w1, w2 = WindowSums(g1), WindowSums(g2)
+    roles = ("lead", "trail") if direction == 1 else ("trail", "lead")
+    out = []
+    for m in lags:
+        if m == 0:
+            out.append(0.0)
+            continue
+        big = g1.shape[-1] - m
+        sides = []
+        for how in ("pass_bound", "copy_bound"):
+            k_sums = getattr(w1, how)(m, roles[0])
+            l_sums = getattr(w2, how)(m, roles[1])
+            t1_size = w2.largest * k_sums[0].sum() / big**2
+            sides.append(_stat_side_bound(k_sums, l_sums, big, t1_size))
+        out.append(sum(sides))
+    return np.array(out)
+
+
+def joint_gap_bound(singles, gaps):
+    """Bound on the gap between two joint statistics that each add their
+    M + 1 singles in ascending lag from 0, one side's singles ``singles``
+    and the other's within ``gaps`` of them: the singles' gaps, plus each
+    side's M roundings of the running sum (gamma(M) of the singles' sizes)."""
+    singles, gaps = np.abs(np.asarray(singles)), np.asarray(gaps)
+    return gaps.sum() + 2 * gamma(len(singles) - 1) * (singles + gaps).sum()

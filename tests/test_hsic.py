@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from bounds import U, WindowSums, gamma, joint_gap_bound, lag_gap_bounds, pairwise_depth
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import tsindep.hsic as hsic_module
@@ -126,7 +131,10 @@ class TestSingleStat:
         direct = single_stat(res, m, 1, GAUSS, GAUSS)
         k = gram_matrix(GAUSS, e1[:26]).values
         l = gram_matrix(GAUSS, e2[4:]).values
-        assert direct == hsic_v(k, l)
+        # The pass takes the window sums from the whole Grams' rows, so at
+        # m > 0 it agrees with hsic_v on the windows up to their rounding.
+        g1, g2 = gram_matrix(GAUSS, e1).values, gram_matrix(GAUSS, e2).values
+        assert abs(direct - hsic_v(k, l)) <= lag_gap_bounds(g1, g2, 1, [m])[0]
 
     def test_direction_two_alignment(self):
         rng = np.random.default_rng(7)
@@ -135,8 +143,11 @@ class TestSingleStat:
         res = PairedResiduals(e1, e2)
         k = gram_matrix(GAUSS, e1[4:]).values
         l = gram_matrix(GAUSS, e2[:26]).values
-        # Series 2 leads: its window is summed top-down, series 1's bottom-up.
-        assert single_stat(res, 4, 2, GAUSS, GAUSS) == hsic_v(l, k)
+        # Series 2 leads: its Gram gives the lead window, series 1's the
+        # trailing one, each summed from its whole Gram's rows.
+        g1, g2 = gram_matrix(GAUSS, e1).values, gram_matrix(GAUSS, e2).values
+        bound = lag_gap_bounds(g1, g2, 2, [4])[0]
+        assert abs(single_stat(res, 4, 2, GAUSS, GAUSS) - hsic_v(l, k)) <= bound
 
     def test_infeasible_lag(self):
         res = PairedResiduals(np.zeros((5, 1)), np.zeros((5, 1)))
@@ -228,16 +239,17 @@ class TestGramSlicing:
         passes = []
         real = hsic_module._lag_terms
 
-        def counting(g1, g2, direction, lags, **kwargs):
-            passes.append((direction, list(lags)))
-            return real(g1, g2, direction, lags, **kwargs)
+        def counting(g1, g2, lags, **kwargs):
+            passes.append(dict(lags))
+            return real(g1, g2, lags, **kwargs)
 
         monkeypatch.setattr(hsic_module, "_lag_terms", counting)
         shared = stat_from_grams(g1, g2, cfgs)
         assert shared.shape == (5,)
         assert shared.tolist() == separate
-        # Lags 0..5 of direction 1 and 1..5 of direction 2, once each.
-        want = [(1, list(range(6))), (2, list(range(1, 6)))]
+        # Lags 0..5 of direction 1 and 1..5 of direction 2, once each, in
+        # one pass.
+        want = [{1: list(range(6)), 2: list(range(1, 6))}]
         assert passes == want
         # S2(0) is served by the single S1(0) needs, with no new lag.
         passes.clear()
@@ -245,7 +257,7 @@ class TestGramSlicing:
         assert passes == want
         assert with_s20.tolist() == separate + [separate[0]]
 
-    def test_lagscan_configs_take_one_pass_per_direction(self, monkeypatch):
+    def test_lagscan_configs_take_one_pass(self, monkeypatch):
         # The configs of `tsindep lagscan --max-lag 10`, on one matrix
         # pair and on a stack.
         cfgs = [LagConfig(direction=d, m=m) for d in (1, 2) for m in range(11)]
@@ -254,9 +266,9 @@ class TestGramSlicing:
         passes = []
         real = hsic_module._lag_terms
 
-        def counting(g1, g2, direction, lags, **kwargs):
-            passes.append((g1.ndim, direction, sorted(lags)))
-            return real(g1, g2, direction, lags, **kwargs)
+        def counting(g1, g2, lags, **kwargs):
+            passes.append((g1.ndim, dict(lags)))
+            return real(g1, g2, lags, **kwargs)
 
         monkeypatch.setattr(hsic_module, "_lag_terms", counting)
         assert stat_from_grams(g1, g2, cfgs).tolist() == separate
@@ -265,7 +277,7 @@ class TestGramSlicing:
         assert stacked.shape == (2, 22)
         assert stacked[0].tolist() == separate
         lags = {1: list(range(11)), 2: list(range(1, 11))}
-        assert passes == [(ndim, d, lags[d]) for ndim in (2, 3) for d in (1, 2)]
+        assert passes == [(2, lags), (3, lags)]
 
 
 FAMILIES = [
@@ -306,25 +318,50 @@ def split_cross_dots(k, l):
     return out
 
 
+def exact_window_sums(rows, m, role, picks):
+    """math.fsum of rows ``picks`` of a window of the Gram whose rows (as
+    lists) are ``rows``: its column sums, by symmetry, each rounded once."""
+    n = len(rows)
+    if role == "lead":
+        return np.array([math.fsum(rows[i][: n - m]) for i in picks])
+    return np.array([math.fsum(rows[m + i][m:]) for i in picks])
+
+
 class TestMultiLagPass:
     """The one-pass terms of every lag against hsic_v on each lag's windows."""
 
     @staticmethod
     def check_pass(g1, g2, lags):
+        sums, rows = (WindowSums(g1), WindowSums(g2)), (g1.tolist(), g2.tolist())
+        # fsum costs O(N) per row: above 200 rows, every step-th row and the
+        # last one of each window.
+        step = max(1, len(rows[0]) // 100)
         for direction in (1, 2):
-            terms = hsic_module._lag_terms(g1, g2, direction, lags)
-            assert sorted(terms) == sorted(lags)
-            for m in lags:
+            terms = hsic_module._lag_terms(g1, g2, {direction: lags})
+            assert sorted(terms) == sorted((direction, m) for m in lags)
+            values = hsic_module._lag_stats(g1, g2, {direction: lags}, terms)
+            gaps = lag_gap_bounds(g1, g2, direction, lags)
+            # g1 leads in direction 1 and g2 in direction 2.
+            roles = ("lead", "trail") if direction == 1 else ("trail", "lead")
+            for j, m in enumerate(lags):
                 k, l = lag_windows(g1, g2, m, direction)
-                lead, trail = (k, l) if direction == 1 else (l, k)
-                c_k, c_l, dots = terms[m]
-                c_lead, c_trail = (c_k, c_l) if direction == 1 else (c_l, c_k)
-                assert np.array_equal(c_lead, lead.sum(axis=0))
-                assert np.array_equal(c_trail, trail[::-1].sum(axis=0))
+                c_k, c_l, dots = terms[direction, m]
                 assert np.array_equal(dots, split_cross_dots(k, l))
-                # At m = 0 both directions take direction 1's order.
+                # The window sums against their exact values; fsum rounds
+                # those once more, by u of their size.
+                picks = sorted({*range(0, len(dots), step), len(dots) - 1})
+                for i, c in enumerate((c_k, c_l)):
+                    exact = exact_window_sums(rows[i], m, roles[i], picks)
+                    bound = sums[i].pass_bound(m, roles[i])[1][picks] + U * np.abs(exact)
+                    assert (np.abs(c[picks] - exact) <= bound).all()
                 want = hsic_module.single_from_grams(g1, g2, m, direction)
-                assert want == (hsic_v(lead, trail) if m else hsic_v(g1, g2))
+                assert values[j] == want
+                if m == 0:
+                    # Both directions take the row sums of g1 and g2 alone.
+                    assert want == hsic_v(g1, g2)
+                else:
+                    lead, trail = (k, l) if direction == 1 else (l, k)
+                    assert abs(want - hsic_v(lead, trail)) <= gaps[j]
 
     @pytest.mark.parametrize("tile_bytes", [None, 5000], ids=["default_tile", "small_tile"])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -342,9 +379,15 @@ class TestMultiLagPass:
 
     @pytest.mark.parametrize("lags", [[3], [1, 4, 6], [7, 0]])
     def test_subsets_of_lags(self, lags):
-        # A config computes only the lags the shared dict lacks.
+        # A lag's value does not depend on the other lags of its pass.
         g1, g2 = random_grams(np.random.default_rng(15), 301)
-        self.check_pass(g1, g2, lags)
+        self.check_pass(g1, g2, sorted(lags))
+        for direction in (1, 2):
+            every = {direction: list(range(8))}
+            full = hsic_module._lag_stats(g1, g2, every, hsic_module._lag_terms(g1, g2, every))
+            part = {direction: sorted(lags)}
+            some = hsic_module._lag_stats(g1, g2, part, hsic_module._lag_terms(g1, g2, part))
+            assert some.tolist() == [full[m] for m in sorted(lags)]
 
     def test_joint_is_the_sum_of_its_singles(self):
         g1, g2 = random_grams(np.random.default_rng(16), 130)
@@ -368,11 +411,25 @@ class TestMultiLagPass:
                 assert set(singles.tolist()) == {0.0}
 
     def test_transposed_grams_give_the_same_bits(self):
-        # Column-major input is copied to row-major, so the top-down
-        # column sums are the ones hsic_v takes on the windows.
+        # Column-major input is copied to row-major, so every row is summed
+        # pairwise along a unit-stride axis, as hsic_v sums it.
         g1, g2 = random_grams(np.random.default_rng(17), 130)
         for cfg in (LagConfig(1, max_lag=5), LagConfig(2, max_lag=5), LagConfig(2, m=3)):
             assert stat_from_grams(g1.T, g2.T, cfg) == stat_from_grams(g1, g2, cfg)
+
+    def test_kept_pass_serves_its_own_arrays_only(self):
+        g1, g2 = random_grams(np.random.default_rng(21), 30)
+        cfgs = [LagConfig(1, max_lag=3), LagConfig(2, m=2)]
+        kept = hsic_module._pass_calls(g1, g2, cfgs)
+        assert stat_from_grams(g1, g2, cfgs, calls=kept).tolist() == stat_from_grams(g1, g2, cfgs).tolist()
+        # Refilled in place, the same arrays give the new pair's values.
+        h1, h2 = random_grams(np.random.default_rng(22), 30)
+        g1[...], g2[...] = h1, h2
+        assert stat_from_grams(g1, g2, cfgs, calls=kept).tolist() == stat_from_grams(h1, h2, cfgs).tolist()
+        # Another view of the same buffer, other buffers or other lags.
+        for args in ((g1[:], g2, cfgs), (g1, g2.copy(), cfgs), (g1, g2, cfgs[:1])):
+            with pytest.raises(ValueError, match="other Gram arrays or lags"):
+                stat_from_grams(*args, calls=kept)
 
     def test_size_mismatch(self):
         g1, _ = random_grams(np.random.default_rng(18), 12)
@@ -480,14 +537,13 @@ class TestStackedPass:
 
     def test_lag_terms_carry_the_stack_axis(self):
         g1, g2 = self.stacks(GAUSS, 3, 40, 41)
-        for direction in (1, 2):
-            lags = list(range(39))
-            terms = hsic_module._lag_terms(g1, g2, direction, lags)
-            for i in range(3):
-                alone = hsic_module._lag_terms(g1[i], g2[i], direction, lags)
-                for m in lags:
-                    for part, want in zip(terms[m], alone[m]):
-                        assert np.array_equal(part[i], want)
+        lags = {1: list(range(39)), 2: list(range(1, 39))}
+        terms = hsic_module._lag_terms(g1, g2, lags)
+        for i in range(3):
+            alone = hsic_module._lag_terms(g1[i], g2[i], lags)
+            for key in alone:
+                for part, want in zip(terms[key], alone[key]):
+                    assert np.array_equal(part[i], want)
 
     def test_hsic_v_on_stacks(self):
         g1, g2 = self.stacks(KernelSpec.laplace(1.0), 3, 30, 42)
@@ -532,29 +588,42 @@ def lag_sets(n, joints=True):
 
 
 def per_lag_oracle(g1, g2, cfgs):
-    """The per-lag route: hsic_v on each lag's lead and trailing window.
+    """The per-lag route, hsic_v on each lag's lead and trailing window, and
+    the bound on each config's gap from the pass.
 
-    Lag 0 is hsic_v(g1, g2) in both directions, and joints add their
-    singles in ascending m.
+    Lag 0 is hsic_v(g1, g2) in both directions, with a bound of 0, and
+    joints add their singles in ascending m (see joint_gap_bound).
     """
-    singles = {}
-
-    def single(direction, m):
-        if (direction, m) not in singles:
+    keys = {(c.direction, m) for c in cfgs for m in (range(c.lag + 1) if c.is_joint else (c.m,))}
+    singles, gaps = {}, {}
+    for direction in (1, 2):
+        lags = sorted(m for d, m in keys if d == direction)
+        gaps.update(zip([(direction, m) for m in lags], lag_gap_bounds(g1, g2, direction, lags)))
+        for m in lags:
             lead, trail = lag_windows(g1, g2, m, direction)[:: 1 if direction == 1 else -1]
             singles[direction, m] = hsic_v(lead, trail) if m else hsic_v(g1, g2)
-        return singles[direction, m]
+    values, bounds = [], []
+    for c in cfgs:
+        ks = [(c.direction, m) for m in range(c.lag + 1)] if c.is_joint else [(c.direction, c.m)]
+        parts = [singles[key] for key in ks]
+        values.append(sum(parts) if c.is_joint else parts[0])
+        bound = joint_gap_bound(parts, [gaps[key] for key in ks])
+        bounds.append(bound if c.is_joint else gaps[ks[0]])
+    return values, bounds
 
-    return [
-        sum(single(c.direction, m) for m in range(c.lag + 1))
-        if c.is_joint
-        else single(c.direction, c.m)
-        for c in cfgs
-    ]
+
+def assert_within(values, oracle):
+    """Each value within its bound of the per-lag route (== where it is 0)."""
+    want, bounds = oracle
+    assert len(values) == len(want)
+    for value, w, bound in zip(values, want, bounds):
+        assert abs(value - w) <= bound
 
 
 class TestPassAgainstPerLagOracle:
-    """stat_from_grams on every lag set against hsic_v on each lag's windows."""
+    """stat_from_grams on every lag set against hsic_v on each lag's windows,
+    within the bound of their window sums' rounding, and each stack item
+    against its pair alone, bit for bit."""
 
     _oracles = {}
 
@@ -568,9 +637,12 @@ class TestPassAgainstPerLagOracle:
         )
 
     def oracle(self, spec, n, i, joints):
+        """``(per-lag route, its bounds, the pass on the pair alone)``."""
         key = (spec.family, n, i, joints)
         if key not in self._oracles:
-            self._oracles[key] = per_lag_oracle(*self.item(spec, n, i), lag_sets(n, joints))
+            pair, cfgs = self.item(spec, n, i), lag_sets(n, joints)
+            alone = stat_from_grams(*pair, cfgs).tolist()
+            self._oracles[key] = (*per_lag_oracle(*pair, cfgs), alone)
         return self._oracles[key]
 
     @pytest.mark.parametrize("tile_bytes", [None, 5000], ids=["default_tile", "small_tile"])
@@ -591,14 +663,76 @@ class TestPassAgainstPerLagOracle:
         cfgs = lag_sets(n, joints)
         if nb is None:
             values = stat_from_grams(*self.item(spec, n, 0), cfgs)
-            assert values.tolist() == self.oracle(spec, n, 0, joints)
+            want, bounds, _ = self.oracle(spec, n, 0, joints)
+            assert_within(values.tolist(), (want, bounds))
+            # J1(5) adds the singles S1(0..5) that lagscan's configs read.
+            top = min(5, n - 2)
+            assert values[3] == sum(values[5 : 5 + top + 1].tolist())
             return
         pairs = [self.item(spec, n, i) for i in range(nb)]
         g1, g2 = (np.stack(side) for side in zip(*pairs))
         values = stat_from_grams(g1, g2, cfgs)
         assert values.shape == (nb, len(cfgs))
         for i in range(nb):
-            assert values[i].tolist() == self.oracle(spec, n, i, joints)
+            want, bounds, alone = self.oracle(spec, n, i, joints)
+            assert values[i].tolist() == alone
+            assert_within(alone, (want, bounds))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(2, 300),
+    d=st.integers(1, 3),
+    depth=st.integers(1, 3),
+    spec=st.sampled_from(FAMILIES),
+    shares=st.lists(
+        st.tuples(st.sampled_from([1, 2]), st.floats(0.0, 1.0)), min_size=1, max_size=6
+    ),
+    joint_lags=st.tuples(st.integers(0, 8), st.integers(0, 8)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pass_against_per_lag_route(n, d, depth, spec, shares, joint_lags, seed):
+    # Random lags of both directions anywhere in 0..n - 2, and one joint
+    # per direction, on a stack of 1 to 3 pairs.
+    rng = np.random.default_rng(seed)
+    top = n - 2
+    singles = sorted({(direction, round(share * top)) for direction, share in shares})
+    joints = [LagConfig(direction, max_lag=min(m, top)) for direction, m in zip((1, 2), joint_lags)]
+    cfgs = [LagConfig(direction, m=m) for direction, m in singles] + joints
+    # Every single a joint sums, read through a config of its own.
+    parts = [[LagConfig(c.direction, m=m) for m in range(c.lag + 1)] for c in joints]
+    cfgs += parts[0] + parts[1]
+    pairs = [
+        (gram_matrix(spec, rng.normal(size=(n, d))).values,
+         gram_matrix(spec, rng.normal(size=(n, d))).values)
+        for _ in range(depth)
+    ]
+    stacked = stat_from_grams(np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs]), cfgs)
+    for i, (g1, g2) in enumerate(pairs):
+        values = stat_from_grams(g1, g2, cfgs)
+        # A stack item has the bits of its pair alone.
+        assert stacked[i].tolist() == values.tolist()
+        assert_within(values.tolist(), per_lag_oracle(g1, g2, cfgs))
+        for c, value in zip(cfgs, values.tolist()):
+            if c.is_joint:
+                continue
+            # Each lag has the bits of the same lag in a set of its own, of
+            # the single the pass computes, and at lag 0 of hsic_v.
+            assert value == hsic_module.single_from_grams(g1, g2, c.m, c.direction)
+            assert value == stat_from_grams(g1, g2, c)
+            if c.m == 0:
+                assert value == hsic_v(g1, g2)
+        # A joint adds its singles in ascending lag.
+        offset = len(singles) + 2
+        for j, c in enumerate(joints):
+            own = values[offset : offset + c.lag + 1].tolist()
+            assert values[len(singles) + j] == sum(own)
+            offset += c.lag + 1
+        # The pass's row dots are the split cross term of each window.
+        for direction, m in singles:
+            terms = hsic_module._lag_terms(g1, g2, {direction: [m]})
+            dots = terms[direction, m][2]
+            assert np.array_equal(dots, split_cross_dots(*lag_windows(g1, g2, m, direction)))
 
 
 def nested_constant(g, n, where):
@@ -613,7 +747,8 @@ def nested_constant(g, n, where):
 
 class TestNestedConstantWindows:
     """A Gram constant on a principal block zeroes exactly the lags whose window
-    lies in the block, whichever lag the column-sum screen looks at."""
+    lies in the block, whichever lag the row screen looks at, and a screen
+    row that is constant zeroes nothing unless its window is constant."""
 
     N = 40
     CFGS = [LagConfig(d, m=m) for d in (1, 2) for m in range(11)] + [
@@ -651,9 +786,10 @@ class TestNestedConstantWindows:
             )
             assert (np.delete(values, 2, axis=0) != 0.0).all()
             values = values[2]
+            assert values.tolist() == stat_from_grams(g1, g2, self.CFGS).tolist()
         else:
             values = stat_from_grams(g1, g2, self.CFGS)
-        assert values.tolist() == want
+        assert_within(values.tolist(), want)
         for direction in (1, 2):
             # g1 leads in direction 1 and g2 in direction 2.
             zero = self.constant_lags(where, "lead" if side == direction else "trail")
@@ -661,14 +797,82 @@ class TestNestedConstantWindows:
             assert [v == 0.0 for v in singles] == [m in zero for m in range(11)]
         assert (values[-2:] != 0.0).all()
 
+    @staticmethod
+    def screen_rows(g, n):
+        """``g`` with row and column 0 set to 0.7, and row and column n - 1:
+        the rows that the constant screens of both roles look at, constant
+        over the whole Gram while no window of two or more rows is."""
+        g = g.copy()
+        g[[0, n - 1], :] = 0.7
+        g[:, [0, n - 1]] = 0.7
+        return g
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["alone", "stack_item"])
+    def test_constant_screen_row_leaves_its_windows_nonzero(self, stacked):
+        # Every lead window's row 0 and every trailing window's last row is
+        # constant, so the screens fire at every lag and direction, and the
+        # exact check must find no constant window.  As a stack, the pair
+        # sits among pairs whose screens fire too and one with constant
+        # windows, and each item keeps its values alone.
+        n = self.N
+        g1, g2 = random_grams(np.random.default_rng([n, 5]), n)
+        g1, g2 = self.screen_rows(g1, n), self.screen_rows(g2, n)
+        want = per_lag_oracle(g1, g2, self.CFGS)
+        values = stat_from_grams(g1, g2, self.CFGS)
+        assert (values != 0.0).all()
+        assert_within(values.tolist(), want)
+        if stacked:
+            others = [random_grams(np.random.default_rng([n, 6, i]), n) for i in range(3)]
+            pairs = [(self.screen_rows(a, n), self.screen_rows(b, n)) for a, b in others]
+            pairs[1] = (pairs[1][0], nested_constant(pairs[1][1], n, "trailing"))
+            pairs.insert(2, (g1, g2))
+            stacked_values = stat_from_grams(
+                np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs]), self.CFGS
+            )
+            for i, pair in enumerate(pairs):
+                assert stacked_values[i].tolist() == stat_from_grams(*pair, self.CFGS).tolist()
+            # Pair 1's trailing block holds direction 1's trailing windows
+            # from m = 3 on, and those alone.
+            zero = stacked_values[1] == 0.0
+            assert zero.tolist() == [3 <= m <= 10 for m in range(11)] + [False] * 13
+
+
+def pairwise_sum(x):
+    """numpy's pairwise sum of the floats ``x``, step by step (see
+    bounds.pairwise_depth): left to right from 0.0 below 8 terms, eight
+    running sums and a tree up to 128, halves split at a multiple of 8
+    above."""
+    n = len(x)
+    if n < 8:
+        total = 0.0
+        for v in x:
+            total += v
+        return total
+    if n <= 128:
+        lanes = list(x[:8])
+        i = 8
+        while i < n - n % 8:
+            for j in range(8):
+                lanes[j] += x[i + j]
+            i += 8
+        total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + (
+            (lanes[4] + lanes[5]) + (lanes[6] + lanes[7])
+        )
+        for v in x[i:]:
+            total += v
+        return total
+    half = n // 2 - (n // 2) % 8
+    return pairwise_sum(x[:half]) + pairwise_sum(x[half:])
+
 
 class TestNumpyReductionOrder:
-    """The row order of numpy's axis -2 sums, which the bits of every HSIC
-    value rest on: a numpy that reorders them fails here by name.
+    """The numpy reductions that the bits of every HSIC value rest on: a
+    numpy that changes them fails here by name.
 
-    The order holds for two or more columns, and every Gram window has
-    at least two; a single column is one strided axis, which numpy sums
-    pairwise.
+    The pass sums each Gram row with ``np.add.reduce`` along the row, tile
+    by tile, and each window's entries with the same reduce.  A row's sum
+    must not depend on the rows or stack items around it, and it must be
+    the pairwise sum whose depth the rounding bounds assume.
     """
 
     @staticmethod
@@ -684,13 +888,32 @@ class TestNumpyReductionOrder:
         big = np.random.default_rng(width).normal(size=stack + (306, width + 1))
         # A contiguous array, and a window of a larger one as the pass reads it.
         window = big[..., 5:, 1:]
+        rows = np.ascontiguousarray(window).reshape(-1, width)
+        alone = [np.add.reduce(row.copy()) for row in rows]
         for x in (np.ascontiguousarray(window), window):
-            top_down, bottom_up = self.sequential(x), self.sequential(x[..., ::-1, :])
-            assert np.array_equal(x.sum(axis=-2), top_down)
-            assert np.array_equal(x[..., ::-1, :].sum(axis=-2), bottom_up)
-            # The two orders differ, so the checks above can tell them apart.
-            if width == 500:
-                assert not np.array_equal(top_down, bottom_up)
+            whole = np.add.reduce(x, axis=-1)
+            assert whole.reshape(-1).tolist() == alone
+            # Row tiles of any height give the same sums.
+            tiles = np.empty_like(whole)
+            for r0 in range(0, 301, 37):
+                np.add.reduce(x[..., r0 : r0 + 37, :], -1, None, tiles[..., r0 : r0 + 37])
+            assert np.array_equal(tiles, whole)
+        assert alone[:20] == [pairwise_sum(row.tolist()) for row in rows[:20]]
+        # Pairwise and sequential sums differ at this width, so the check
+        # above sees a change of order.
+        if width == 500:
+            assert alone[:20] != self.sequential(rows[:20, :, None])[:, 0].tolist()
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 120, 128, 129, 136, 255, 499, 700, 2000])
+    def test_pairwise_sum_and_its_depth(self, n):
+        # The replica at every branch, and the rounding its depth allows:
+        # the sum is within gamma(depth) of the exact one, and fsum rounds
+        # that once more, and the sizes' fsum once, by u of their sum each.
+        x = np.random.default_rng(n).normal(size=n) * np.geomspace(1e-6, 1e6, n)
+        assert np.add.reduce(x) == pairwise_sum(x.tolist())
+        size = math.fsum(np.abs(x).tolist())
+        bound = gamma(pairwise_depth(n) + 2) * size
+        assert abs(np.add.reduce(x) - math.fsum(x.tolist())) <= bound
 
     @pytest.mark.parametrize("n", [2, 9, 257, 500])
     @pytest.mark.parametrize("stack", [(), (3,)], ids=["2d", "3d"])

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import minimize, rosen, rosen_der, rosen_hess
 from scipy.stats import chi2
 
+import tsindep.models as models_module
 from tsindep import DataError, FitError, ModelSpec, SingularityError, fit_ccc_garch, residuals, simulate
 from tsindep.models import (
     _floored_information,
@@ -739,7 +740,11 @@ class TestDampedNewton:
         # step must still descend, and Newton converges to the minimum at ones.
         start = np.array([0.0, 1.0, 1.0])
         assert np.linalg.eigvalsh(rosen_hess(start)).min() < 0
-        f, g, x = _garch_newton(lambda z: (rosen(z), rosen_der(z), rosen_hess(z)), start, 1e-10, 500)
+
+        def objective(z):
+            return rosen(z), rosen_der(z), rosen_hess(z)
+
+        f, g, x = _garch_newton(objective, rosen, start, 1e-10, 500)
         assert np.max(np.abs(g)) <= 1e-10
         assert_allclose(x, 1.0, atol=1e-8)
 
@@ -758,9 +763,52 @@ class TestDampedNewton:
                 return np.nan, np.array([np.nan]), np.array([[np.nan]])
             return z[0] - np.log(z[0]), np.array([1.0 - 1.0 / z[0]]), np.array([[z[0] ** -2]])
 
-        f, g, x = _garch_newton(objective, np.array([3.0]), 1e-12, 100)
+        f, g, x = _garch_newton(objective, lambda z: objective(z)[0], np.array([3.0]), 1e-12, 100)
         assert_allclose(trials[:4], [3.0, -3.0, 0.0, 1.5], atol=1e-12)
         assert abs(x[0] - 1.0) <= 1e-12 and f == 1.0
+
+    def test_derivatives_only_at_accepted_trials(self):
+        # A rejected trial costs one value call and no derivatives, and the
+        # descent takes the steps it takes with the objective's own values.
+        full, values = [], []
+
+        def objective(z):
+            full.append(float(z[0]))
+            return z[0] - np.log(z[0]), np.array([1.0 - 1.0 / z[0]]), np.array([[z[0] ** -2]])
+
+        def value(z):
+            values.append(float(z[0]))
+            if z[0] <= 0.0:
+                raise FitError("outside the domain")
+            return z[0] - np.log(z[0])
+
+        got = _garch_newton(objective, value, np.array([3.0]), 1e-12, 100)
+        assert_allclose(values[:3], [-3.0, 0.0, 1.5], atol=1e-12)
+        assert_allclose(full[:2], [3.0, 1.5], atol=1e-12)
+        # One full call at the start and one per accepted trial: every trial
+        # inside the domain passes the Armijo test here.
+        assert len(full) == 1 + sum(v > 0.0 for v in values)
+        full.clear()
+        want = _garch_newton(objective, lambda z: objective(z)[0], np.array([3.0]), 1e-12, 100)
+        assert [got[0], got[1].tolist(), got[2].tolist()] == [want[0], want[1].tolist(), want[2].tolist()]
+
+    def test_fit_same_bits_without_value_first_trials(self, monkeypatch):
+        # fit_ccc_garch's value function has the bits of its full objective,
+        # so taking each trial's value from the full objective instead
+        # changes no fit.
+        data = [simulate_garch_data(np.random.default_rng(30 + i), 200)[0] for i in range(3)]
+        fits = [fit_ccc_garch(y, seed=i) for i, y in enumerate(data)]
+        real = models_module._garch_newton
+        monkeypatch.setattr(
+            models_module,
+            "_garch_newton",
+            lambda obj, value, x, gtol, maxiter: real(obj, lambda z: obj(z)[0], x, gtol, maxiter),
+        )
+        for i, (y, fit) in enumerate(zip(data, fits)):
+            plain = fit_ccc_garch(y, seed=i)
+            assert plain.x_hat.tolist() == fit.x_hat.tolist()
+            assert plain.info_inv.tolist() == fit.info_inv.tolist()
+            assert plain.loglik == fit.loglik
 
 
 class TestBatchHelpers:
